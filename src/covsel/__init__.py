@@ -59,7 +59,6 @@ from .simulation import (
     build_model_covariance,
     run_benchmark,
     run_experiment,
-    run_monte_carlo,
     sample_gaussian,
     summarize_ratios,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "register_family",
     "run_benchmark",
     "run_experiment",
-    "run_monte_carlo",
     "sample_covariance",
     "sample_gaussian",
     "scaled_frobenius_sq",

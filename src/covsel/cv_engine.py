@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, EstimationError, SelectionError
 from .estimators import CandidateLibrary, EstimatorSpec, apply_library
 from .loss_risk import (
+    _inverse_variance_weights,
     estimate_weight_matrix,
     resolve_constant_scaling,
     row_losses,
@@ -163,9 +164,7 @@ def _oracle_scaling(policy: str, psi0: np.ndarray):
         variances = np.diag(psi0)
         if np.any(variances <= 0.0):
             raise ConfigError("weighted scaling needs strictly positive true variances")
-        weights = 1.0 / np.sqrt(np.outer(variances, variances))
-        np.fill_diagonal(weights, 1.0 / variances)
-        return weights
+        return _inverse_variance_weights(variances)
     return resolve_constant_scaling(policy, psi0.shape[0])
 
 
@@ -173,31 +172,27 @@ def _oracle_scaling(policy: str, psi0: np.ndarray):
 class CandidateEvaluation:
     """Per-candidate, per-split risks from one cross-validation pass.
 
-    Risk arrays have shape ``(K, n_splits)`` and hold NaN for failed
-    candidates.  A candidate that fails on any split is excluded outright;
-    ``failures`` maps its library index to the first reason seen.
+    ``risks`` holds the requested risk flavour and ``oracle_diffs`` the
+    exact risk differences; each is ``None`` when not requested.  Arrays
+    have shape ``(K, n_splits)`` and hold NaN for failed candidates.  A
+    candidate that fails on any split is excluded outright; ``failures``
+    maps its library index to the first reason seen.
     """
 
     library: CandidateLibrary
-    observation_risks: np.ndarray | None
-    matrix_risks: np.ndarray | None
+    risks: np.ndarray | None
     oracle_diffs: np.ndarray | None
     failures: dict[int, str]
     warnings: tuple[str, ...]
     max_abs_estimate: float
 
-    def _means(self, risks: np.ndarray | None) -> np.ndarray:
-        if risks is None:
-            raise ConfigError("requested risk flavour was not computed in this pass")
-        means = risks.mean(axis=1)
+    def _means(self, values: np.ndarray) -> np.ndarray:
+        means = values.mean(axis=1)
         means[list(self.failures)] = np.nan
         return means
 
-    def mean_observation_risks(self) -> np.ndarray:
-        return self._means(self.observation_risks)
-
-    def mean_matrix_risks(self) -> np.ndarray:
-        return self._means(self.matrix_risks)
+    def mean_risks(self) -> np.ndarray:
+        return self._means(self.risks)
 
     def mean_oracle_diffs(self) -> np.ndarray:
         return self._means(self.oracle_diffs)
@@ -210,24 +205,25 @@ def evaluate_candidates(
     *,
     scaling: str = "one",
     center: bool = True,
-    observation: bool = True,
-    matrix: bool = False,
+    risk: str | None = "observation",
     psi0=None,
 ) -> CandidateEvaluation:
     """Fit and score every candidate over every split in one pass.
 
-    ``observation`` requests the mean observation-level loss on the
-    validation rows; ``matrix`` requests the squared scaled distance to
-    the validation sample covariance (constant scaling only).  With
-    ``psi0`` given, exact risk differences against it are also recorded
-    for each training-fold estimate.
+    ``risk="observation"`` scores the mean observation-level loss on the
+    validation rows; ``risk="matrix"`` the squared scaled distance to the
+    validation sample covariance (constant scaling only); ``risk=None``
+    scores nothing.  With ``psi0`` given, exact risk differences against
+    it are also recorded for each training-fold estimate.
 
     With ``center=True`` each training fold is column-centered and the
     fold means are subtracted from its validation rows before scoring.
     """
     data = as_data_matrix(data, min_rows=2)
     n, dim = data.shape
-    if matrix and scaling == "weighted":
+    if risk not in ("observation", "matrix", None):
+        raise ConfigError(f"risk must be 'observation', 'matrix' or None, got {risk!r}")
+    if risk == "matrix" and scaling == "weighted":
         raise ConfigError("the matrix risk shortcut requires a constant scaling factor")
     if psi0 is not None:
         psi0 = as_square_matrix(psi0)
@@ -239,8 +235,7 @@ def evaluate_candidates(
     n_splits = len(splits)
     if n_splits == 0:
         raise ConfigError("at least one split is required")
-    obs = np.full((n_candidates, n_splits), np.nan) if observation else None
-    mat = np.full((n_candidates, n_splits), np.nan) if matrix else None
+    risks = np.full((n_candidates, n_splits), np.nan) if risk is not None else None
     orc = np.full((n_candidates, n_splits), np.nan) if psi0 is not None else None
     failures: dict[int, str] = {}
     warnings: list[str] = []
@@ -269,17 +264,17 @@ def evaluate_candidates(
             train = train - fold_means
             val = val - fold_means
         eta = _fold_scaling(scaling, train, dim)
-        val_cov = sample_covariance(val) if matrix else None
+        val_cov = sample_covariance(val) if risk == "matrix" else None
         fits = apply_library(library, train)
         for cand_idx, (estimate, failure) in enumerate(fits):
             if failure is not None:
                 failures.setdefault(cand_idx, failure)
                 continue
             max_abs = max(max_abs, float(np.max(np.abs(estimate))))
-            if obs is not None:
-                obs[cand_idx, split_idx] = float(np.mean(row_losses(val, estimate, eta)))
-            if mat is not None:
-                mat[cand_idx, split_idx] = scaled_frobenius_sq(val_cov - estimate, eta)
+            if risk == "observation":
+                risks[cand_idx, split_idx] = float(np.mean(row_losses(val, estimate, eta)))
+            elif risk == "matrix":
+                risks[cand_idx, split_idx] = scaled_frobenius_sq(val_cov - estimate, eta)
             if orc is not None:
                 orc[cand_idx, split_idx] = true_risk_difference(estimate, psi0, oracle_eta)
 
@@ -290,8 +285,7 @@ def evaluate_candidates(
         )
     return CandidateEvaluation(
         library=library,
-        observation_risks=obs,
-        matrix_risks=mat,
+        risks=risks,
         oracle_diffs=orc,
         failures=failures,
         warnings=tuple(warnings),
@@ -305,7 +299,7 @@ def cv_risk_estimate(spec: EstimatorSpec, data, splits, *, scaling: str = "one",
     ev = evaluate_candidates(library, data, splits, scaling=scaling, center=center)
     if 0 in ev.failures:
         raise EstimationError(f"estimator {spec.id} failed: {ev.failures[0]}")
-    return float(ev.mean_observation_risks()[0])
+    return float(ev.mean_risks()[0])
 
 
 def _argmin_with_ties(values: np.ndarray) -> tuple[int, list[int]]:
@@ -377,10 +371,9 @@ def select(
         splits,
         scaling=scaling,
         center=center,
-        observation=risk == "observation",
-        matrix=risk == "matrix",
+        risk=risk,
     )
-    risks = ev.mean_observation_risks() if risk == "observation" else ev.mean_matrix_risks()
+    risks = ev.mean_risks()
 
     full = data - data.mean(axis=0, keepdims=True) if center else data
     full_fits = apply_library(library, full)
@@ -460,8 +453,7 @@ def oracle_select_cv(
         splits,
         scaling=scaling,
         center=center,
-        observation=False,
-        matrix=False,
+        risk=None,
         psi0=psi0,
     )
     diffs = ev.mean_oracle_diffs()

@@ -51,15 +51,8 @@ __all__ = [
     "adaptive_lasso_threshold",
     "band_matrix",
     "taper_weights",
-    "threshold_estimate",
-    "band_estimate",
-    "taper_estimate",
     "ShrinkageComponents",
-    "linear_shrinkage_components",
-    "linear_shrinkage_estimate",
     "dense_target",
-    "dense_shrinkage_estimate",
-    "poet_estimate",
 ]
 
 
@@ -130,40 +123,8 @@ def taper_weights(dim: int, bands: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Data-level estimators
+# Shrinkage and factor estimators (fitted through the registry)
 # ---------------------------------------------------------------------------
-
-
-def threshold_estimate(data, rule: str, threshold: float, **extra) -> np.ndarray:
-    """Apply an entrywise thresholding rule to the sample covariance."""
-    cov = sample_covariance(as_data_matrix(data))
-    if rule == "hard":
-        _validate_hard({"threshold": threshold, **extra})
-        return hard_threshold(cov, threshold)
-    if rule == "scad":
-        params = {"threshold": threshold, "shape": extra.pop("shape", 3.7), **extra}
-        _validate_scad(params)
-        return scad_threshold(cov, threshold, params["shape"])
-    if rule == "adaptive_lasso":
-        params = {"threshold": threshold, **extra}
-        _validate_adaptive(params)
-        return adaptive_lasso_threshold(cov, threshold, params["exponent"])
-    raise ConfigError(f"unknown thresholding rule {rule!r}")
-
-
-def band_estimate(data, bands: int) -> np.ndarray:
-    """Banding estimator: keep the central ``2*bands + 1`` diagonals."""
-    _validate_banding({"bands": bands})
-    return band_matrix(sample_covariance(as_data_matrix(data)), bands)
-
-
-def taper_estimate(data, bands: int) -> np.ndarray:
-    """Tapering estimator: Hadamard product of the sample covariance and weights."""
-    cov = sample_covariance(as_data_matrix(data))
-    weights = taper_weights(cov.shape[0], bands)
-    out = weights * cov
-    out[weights == 0.0] = 0.0
-    return out
 
 
 @dataclass(frozen=True)
@@ -204,30 +165,18 @@ def _shrinkage_components(data: np.ndarray, cov: np.ndarray) -> ShrinkageCompone
     return ShrinkageComponents(mean_variance, d2, b2, d2 - b2, b2 / d2)
 
 
-def linear_shrinkage_components(data) -> ShrinkageComponents:
-    """Shrinkage intensity diagnostics for :func:`linear_shrinkage_estimate`."""
-    data = as_data_matrix(data)
-    return _shrinkage_components(data, sample_covariance(data))
-
-
 def _identity_shrinkage(data: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Linear shrinkage of ``cov`` towards a scaled identity.
+
+    The intensity is the ratio of the (clipped) sampling dispersion of the
+    per-observation outer products to the distance between ``cov`` and
+    its identity target, the standard plug-in recipe for this estimator.
+    """
     parts = _shrinkage_components(data, cov)
     if parts.target_distance_sq <= 0.0:
         return cov.copy()
     dim = cov.shape[0]
     return parts.intensity * parts.mean_variance * np.eye(dim) + (1.0 - parts.intensity) * cov
-
-
-def linear_shrinkage_estimate(data) -> np.ndarray:
-    """Linear shrinkage of the sample covariance towards a scaled identity.
-
-    The shrinkage intensity is the ratio of the (clipped) sampling
-    dispersion of the per-observation outer products to the distance
-    between the sample covariance and its identity target, the standard
-    plug-in recipe for this estimator.
-    """
-    data = as_data_matrix(data)
-    return _identity_shrinkage(data, sample_covariance(data))
 
 
 def dense_target(cov) -> np.ndarray:
@@ -244,6 +193,7 @@ def dense_target(cov) -> np.ndarray:
 
 
 def _dense_shrinkage(data: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Linear shrinkage towards :func:`dense_target`, intensity clamped to [0, 1]."""
     dim = cov.shape[0]
     target = dense_target(cov)
     d2 = scaled_frobenius_sq(cov - target, 1.0 / dim)
@@ -253,19 +203,8 @@ def _dense_shrinkage(data: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return rho * target + (1.0 - rho) * cov
 
 
-def dense_shrinkage_estimate(data) -> np.ndarray:
-    """Linear shrinkage towards a dense target.
-
-    The target has every diagonal entry equal to the average sample
-    variance and every off-diagonal entry equal to the average sample
-    covariance; the intensity uses the same plug-in recipe as
-    :func:`linear_shrinkage_estimate`, clamped to [0, 1].
-    """
-    data = as_data_matrix(data)
-    return _dense_shrinkage(data, sample_covariance(data))
-
-
 def _poet_from_eig(cov: np.ndarray, eig, factors: int, threshold: float) -> np.ndarray:
+    """Leading ``factors`` eigencomponents plus the hard-thresholded remainder."""
     dim = cov.shape[0]
     if not 0 <= factors <= dim:
         raise ConfigError(f"factor count {factors} outside [0, {dim}]")
@@ -282,18 +221,6 @@ def _poet_from_eig(cov: np.ndarray, eig, factors: int, threshold: float) -> np.n
     # reconstitutes the sample variances exactly.
     np.fill_diagonal(out, np.diag(cov))
     return out
-
-
-def poet_estimate(data, factors: int, threshold: float) -> np.ndarray:
-    """Low-rank spectral part plus hard-thresholded remainder.
-
-    Keeps the leading ``factors`` eigencomponents of the sample covariance
-    intact and hard-thresholds the off-diagonal of what is left, while
-    preserving the full diagonal.
-    """
-    _validate_poet({"factors": factors, "threshold": threshold})
-    cov = sample_covariance(as_data_matrix(data))
-    return _poet_from_eig(cov, eigendecompose(cov), factors, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +278,11 @@ def _validate_hard(params: dict) -> dict:
 
 
 def _validate_scad(params: dict) -> dict:
+    params = {"shape": 3.7, **params}
     out = {
         "threshold": _require_number(params, "threshold", minimum=0.0),
-        "shape": float(params.get("shape", 3.7)),
+        "shape": _require_number(params, "shape", minimum=2.0, strict=True),
     }
-    if out["shape"] <= 2.0:
-        raise ConfigError(f"SCAD shape must exceed 2, got {out['shape']}")
     _validate_no_params({k: v for k, v in params.items() if k not in out})
     return out
 

@@ -167,6 +167,11 @@ def estimate_weight_matrix(training) -> np.ndarray:
         raise DegenerateFeatureError(
             f"zero sample variance in column(s) {cols}; weighted scaling is undefined"
         )
+    return _inverse_variance_weights(variances)
+
+
+def _inverse_variance_weights(variances: np.ndarray) -> np.ndarray:
+    """``1 / sqrt(v_j * v_l)`` off the diagonal, exactly ``1 / v_j`` on it."""
     weights = 1.0 / np.sqrt(np.outer(variances, variances))
     np.fill_diagonal(weights, 1.0 / variances)
     return weights

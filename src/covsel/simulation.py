@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cv_engine import MonteCarloSplit, SingleSplit, VFold, evaluate_candidates, make_splits
+from .cv_engine import (
+    MonteCarloSplit,
+    SingleSplit,
+    VFold,
+    _argmin_with_ties,
+    evaluate_candidates,
+    make_splits,
+)
 from .errors import ConfigError, EstimationError
 from .estimators import CandidateLibrary, apply_library, default_library, wide_library
 from .matrix_core import as_square_matrix, spectral_norm, symmetrize
@@ -36,7 +43,6 @@ __all__ = [
     "ExperimentResult",
     "expected_row_count",
     "run_experiment",
-    "run_monte_carlo",
     "summarize_ratios",
     "BenchmarkResult",
     "run_benchmark",
@@ -336,22 +342,27 @@ def _stream_seed(master: int, model: int, n: int, ratio_idx: int, rep: int, stre
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
-def _first_argmin(values: np.ndarray) -> int | None:
-    valid = np.flatnonzero(np.isfinite(values))
-    if valid.size == 0:
-        return None
-    best = float(np.min(values[valid]))
-    for i in valid:
-        if values[i] == best:
-            return int(i)
-    return None
+def _replications(config: ExperimentConfig, model: int, n: int, ratio_idx: int, dim: int):
+    """Yield ``(rep, psi0, data, data_seed, splits)`` for each replication of one cell.
+
+    Models 5 and 8 are redrawn each replication unless ``config.fix_model``
+    is set; every other model matrix is built once per cell.
+    """
+    redrawn = model in (5, 8) and not config.fix_model
+    psi0 = None
+    for rep in range(config.replications):
+        if psi0 is None or redrawn:
+            model_seed = _stream_seed(config.seed, model, n, ratio_idx, rep if redrawn else 0, 0)
+            psi0 = build_model_covariance(CovModelSpec(model, dim, model_seed))
+        data_seed = _stream_seed(config.seed, model, n, ratio_idx, rep, 1)
+        data = sample_gaussian(psi0, n, data_seed)
+        split_seed = _stream_seed(config.seed, model, n, ratio_idx, rep, 2)
+        yield rep, psi0, data, data_seed, make_splits(config.scheme(split_seed), n)
 
 
 def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n: int,
               ratio_idx: int, ratio: float, dim: int) -> tuple[list[ResultRow], CellStats]:
     rows: list[ResultRow] = []
-    redrawn = model in (5, 8) and not config.fix_model
-    psi0_fixed = None
     max_sq_obs = 0.0
     max_abs_est = 0.0
     want_cv = "cv_ratio" in config.metrics
@@ -359,32 +370,18 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
     want_frob = "frobenius" in config.metrics
     want_spec = "spectral" in config.metrics
     need_full_fits = want_full or want_frob or want_spec
-    observation = config.selector_risk == "observation"
 
-    for rep in range(config.replications):
-        if psi0_fixed is not None and not redrawn:
-            psi0 = psi0_fixed
-        else:
-            model_seed = _stream_seed(config.seed, model, n, ratio_idx, rep if redrawn else 0, 0)
-            psi0 = build_model_covariance(CovModelSpec(model, dim, model_seed))
-            if not redrawn:
-                psi0_fixed = psi0
-        data_seed = _stream_seed(config.seed, model, n, ratio_idx, rep, 1)
-        data = sample_gaussian(psi0, n, data_seed)
-        split_seed = _stream_seed(config.seed, model, n, ratio_idx, rep, 2)
-        splits = make_splits(config.scheme(split_seed), n)
-
+    for rep, psi0, data, data_seed, splits in _replications(config, model, n, ratio_idx, dim):
         ev = evaluate_candidates(
             library,
             data,
             splits,
             scaling=config.scaling,
             center=config.center,
-            observation=observation,
-            matrix=not observation,
+            risk=config.selector_risk,
             psi0=psi0,
         )
-        selector = ev.mean_observation_risks() if observation else ev.mean_matrix_risks()
+        selector = ev.mean_risks()
         cv_diffs = ev.mean_oracle_diffs()
 
         full_diffs = np.full(len(library), np.nan)
@@ -416,11 +413,9 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
                     model, n, dim, rep, library[idx].id, failures[idx],
                 )
 
-        k_hat = _first_argmin(selector)
-        if k_hat is None:
-            raise EstimationError("every candidate failed in this replication")
-        k_tilde = _first_argmin(cv_diffs)
-        k_full = _first_argmin(full_diffs) if need_full_fits else None
+        k_hat = _argmin_with_ties(selector)[0]
+        k_tilde = _argmin_with_ties(cv_diffs)[0] if want_cv else None
+        k_full = _argmin_with_ties(full_diffs)[0] if want_full else None
 
         max_sq_obs = max(max_sq_obs, float(np.max(data * data)))
         max_abs_est = max(max_abs_est, ev.max_abs_estimate, float(np.max(np.abs(psi0))))
@@ -478,11 +473,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         cells.append(stats)
     rows.sort(key=lambda r: (r.model, r.n, r.ratio, r.replication, r.subject, r.metric))
     return ExperimentResult(rows=rows, cells=cells, config=config)
-
-
-def run_monte_carlo(config: ExperimentConfig) -> list[ResultRow]:
-    """Long-format result rows for the configured grid."""
-    return run_experiment(config).rows
 
 
 # ---------------------------------------------------------------------------
@@ -641,28 +631,13 @@ def run_benchmark(
     procedures = tuple(groups)
 
     rows: list[ResultRow] = []
-    observation = config.selector_risk == "observation"
     for model, n, ratio_idx, ratio, dim in config.cells():
-        redrawn = model in (5, 8) and not config.fix_model
-        psi0_fixed = None
-        for rep in range(config.replications):
-            if psi0_fixed is not None and not redrawn:
-                psi0 = psi0_fixed
-            else:
-                model_seed = _stream_seed(config.seed, model, n, ratio_idx, rep if redrawn else 0, 0)
-                psi0 = build_model_covariance(CovModelSpec(model, dim, model_seed))
-                if not redrawn:
-                    psi0_fixed = psi0
-            data_seed = _stream_seed(config.seed, model, n, ratio_idx, rep, 1)
-            data = sample_gaussian(psi0, n, data_seed)
-            split_seed = _stream_seed(config.seed, model, n, ratio_idx, rep, 2)
-            splits = make_splits(config.scheme(split_seed), n)
+        for rep, psi0, data, data_seed, splits in _replications(config, model, n, ratio_idx, dim):
             ev = evaluate_candidates(
                 union, data, splits,
-                scaling=config.scaling, center=config.center,
-                observation=observation, matrix=not observation,
+                scaling=config.scaling, center=config.center, risk=config.selector_risk,
             )
-            selector = ev.mean_observation_risks() if observation else ev.mean_matrix_risks()
+            selector = ev.mean_risks()
             full_fits = apply_library(union, data)
             for procedure, indices in groups.items():
                 risks = [

@@ -15,14 +15,14 @@ import pytest
 from covsel.cli import main, read_estimate_csv, read_results_csv, read_risk_table, write_results_csv
 from covsel.cv_engine import VFold, select
 from covsel.estimators import (
+    EstimatorSpec,
+    _shrinkage_components,
     adaptive_lasso_threshold,
+    apply,
     band_matrix,
     build_library,
     hard_threshold,
-    linear_shrinkage_components,
-    poet_estimate,
     scad_threshold,
-    taper_estimate,
 )
 from covsel.loss_risk import BoundParams, finite_sample_bound, true_risk_difference
 from covsel.matrix_core import sample_covariance
@@ -226,7 +226,7 @@ def test_criterion_7_estimator_identities():
     dim = cov.shape[0]
     failures = []
 
-    parts = linear_shrinkage_components(data)
+    parts = _shrinkage_components(data, cov)
     if abs(parts.dispersion_sq + parts.signal_sq - parts.target_distance_sq) > 1e-12 * parts.target_distance_sq:
         failures.append("shrinkage component sum")
     weights = parts.intensity + parts.signal_sq / parts.target_distance_sq
@@ -237,10 +237,10 @@ def test_criterion_7_estimator_identities():
         failures.append("banding b=0")
     if not np.array_equal(band_matrix(cov, dim - 1), cov):
         failures.append("banding b=J-1")
-    if not np.array_equal(taper_estimate(data, 2), band_matrix(cov, 1)):
+    if not np.array_equal(apply(EstimatorSpec("tapering", {"bands": 2}), data), band_matrix(cov, 1)):
         failures.append("taper(2) == band(1)")
 
-    poet_full = poet_estimate(data, factors=dim, threshold=0.2)
+    poet_full = apply(EstimatorSpec("poet", {"factors": dim, "threshold": 0.2}), data)
     if np.linalg.norm(poet_full - cov) > 1e-8 * np.linalg.norm(cov):
         failures.append("poet L=J")
 

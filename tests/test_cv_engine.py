@@ -13,7 +13,7 @@ from covsel.cv_engine import (
     select,
 )
 from covsel.errors import ConfigError, SelectionError
-from covsel.estimators import CandidateLibrary, EstimatorSpec, build_library
+from covsel.estimators import CandidateLibrary, EstimatorSpec, apply, build_library
 from covsel.loss_risk import validation_risk
 from covsel.matrix_core import sample_covariance
 from covsel.simulation import CovModelSpec, build_model_covariance, sample_gaussian
@@ -255,6 +255,24 @@ class TestOracles:
         assert full_report.full_risk_diffs[0] == pytest.approx(0.01, rel=1e-12)
         assert full_report.full_risk_diffs[1] == pytest.approx(1.0, rel=1e-12)
 
+    def test_weighted_full_oracle_uses_true_variances(self):
+        scale = np.sqrt(np.linspace(0.5, 3.0, 6))
+        psi0 = build_model_covariance(CovModelSpec(2, 6)) * np.outer(scale, scale)
+        data = sample_gaussian(psi0, 40, seed=9)
+        library = small_library()
+        report = oracle_select_full(library, data, psi0, scaling="weighted")
+        v = np.diag(psi0)
+        weights = np.array([[1.0 / np.sqrt(v[j] * v[l]) for l in range(6)] for j in range(6)])
+        for idx, spec in enumerate(library):
+            residual = apply(spec, data) - psi0
+            expected = float(np.sum(weights * residual * residual))
+            assert report.full_risk_diffs[idx] == pytest.approx(expected, rel=1e-12), spec.id
+
+        bad = psi0.copy()
+        bad[2, 2] = 0.0
+        with pytest.raises(ConfigError):
+            oracle_select_full(library, data, bad, scaling="weighted")
+
     def test_singleton_oracle(self):
         psi0 = np.eye(3)
         data = sample_gaussian(psi0, 15, seed=5)
@@ -285,7 +303,7 @@ class TestEvaluateCandidates:
         library = small_library()
         splits = make_splits(VFold(4, seed=8), 32)
         ev = evaluate_candidates(
-            library, data, splits, center=False, observation=True, matrix=True, psi0=psi0
+            library, data, splits, center=False, risk="observation", psi0=psi0
         )
         oracle = oracle_select_cv(library, data, splits, psi0)
         joint = ev.mean_oracle_diffs()

@@ -7,23 +7,17 @@ from covsel.estimators import (
     EstimatorSpec,
     adaptive_lasso_threshold,
     apply,
+    _shrinkage_components,
     apply_library,
-    band_estimate,
     band_matrix,
     build_library,
     default_library,
-    dense_shrinkage_estimate,
     dense_target,
     expand_grid,
     hard_threshold,
     light_library,
-    linear_shrinkage_components,
-    linear_shrinkage_estimate,
-    poet_estimate,
     scad_threshold,
-    taper_estimate,
     taper_weights,
-    threshold_estimate,
     wide_library,
 )
 from covsel.matrix_core import sample_covariance
@@ -31,6 +25,11 @@ from covsel.matrix_core import sample_covariance
 
 def soft_threshold(matrix, cut):
     return np.sign(matrix) * np.maximum(np.abs(matrix) - cut, 0.0)
+
+
+def fit(family, data, **params):
+    """Fit one registry candidate, the package's only fit path."""
+    return apply(EstimatorSpec(family, params), data)
 
 
 @pytest.fixture
@@ -91,6 +90,11 @@ class TestScadThreshold:
         with pytest.raises(ConfigError):
             EstimatorSpec("scad_threshold", {"threshold": 0.1, "shape": 2.0})
 
+    @pytest.mark.parametrize("shape", [float("inf"), float("nan"), "abc"])
+    def test_shape_must_be_a_finite_number(self, shape):
+        with pytest.raises(ConfigError):
+            EstimatorSpec("scad_threshold", {"threshold": 0.1, "shape": shape})
+
 
 class TestAdaptiveLasso:
     def test_zero_exponent_equals_soft(self, random_cov):
@@ -144,17 +148,17 @@ class TestTapering:
                 assert weights[j, l] == expected[abs(j - l)]
 
     def test_bandwidth_two_equals_band_one(self, random_data):
-        assert np.array_equal(taper_estimate(random_data, 2), band_estimate(random_data, 1))
+        assert np.array_equal(fit("tapering", random_data, bands=2), fit("banding", random_data, bands=1))
 
     def test_all_ones_weights_is_noop(self, random_data):
         cov = sample_covariance(random_data)
         dim = cov.shape[0]
         wide_bandwidth = 2 * (dim - 1)  # weights are 1 everywhere
         assert np.all(taper_weights(dim, wide_bandwidth) == 1.0)
-        assert np.array_equal(taper_estimate(random_data, wide_bandwidth), cov)
+        assert np.array_equal(fit("tapering", random_data, bands=wide_bandwidth), cov)
 
     def test_zero_beyond_bandwidth(self, random_data):
-        out = taper_estimate(random_data, 4)
+        out = fit("tapering", random_data, bands=4)
         dim = out.shape[0]
         for j in range(dim):
             for l in range(dim):
@@ -169,26 +173,26 @@ class TestTapering:
 
     def test_dominance(self, random_data):
         cov = sample_covariance(random_data)
-        out = taper_estimate(random_data, 4)
+        out = fit("tapering", random_data, bands=4)
         assert np.all(np.abs(out) <= np.abs(cov) + 1e-15)
 
 
 class TestLinearShrinkage:
     def test_single_observation_returns_sample_cov(self):
         data = np.array([[1.0, 2.0, -1.0]])
-        assert np.array_equal(linear_shrinkage_estimate(data), sample_covariance(data))
+        assert np.array_equal(fit("linear_shrinkage", data), sample_covariance(data))
 
     def test_identical_rows_return_sample_cov(self):
         data = np.tile([1.0, -2.0, 0.5], (6, 1))
-        assert np.array_equal(linear_shrinkage_estimate(data), sample_covariance(data))
+        assert np.array_equal(fit("linear_shrinkage", data), sample_covariance(data))
 
     def test_identity_sample_cov_fixed_point(self):
         data = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         assert np.array_equal(sample_covariance(data), np.eye(2))
-        assert np.array_equal(linear_shrinkage_estimate(data), np.eye(2))
+        assert np.array_equal(fit("linear_shrinkage", data), np.eye(2))
 
     def test_component_identities(self, random_data):
-        parts = linear_shrinkage_components(random_data)
+        parts = _shrinkage_components(random_data, sample_covariance(random_data))
         assert parts.dispersion_sq + parts.signal_sq == pytest.approx(
             parts.target_distance_sq, rel=1e-12
         )
@@ -199,7 +203,7 @@ class TestLinearShrinkage:
     def test_psd(self):
         rng = np.random.default_rng(1)
         data = rng.normal(size=(5, 12))  # more features than rows
-        eigvals = np.linalg.eigvalsh(linear_shrinkage_estimate(data))
+        eigvals = np.linalg.eigvalsh(fit("linear_shrinkage", data))
         assert eigvals.min() >= -1e-10
 
 
@@ -212,7 +216,7 @@ class TestDenseShrinkage:
         data = np.array([[1.0, 1.0], [-1.0, -1.0]])
         cov = sample_covariance(data)
         assert np.array_equal(dense_target(cov), cov)
-        assert np.array_equal(dense_shrinkage_estimate(data), cov)
+        assert np.array_equal(fit("dense_linear_shrinkage", data), cov)
 
     def test_intensity_clamped(self):
         rng = np.random.default_rng(2)
@@ -220,7 +224,7 @@ class TestDenseShrinkage:
             data = rng.normal(size=(4 + trial, 5))
             cov = sample_covariance(data)
             target = dense_target(cov)
-            estimate = dense_shrinkage_estimate(data)
+            estimate = fit("dense_linear_shrinkage", data)
             # recover the combination weight from the entry farthest from the target
             gap = target - cov
             j, l = np.unravel_index(np.argmax(np.abs(gap)), gap.shape)
@@ -230,29 +234,29 @@ class TestDenseShrinkage:
 
     def test_single_feature_rejected(self):
         with pytest.raises(ConfigError):
-            dense_shrinkage_estimate(np.array([[1.0], [2.0]]))
+            fit("dense_linear_shrinkage", np.array([[1.0], [2.0]]))
 
 
 class TestPoet:
     def test_full_rank_recovers_sample_cov(self, random_data):
         cov = sample_covariance(random_data)
-        out = poet_estimate(random_data, factors=cov.shape[0], threshold=0.4)
+        out = fit("poet", random_data, factors=cov.shape[0], threshold=0.4)
         assert np.linalg.norm(out - cov) / np.linalg.norm(cov) < 1e-8
 
     def test_no_factors_large_threshold_gives_diagonal(self, random_data):
         cov = sample_covariance(random_data)
         big = np.abs(cov).max() + 1.0
-        out = poet_estimate(random_data, factors=0, threshold=big)
+        out = fit("poet", random_data, factors=0, threshold=big)
         assert np.array_equal(out, np.diag(np.diag(cov)))
 
     def test_no_factors_zero_threshold_is_noop(self, random_data):
         cov = sample_covariance(random_data)
-        assert np.array_equal(poet_estimate(random_data, factors=0, threshold=0.0), cov)
+        assert np.array_equal(fit("poet", random_data, factors=0, threshold=0.0), cov)
 
     def test_diagonal_preserved_exactly(self, random_data):
         cov = sample_covariance(random_data)
         for factors in (1, 3):
-            out = poet_estimate(random_data, factors=factors, threshold=0.2)
+            out = fit("poet", random_data, factors=factors, threshold=0.2)
             assert np.array_equal(np.diag(out), np.diag(cov))
 
     def test_too_many_factors_fails(self, random_data):
@@ -287,13 +291,11 @@ class TestDispatch:
 
     def test_threshold_estimate_rules(self, random_data):
         cov = sample_covariance(random_data)
-        assert np.array_equal(threshold_estimate(random_data, "hard", 0.2), hard_threshold(cov, 0.2))
+        assert np.array_equal(fit("hard_threshold", random_data, threshold=0.2), hard_threshold(cov, 0.2))
         assert np.array_equal(
-            threshold_estimate(random_data, "adaptive_lasso", 0.2, exponent=0.3),
+            fit("adaptive_lasso", random_data, threshold=0.2, exponent=0.3),
             adaptive_lasso_threshold(cov, 0.2, 0.3),
         )
-        with pytest.raises(ConfigError):
-            threshold_estimate(random_data, "nonsense", 0.2)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigError):

@@ -14,7 +14,6 @@ from covsel.simulation import (
     expected_row_count,
     run_benchmark,
     run_experiment,
-    run_monte_carlo,
     sample_gaussian,
     summarize_ratios,
 )
@@ -159,7 +158,7 @@ class TestConfig:
 class TestRunner:
     def test_frobenius_row_count_candidates_plus_selected(self):
         config = tiny_config()  # K = 3, R = 2, frobenius only
-        rows = run_monte_carlo(config)
+        rows = run_experiment(config).rows
         assert len(rows) == 2 * (3 + 1)
         assert expected_row_count(config) == len(rows)
         subjects = {r.subject for r in rows}
@@ -168,25 +167,25 @@ class TestRunner:
 
     def test_full_metric_row_count(self):
         config = tiny_config(metrics=("cv_ratio", "full_ratio", "frobenius", "spectral"))
-        rows = run_monte_carlo(config)
+        rows = run_experiment(config).rows
         per_rep = (3 + 2) + (3 + 2) + (3 + 1) + (3 + 1)
         assert len(rows) == 2 * per_rep
         assert expected_row_count(config) == len(rows)
 
     def test_rerun_is_identical(self):
         config = tiny_config(metrics=("cv_ratio", "frobenius"))
-        assert run_monte_carlo(config) == run_monte_carlo(config)
+        assert run_experiment(config).rows == run_experiment(config).rows
 
     def test_risk_values_finite_nonnegative(self):
         config = tiny_config(metrics=("cv_ratio", "full_ratio"))
-        for row in run_monte_carlo(config):
+        for row in run_experiment(config).rows:
             assert np.isfinite(row.value)
             assert row.value >= 0.0
 
     def test_per_replication_oracle_dominance(self):
         config = tiny_config(models=(2, 4), replications=5,
                              metrics=("cv_ratio", "full_ratio"))
-        rows = run_monte_carlo(config)
+        rows = run_experiment(config).rows
         for metric, oracle_subject in (("cv_risk_diff", CV_ORACLE_SUBJECT),
                                        ("full_risk_diff", FULL_ORACLE_SUBJECT)):
             picked = {(r.model, r.replication): r.value for r in rows
@@ -199,23 +198,23 @@ class TestRunner:
 
     def test_selector_risk_modes_agree(self):
         base = tiny_config(metrics=("cv_ratio",), replications=3)
-        by_matrix = run_monte_carlo(base)
-        by_obs = run_monte_carlo(tiny_config(metrics=("cv_ratio",), replications=3,
-                                             selector_risk="observation"))
+        by_matrix = run_experiment(base).rows
+        by_obs = run_experiment(tiny_config(metrics=("cv_ratio",), replications=3,
+                                            selector_risk="observation")).rows
         assert by_matrix == by_obs  # risk diffs depend only on the selected index
 
     def test_model_redraw_flag(self):
         redrawn = tiny_config(models=(8,), metrics=("cv_ratio",), replications=2)
         fixed = tiny_config(models=(8,), metrics=("cv_ratio",), replications=2, fix_model=True)
-        rows_redrawn = run_monte_carlo(redrawn)
-        rows_fixed = run_monte_carlo(fixed)
+        rows_redrawn = run_experiment(redrawn).rows
+        rows_fixed = run_experiment(fixed).rows
         assert rows_redrawn != rows_fixed
 
     def test_random_split_schemes(self):
         single = tiny_config(metrics=("cv_ratio",), validation_fraction=0.25)
         monte = tiny_config(metrics=("cv_ratio",), validation_fraction=0.25, split_count=6)
-        rows_single = run_monte_carlo(single)
-        rows_monte = run_monte_carlo(monte)
+        rows_single = run_experiment(single).rows
+        rows_monte = run_experiment(monte).rows
         assert len(rows_single) == len(rows_monte) == expected_row_count(single)
         assert rows_single != rows_monte
         with pytest.raises(ConfigError):
@@ -224,11 +223,37 @@ class TestRunner:
             tiny_config(validation_fraction=0.001)  # selects no validation rows
 
 
+class TestCrossPath:
+    def test_benchmark_and_experiment_draw_the_same_replications(self):
+        config = tiny_config(models=(2, 8), replications=3)
+        simulated = run_experiment(config).rows
+        benched = run_benchmark(config, tuning_grids={}).rows
+
+        def seeds(rows):
+            out = {}
+            for r in rows:
+                out.setdefault((r.model, r.n, r.ratio, r.replication), set()).add(r.seed)
+            return out
+
+        assert seeds(simulated) == seeds(benched)
+        assert all(len(s) == 1 for s in seeds(simulated).values())
+
+        def selected_frobenius(rows):
+            return {(r.model, r.n, r.ratio, r.replication): r.value for r in rows
+                    if r.subject == SELECTED_SUBJECT and r.metric == "frobenius"}
+
+        sim_frob = selected_frobenius(simulated)
+        bench_frob = selected_frobenius(benched)
+        assert sim_frob.keys() == bench_frob.keys() and len(sim_frob) == 6
+        for key, value in sim_frob.items():
+            assert bench_frob[key] == pytest.approx(value, rel=1e-12), key
+
+
 class TestSummaries:
     def test_recompute_from_rows_matches(self):
         config = tiny_config(metrics=("cv_ratio", "full_ratio", "frobenius", "spectral"),
                              replications=4)
-        rows = run_monte_carlo(config)
+        rows = run_experiment(config).rows
         summary = summarize_ratios(rows, metrics=config.metrics)
         assert len(summary["cells"]) == 1
         cell = summary["cells"][0]
@@ -255,22 +280,22 @@ class TestSummaries:
 
     def test_ratios_at_least_one(self):
         config = tiny_config(metrics=("cv_ratio", "full_ratio"), replications=6)
-        summary = summarize_ratios(run_monte_carlo(config))
+        summary = summarize_ratios(run_experiment(config).rows)
         cell = summary["cells"][0]
         assert cell["cv_ratio_of_means"] >= 1.0 - 1e-9
         assert cell["cv_ratio_per_replication_mean"] >= 1.0 - 1e-9
         assert cell["full_ratio_of_means"] >= 1.0 - 1e-9
 
     def test_identical_selections_give_ratio_one(self):
-        rows = run_monte_carlo(tiny_config(
+        rows = run_experiment(tiny_config(
             metrics=("cv_ratio",),
             library=CandidateLibrary((EstimatorSpec("sample_covariance"),)),
-        ))
+        )).rows
         summary = summarize_ratios(rows)
         assert summary["cells"][0]["cv_ratio_of_means"] == pytest.approx(1.0, abs=1e-15)
 
     def test_missing_metric_rejected(self):
-        rows = run_monte_carlo(tiny_config(metrics=("frobenius",)))
+        rows = run_experiment(tiny_config(metrics=("frobenius",))).rows
         with pytest.raises(ConfigError):
             summarize_ratios(rows, metrics=("cv_ratio",))
 
