@@ -23,7 +23,6 @@ from .loss_risk import (
     _inverse_variance_weights,
     estimate_weight_matrix,
     resolve_constant_scaling,
-    row_losses,
     true_risk_difference,
 )
 from .matrix_core import as_data_matrix, as_square_matrix, is_psd, sample_covariance, scaled_frobenius_sq
@@ -168,6 +167,22 @@ def _oracle_scaling(policy: str, psi0: np.ndarray):
     return resolve_constant_scaling(policy, psi0.shape[0])
 
 
+def _observation_offset(val: np.ndarray, val_cov: np.ndarray, eta) -> float:
+    """The candidate-free part of the mean observation loss on ``val``.
+
+    For any estimate ``psi``, ``mean_i L(x_i; psi, eta)`` equals
+    ``scaled_frobenius_sq(val_cov - psi, eta)`` plus this constant,
+    ``mean_i q_i^T eta q_i - scaled_frobenius_sq(val_cov, eta)`` with
+    ``q_i = x_i * x_i``, so scoring a candidate needs no per-row work.
+    """
+    q = val * val
+    if isinstance(eta, np.ndarray):
+        fourth = float(np.sum((q @ eta) * q)) / val.shape[0]
+    else:
+        fourth = eta * float(np.mean(np.sum(q, axis=1) ** 2))
+    return fourth - scaled_frobenius_sq(val_cov, eta)
+
+
 @dataclass
 class CandidateEvaluation:
     """Per-candidate, per-split risks from one cross-validation pass.
@@ -210,11 +225,14 @@ def evaluate_candidates(
 ) -> CandidateEvaluation:
     """Fit and score every candidate over every split in one pass.
 
-    ``risk="observation"`` scores the mean observation-level loss on the
-    validation rows; ``risk="matrix"`` the squared scaled distance to the
-    validation sample covariance (constant scaling only); ``risk=None``
-    scores nothing.  With ``psi0`` given, exact risk differences against
-    it are also recorded for each training-fold estimate.
+    ``risk="matrix"`` scores the squared scaled distance to the
+    validation sample covariance (constant scaling only);
+    ``risk="observation"`` the mean observation-level loss on the
+    validation rows, computed in closed form as that same distance plus
+    one per-split constant (:func:`_observation_offset`), so both cost
+    the same; ``risk=None`` scores nothing.  With ``psi0`` given, exact
+    risk differences against it are also recorded for each training-fold
+    estimate.
 
     With ``center=True`` each training fold is column-centered and the
     fold means are subtracted from its validation rows before scoring.
@@ -264,19 +282,19 @@ def evaluate_candidates(
             train = train - fold_means
             val = val - fold_means
         eta = _fold_scaling(scaling, train, dim)
-        val_cov = sample_covariance(val) if risk == "matrix" else None
+        val_cov = sample_covariance(val) if risk is not None else None
         fits = apply_library(library, train)
         for cand_idx, (estimate, failure) in enumerate(fits):
             if failure is not None:
                 failures.setdefault(cand_idx, failure)
                 continue
             max_abs = max(max_abs, float(np.max(np.abs(estimate))))
-            if risk == "observation":
-                risks[cand_idx, split_idx] = float(np.mean(row_losses(val, estimate, eta)))
-            elif risk == "matrix":
+            if risk is not None:
                 risks[cand_idx, split_idx] = scaled_frobenius_sq(val_cov - estimate, eta)
             if orc is not None:
                 orc[cand_idx, split_idx] = true_risk_difference(estimate, psi0, oracle_eta)
+        if risk == "observation":
+            risks[:, split_idx] += _observation_offset(val, val_cov, eta)
 
     if min_train < dim:
         warnings.append(
@@ -354,10 +372,12 @@ def select(
 
     ``risk`` chooses the score driving the argmin: ``"observation"`` is
     the mean observation-level loss on validation rows; ``"matrix"`` is
-    the squared distance to the validation sample covariance, which is
-    cheaper and (for constant scaling) selects the same candidate.  The
-    winning candidate is refitted on the full dataset and the refit is
-    included in the report.
+    the squared distance to the validation sample covariance.  The two
+    differ by a per-split constant that does not depend on the
+    candidate, so they cost the same and (for constant scaling) select
+    the same candidate; ``"weighted"`` scaling requires
+    ``"observation"``.  The winning candidate is refitted on the full
+    dataset and the refit is included in the report.
     """
     if risk not in ("observation", "matrix"):
         raise ConfigError(f"risk must be 'observation' or 'matrix', got {risk!r}")

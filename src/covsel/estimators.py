@@ -512,15 +512,17 @@ def apply_library(library: CandidateLibrary, data):
     of aborting the whole batch.
     """
     ctx = FitContext(data)
-    results = []
-    for spec in library:
-        try:
-            results.append((apply_with_context(spec, ctx), None))
-        except (ConfigError, EstimationError, FloatingPointError, ValueError) as exc:
-            results.append((None, f"{type(exc).__name__}: {exc}"))
-        except np.linalg.LinAlgError as exc:
-            results.append((None, f"LinAlgError: {exc}"))
-    return results
+    return [_try_fit(spec, ctx) for spec in library]
+
+
+def _try_fit(spec: EstimatorSpec, ctx: FitContext):
+    """``(estimate, None)``, or ``(None, reason)`` when the fit fails."""
+    try:
+        return apply_with_context(spec, ctx), None
+    except (ConfigError, EstimationError, FloatingPointError, ValueError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+    except np.linalg.LinAlgError as exc:
+        return None, f"LinAlgError: {exc}"
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,13 @@ The module also provides the matrix-level cross-validated risk term (the
 scaled squared Frobenius distance to a validation-set sample covariance),
 the analytic risk-difference identity used as the simulation oracle, the
 diagonal-based weighting matrix, and the finite-sample selection bound.
+
+:func:`row_losses`, :func:`observation_loss` and :func:`validation_risk`
+evaluate the loss by its definition, row by row.  They are reference
+implementations and are not on the selection path: the selector scores
+the mean loss over a validation set in closed form, as the matrix-level
+term plus a constant that does not depend on the candidate (see
+:func:`covsel.cv_engine.evaluate_candidates`).
 """
 
 from __future__ import annotations
@@ -79,7 +86,9 @@ def row_losses(rows: np.ndarray, psi: np.ndarray, eta=1.0) -> np.ndarray:
 
     Evaluates the definitional residual ``x x^T - psi`` row by row (in
     memory-bounded chunks), so the returned values are exactly the
-    per-observation losses: no algebraic shortcut is taken here.
+    per-observation losses: no algebraic shortcut is taken here.  This is
+    the oracle the closed-form risk of the selector is tested against; the
+    selector itself never calls it.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
@@ -121,9 +130,10 @@ def validation_risk(psi, validation, eta=1.0) -> float:
 def matrix_cv_risk_term(psi, validation, eta=1.0) -> float:
     """Scaled squared Frobenius distance to the validation sample covariance.
 
-    For a constant scaling factor this term and :func:`validation_risk`
-    differ by a constant that does not depend on ``psi``, so minimizing
-    either over a candidate set selects the same estimator.
+    For any scaling factor, constant or matrix, this term and
+    :func:`validation_risk` differ by a constant that does not depend on
+    ``psi``, so minimizing either over a candidate set selects the same
+    estimator.
     """
     validation = as_data_matrix(validation, min_rows=1)
     psi = as_square_matrix(psi)

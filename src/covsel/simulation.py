@@ -30,7 +30,14 @@ from .cv_engine import (
     make_splits,
 )
 from .errors import ConfigError, EstimationError
-from .estimators import CandidateLibrary, apply_library, default_library, wide_library
+from .estimators import (
+    CandidateLibrary,
+    FitContext,
+    _try_fit,
+    apply_library,
+    default_library,
+    wide_library,
+)
 from .matrix_core import as_square_matrix, spectral_norm, symmetrize
 
 __all__ = [
@@ -379,10 +386,10 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
             scaling=config.scaling,
             center=config.center,
             risk=config.selector_risk,
-            psi0=psi0,
+            psi0=psi0 if want_cv else None,
         )
         selector = ev.mean_risks()
-        cv_diffs = ev.mean_oracle_diffs()
+        cv_diffs = ev.mean_oracle_diffs() if want_cv else None
 
         full_diffs = np.full(len(library), np.nan)
         frob = np.full(len(library), np.nan)
@@ -403,7 +410,8 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
         if failures:
             excluded = list(failures)
             selector[excluded] = np.nan
-            cv_diffs[excluded] = np.nan
+            if want_cv:
+                cv_diffs[excluded] = np.nan
             full_diffs[excluded] = np.nan
             frob[excluded] = np.nan
             spec_norm[excluded] = np.nan
@@ -608,7 +616,9 @@ def run_benchmark(
     procedure picks, with the same CV scheme and risk, from its (usually
     denser) grid in ``tuning_grids``.  Every procedure's winner is then
     refitted on the full dataset and its error norms against the true
-    covariance matrix are recorded under the procedure's name.
+    covariance matrix are recorded under the procedure's name.  Only
+    winners are refitted; when a winner's full-data fit fails, the
+    procedure falls back to its next-ranked candidate.
     """
     for metric in config.metrics:
         if metric not in ("frobenius", "spectral"):
@@ -638,20 +648,27 @@ def run_benchmark(
                 scaling=config.scaling, center=config.center, risk=config.selector_risk,
             )
             selector = ev.mean_risks()
-            full_fits = apply_library(union, data)
+            ctx = FitContext(data)
+            full_fits: dict[int, np.ndarray | None] = {}
             for procedure, indices in groups.items():
-                risks = [
-                    (selector[i], i) for i in indices
-                    if np.isfinite(selector[i]) and full_fits[i][1] is None
-                ]
-                if not risks:
+                # Refit in ascending (risk, position) order; the first
+                # candidate whose full-data fit succeeds is the winner.
+                ranked = sorted(
+                    (selector[i], pos, i) for pos, i in enumerate(indices) if np.isfinite(selector[i])
+                )
+                estimate = None
+                for _, _, i in ranked:
+                    if i not in full_fits:
+                        full_fits[i] = _try_fit(union[i], ctx)[0]
+                    estimate = full_fits[i]
+                    if estimate is not None:
+                        break
+                if estimate is None:
                     logger.warning(
                         "model %d n=%d J=%d rep %d: procedure %s has no valid candidate",
                         model, n, dim, rep, procedure,
                     )
                     continue
-                best = min(risks, key=lambda pair: (pair[0], indices.index(pair[1])))
-                estimate = full_fits[best[1]][0]
                 residual = estimate - psi0
                 for metric in config.metrics:
                     if metric == "frobenius":

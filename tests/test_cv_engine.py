@@ -13,8 +13,8 @@ from covsel.cv_engine import (
     select,
 )
 from covsel.errors import ConfigError, SelectionError
-from covsel.estimators import CandidateLibrary, EstimatorSpec, apply, build_library
-from covsel.loss_risk import validation_risk
+from covsel.estimators import CandidateLibrary, EstimatorSpec, apply, apply_library, build_library
+from covsel.loss_risk import estimate_weight_matrix, resolve_constant_scaling, row_losses, validation_risk
 from covsel.matrix_core import sample_covariance
 from covsel.simulation import CovModelSpec, build_model_covariance, sample_gaussian
 
@@ -319,3 +319,70 @@ class TestEvaluateCandidates:
                 data,
                 [np.ones(5, dtype=bool)],
             )
+
+
+def definitional_risks(library, data, splits, scaling, center):
+    """Per-fold mean of ``row_losses``, the loss evaluated row by row."""
+    out = np.full((len(library), len(splits)), np.nan)
+    for split_idx, split in enumerate(splits):
+        train_mask, val_mask = split if isinstance(split, tuple) else (~split, split)
+        train, val = data[train_mask], data[val_mask]
+        if center:
+            means = train.mean(axis=0, keepdims=True)
+            train, val = train - means, val - means
+        if scaling == "weighted":
+            eta = estimate_weight_matrix(train)
+        else:
+            eta = resolve_constant_scaling(scaling, data.shape[1])
+        for idx, (estimate, failure) in enumerate(apply_library(library, train)):
+            if failure is None:
+                out[idx, split_idx] = np.mean(row_losses(val, estimate, eta))
+    return out
+
+
+def one_row_validation_splits(n):
+    """Four splits whose validation folds are each a single row."""
+    return [(np.arange(n) != i, np.arange(n) == i) for i in range(4)]
+
+
+class TestClosedFormObservationRisk:
+    @pytest.mark.parametrize("scaling", ["one", "inv_J", "inv_J2", "weighted"])
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize(
+        "shape, make",
+        [
+            ((40, 6), lambda n: make_splits(VFold(5, seed=1), n)),
+            ((25, 1), lambda n: make_splits(VFold(5, seed=2), n)),
+            ((15, 5), one_row_validation_splits),
+            ((16, 12), lambda n: make_splits(VFold(4, seed=3), n)),  # J > n_v = 4
+        ],
+        ids=["vfold", "J=1", "one_row_fold", "J>n_v"],
+    )
+    def test_matches_row_by_row_loss(self, scaling, center, shape, make):
+        n, dim = shape
+        rng = np.random.default_rng(n * 100 + dim)
+        data = rng.normal(size=(n, dim)) * rng.uniform(0.5, 3.0, size=dim) + 0.5
+        splits = make(n)
+        library = small_library()
+        ev = evaluate_candidates(library, data, splits, scaling=scaling, center=center)
+        expected = definitional_risks(library, data, splits, scaling, center)
+        checked = 0
+        for idx, spec in enumerate(library):
+            if idx in ev.failures:
+                continue
+            for split_idx in range(len(splits)):
+                got = ev.risks[idx, split_idx]
+                assert got == pytest.approx(expected[idx, split_idx], rel=1e-12), (spec.id, split_idx)
+            checked += 1
+        assert checked >= 5
+
+    @pytest.mark.parametrize("scaling", ["one", "weighted"])
+    def test_selection_never_calls_row_losses(self, scaling, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("row_losses is a test oracle, not part of selection")
+
+        monkeypatch.setattr("covsel.loss_risk.row_losses", forbidden)
+        rng = np.random.default_rng(14)
+        data = rng.normal(size=(30, 6))
+        report = select(small_library(), data, VFold(5, seed=0), scaling=scaling, risk="observation")
+        assert report.selected_id in small_library().ids

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import covsel.cv_engine as cv_engine
+import covsel.simulation as simulation
 from covsel.errors import ConfigError
 from covsel.estimators import CandidateLibrary, EstimatorSpec, build_library
+from covsel.loss_risk import true_risk_difference
 from covsel.simulation import (
     CV_ORACLE_SUBJECT,
     FULL_ORACLE_SUBJECT,
@@ -362,3 +365,44 @@ def test_cell_failure_skips_cell_not_run(caplog):
     dims = {stats.dim for stats in result.cells}
     assert dims == {30}
     assert all(row.dim == 30 for row in result.rows)
+
+
+class TestSkippedWork:
+    def test_frobenius_only_run_computes_no_oracle_diffs(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return true_risk_difference(*args, **kwargs)
+
+        monkeypatch.setattr(cv_engine, "true_risk_difference", counted)
+        frob_only = run_experiment(tiny_config()).rows
+        assert calls == []
+        with_oracle = run_experiment(tiny_config(metrics=("cv_ratio", "frobenius"))).rows
+        assert len(calls) == 2 * 5 * 3  # replications x folds x candidates
+        assert frob_only == [r for r in with_oracle if r.metric == "frobenius"]
+
+    def test_benchmark_refits_winners_and_falls_back_on_failure(self, monkeypatch):
+        psi0 = build_model_covariance(CovModelSpec(2, 15))
+        grids = {
+            "fixed": [
+                EstimatorSpec("fixed", {"matrix": psi0}, id="truth"),
+                EstimatorSpec("fixed", {"matrix": 2.0 * np.eye(15)}, id="far"),
+            ]
+        }
+        config = tiny_config(metrics=("frobenius",))
+        refits = []
+        real_try_fit = simulation._try_fit
+
+        def failing_truth(spec, ctx):
+            refits.append(spec.id)
+            if spec.id == "truth":
+                return None, "forced failure"
+            return real_try_fit(spec, ctx)
+
+        monkeypatch.setattr(simulation, "_try_fit", failing_truth)
+        result = run_benchmark(config, tuning_grids=grids)
+        fixed = [r.value for r in result.rows if r.subject == "fixed"]
+        assert fixed == [pytest.approx(float(np.linalg.norm(2.0 * np.eye(15) - psi0)))] * 2
+        # per replication: the selector's winner, then truth (fails) and far
+        assert len(refits) == 2 * 3 and refits.count("truth") == 2
