@@ -18,7 +18,8 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, EstimationError, SelectionError
-from .estimators import CandidateLibrary, EstimatorSpec, apply_library
+# apply_library stays bound here for code that patches or traces it by this name.
+from .estimators import CandidateLibrary, EstimatorSpec, apply_library, iter_fits  # noqa: F401
 from .loss_risk import (
     _inverse_variance_weights,
     estimate_weight_matrix,
@@ -283,8 +284,7 @@ def evaluate_candidates(
             val = val - fold_means
         eta = _fold_scaling(scaling, train, dim)
         val_cov = sample_covariance(val) if risk is not None else None
-        fits = apply_library(library, train)
-        for cand_idx, (estimate, failure) in enumerate(fits):
+        for cand_idx, (estimate, failure) in enumerate(iter_fits(library, train)):
             if failure is not None:
                 failures.setdefault(cand_idx, failure)
                 continue
@@ -376,8 +376,10 @@ def select(
     differ by a per-split constant that does not depend on the
     candidate, so they cost the same and (for constant scaling) select
     the same candidate; ``"weighted"`` scaling requires
-    ``"observation"``.  The winning candidate is refitted on the full
-    dataset and the refit is included in the report.
+    ``"observation"``.  Every candidate is refitted on the full dataset
+    for its ``psd`` flag, one at a time; the winner is the first
+    candidate in ascending ``(risk, index)`` order whose refit succeeds,
+    and its refit is the only one kept, for the report.
     """
     if risk not in ("observation", "matrix"):
         raise ConfigError(f"risk must be 'observation' or 'matrix', got {risk!r}")
@@ -395,17 +397,21 @@ def select(
     )
     risks = ev.mean_risks()
 
+    # Stream the full-data fits: flag each estimate, keep only the best so
+    # far in ascending (risk, index) order.  That is the argmin below,
+    # because a candidate whose full-data fit fails is masked there too.
     full = data - data.mean(axis=0, keepdims=True) if center else data
-    full_fits = apply_library(library, full)
     failures = dict(ev.failures)
     psd_flags: list[bool | None] = []
-    for idx, (estimate, failure) in enumerate(full_fits):
+    best, best_estimate = -1, None
+    for idx, (estimate, failure) in enumerate(iter_fits(library, full)):
         if failure is not None:
             failures.setdefault(idx, f"full-data fit: {failure}")
             psd_flags.append(None)
-        else:
-            psd_flags.append(is_psd(estimate))
-    risks = risks.copy()
+            continue
+        psd_flags.append(is_psd(estimate))
+        if np.isfinite(risks[idx]) and (best < 0 or risks[idx] < risks[best]):
+            best, best_estimate = idx, estimate
     risks[list(failures)] = np.nan
 
     selected_index, tie_indices = _argmin_with_ties(risks)
@@ -426,7 +432,7 @@ def select(
         selected_index=selected_index,
         selected_id=library[selected_index].id,
         tie_ids=tuple(library[i].id for i in tie_indices),
-        estimate=full_fits[selected_index][0],
+        estimate=best_estimate,
         scheme=scheme_description(scheme),
         seed=scheme.seed,
         scaling=scaling,
@@ -501,7 +507,7 @@ def oracle_select_full(
     if center:
         data = data - data.mean(axis=0, keepdims=True)
     diffs = np.full(len(library), np.nan)
-    for idx, (estimate, failure) in enumerate(apply_library(library, data)):
+    for idx, (estimate, failure) in enumerate(iter_fits(library, data)):
         if failure is None:
             diffs[idx] = true_risk_difference(estimate, psi0, eta)
     index, _ = _argmin_with_ties(diffs)

@@ -40,6 +40,7 @@ __all__ = [
     "family_names",
     "apply",
     "apply_library",
+    "iter_fits",
     "expand_grid",
     "build_library",
     "default_library",
@@ -64,7 +65,11 @@ __all__ = [
 def hard_threshold(matrix, threshold: float) -> np.ndarray:
     """Keep entries with ``|s| > threshold``, zero the rest."""
     m = as_square_matrix(matrix)
-    return np.where(np.abs(m) > threshold, m, 0.0)
+    return _hard(m, np.abs(m), threshold)
+
+
+def _hard(m: np.ndarray, magnitude: np.ndarray, threshold: float) -> np.ndarray:
+    return np.where(magnitude > threshold, m, 0.0)
 
 
 def scad_threshold(matrix, threshold: float, shape: float = 3.7) -> np.ndarray:
@@ -75,10 +80,13 @@ def scad_threshold(matrix, threshold: float, shape: float = 3.7) -> np.ndarray:
     ``shape`` must exceed 2 (3.7 is the customary default).
     """
     m = as_square_matrix(matrix)
+    return _scad(m, np.abs(m), np.sign(m), threshold, shape)
+
+
+def _scad(m, magnitude, sign, threshold: float, shape: float) -> np.ndarray:
     u, a = float(threshold), float(shape)
-    magnitude = np.abs(m)
-    soft = np.sign(m) * np.maximum(magnitude - u, 0.0)
-    middle = ((a - 1.0) * m - np.sign(m) * a * u) / (a - 2.0)
+    soft = sign * np.maximum(magnitude - u, 0.0)
+    middle = ((a - 1.0) * m - sign * a * u) / (a - 2.0)
     return np.where(magnitude <= 2.0 * u, soft, np.where(magnitude <= a * u, middle, m))
 
 
@@ -90,18 +98,37 @@ def adaptive_lasso_threshold(matrix, threshold: float, exponent: float) -> np.nd
     nearly intact.
     """
     m = as_square_matrix(matrix)
-    u, e = float(threshold), float(exponent)
     magnitude = np.abs(m)
+    return _adaptive_lasso(
+        magnitude, np.sign(m), _inverse_power(magnitude, exponent), threshold, exponent
+    )
+
+
+def _inverse_power(magnitude: np.ndarray, exponent: float) -> np.ndarray:
+    """``magnitude ** -exponent``, infinite at the zero entries."""
     with np.errstate(divide="ignore"):
-        borrowed = u ** (e + 1.0) * magnitude ** (-e)
-    return np.sign(m) * np.maximum(magnitude - borrowed, 0.0)
+        return magnitude ** (-float(exponent))
+
+
+def _adaptive_lasso(magnitude, sign, inverse_power, threshold: float, exponent: float) -> np.ndarray:
+    u, e = float(threshold), float(exponent)
+    borrowed = u ** (e + 1.0) * inverse_power
+    return sign * np.maximum(magnitude - borrowed, 0.0)
+
+
+def _band_distance(dim: int) -> np.ndarray:
+    """``|j - l|`` for every entry of a ``dim x dim`` matrix, as floats."""
+    idx = np.arange(dim)
+    return np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
 
 
 def band_matrix(matrix, bands: int) -> np.ndarray:
     """Zero all entries more than ``bands`` positions from the diagonal."""
     m = as_square_matrix(matrix)
-    idx = np.arange(m.shape[0])
-    distance = np.abs(idx[:, None] - idx[None, :])
+    return _band(m, _band_distance(m.shape[0]), bands)
+
+
+def _band(m: np.ndarray, distance: np.ndarray, bands: int) -> np.ndarray:
     return np.where(distance <= bands, m, 0.0)
 
 
@@ -115,11 +142,12 @@ def taper_weights(dim: int, bands: int) -> np.ndarray:
     """
     if bands < 2 or bands % 2 != 0:
         raise ConfigError(f"tapering bandwidth must be a positive even integer, got {bands}")
-    idx = np.arange(dim)
-    distance = np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
+    return _taper_weights(_band_distance(dim), bands)
+
+
+def _taper_weights(distance: np.ndarray, bands: int) -> np.ndarray:
     decay = 2.0 - 2.0 * distance / bands
-    weights = np.where(distance <= bands // 2, 1.0, np.where(distance <= bands, decay, 0.0))
-    return weights
+    return np.where(distance <= bands // 2, 1.0, np.where(distance <= bands, decay, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +209,10 @@ def _identity_shrinkage(data: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
 def dense_target(cov) -> np.ndarray:
     """Dense shrinkage target: averaged diagonal and averaged off-diagonal."""
-    cov = as_square_matrix(cov)
+    return _dense_target(as_square_matrix(cov))
+
+
+def _dense_target(cov: np.ndarray) -> np.ndarray:
     dim = cov.shape[0]
     if dim < 2:
         raise ConfigError("the dense target needs at least two features")
@@ -195,7 +226,7 @@ def dense_target(cov) -> np.ndarray:
 def _dense_shrinkage(data: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Linear shrinkage towards :func:`dense_target`, intensity clamped to [0, 1]."""
     dim = cov.shape[0]
-    target = dense_target(cov)
+    target = _dense_target(cov)
     d2 = scaled_frobenius_sq(cov - target, 1.0 / dim)
     if d2 <= 0.0:
         return target
@@ -203,19 +234,21 @@ def _dense_shrinkage(data: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return rho * target + (1.0 - rho) * cov
 
 
-def _poet_from_eig(cov: np.ndarray, eig, factors: int, threshold: float) -> np.ndarray:
-    """Leading ``factors`` eigencomponents plus the hard-thresholded remainder."""
+def _poet_parts(cov: np.ndarray, eig, factors: int) -> tuple[np.ndarray, np.ndarray]:
+    """POET's rank-``factors`` part of ``cov`` and the remainder ``cov - low_rank``."""
     dim = cov.shape[0]
     if not 0 <= factors <= dim:
         raise ConfigError(f"factor count {factors} outside [0, {dim}]")
     if factors == 0:
-        low_rank = np.zeros_like(cov)
-        residual = cov
-    else:
-        vecs = eig.eigenvectors[:, :factors]
-        low_rank = (vecs * eig.eigenvalues[:factors]) @ vecs.T
-        residual = cov - low_rank
-    out = low_rank + hard_threshold(residual, threshold)
+        return np.zeros_like(cov), cov
+    vecs = eig.eigenvectors[:, :factors]
+    low_rank = (vecs * eig.eigenvalues[:factors]) @ vecs.T
+    return low_rank, cov - low_rank
+
+
+def _poet(cov: np.ndarray, low_rank: np.ndarray, residual: np.ndarray, threshold: float) -> np.ndarray:
+    """Leading eigencomponents plus the hard-thresholded remainder."""
+    out = low_rank + _hard(residual, np.abs(residual), threshold)
     out = 0.5 * (out + out.T)
     # The residual's diagonal is kept as-is, so the estimate's diagonal
     # reconstitutes the sample variances exactly.
@@ -227,12 +260,30 @@ def _poet_from_eig(cov: np.ndarray, eig, factors: int, threshold: float) -> np.n
 # Registry
 # ---------------------------------------------------------------------------
 
+#: Adaptive-LASSO exponents whose ``|S| ** -e`` one context keeps at once.
+#: Every preset grid has 5, and iterates them fastest.
+_CACHED_EXPONENTS = 5
+
 
 class FitContext:
-    """Per-dataset cache of quantities shared across candidate fits."""
+    """Per-dataset cache of quantities shared across candidate fits.
+
+    Every quantity is computed on first use and kept for the context's
+    life: the sample covariance ``S`` and its eigendecomposition, ``|S|``
+    and ``sign(S)`` (thresholding), the ``|j - l|`` band distances
+    (banding, tapering), POET's low-rank part and remainder for the most
+    recent factor count (the library lists POET grouped by factor count),
+    and ``|S| ** -e`` for the last :data:`_CACHED_EXPONENTS`
+    adaptive-LASSO exponents.  That bounds the cache at
+    ``7 + _CACHED_EXPONENTS = 12`` ``J x J`` matrices plus the data,
+    whatever the number of candidates fitted.  Cached arrays are shared
+    by the fits and must not be written to; every fit returns a new array.
+    """
 
     def __init__(self, data) -> None:
         self.data = as_data_matrix(data)
+        self._poet: tuple | None = None
+        self._inverse_powers: dict[float, np.ndarray] = {}
 
     @cached_property
     def cov(self) -> np.ndarray:
@@ -241,6 +292,34 @@ class FitContext:
     @cached_property
     def eig(self):
         return eigendecompose(self.cov)
+
+    @cached_property
+    def magnitude(self) -> np.ndarray:
+        return np.abs(self.cov)
+
+    @cached_property
+    def sign(self) -> np.ndarray:
+        return np.sign(self.cov)
+
+    @cached_property
+    def distance(self) -> np.ndarray:
+        return _band_distance(self.cov.shape[0])
+
+    def poet_parts(self, factors: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(low_rank, residual)`` for ``factors``, cached for the latest count only."""
+        if self._poet is None or self._poet[0] != factors:
+            self._poet = None  # release the previous pair before building the next
+            self._poet = (factors, *_poet_parts(self.cov, self.eig, factors))
+        return self._poet[1:]
+
+    def inverse_power(self, exponent: float) -> np.ndarray:
+        """``|S| ** -exponent``, cached for the latest exponents."""
+        cached = self._inverse_powers.get(exponent)
+        if cached is None:
+            if len(self._inverse_powers) >= _CACHED_EXPONENTS:
+                del self._inverse_powers[next(iter(self._inverse_powers))]
+            cached = self._inverse_powers[exponent] = _inverse_power(self.magnitude, exponent)
+        return cached
 
 
 def _require_number(params: dict, key: str, minimum=None, strict=False) -> float:
@@ -375,32 +454,34 @@ def family_names() -> tuple[str, ...]:
 register_family("sample_covariance", lambda ctx, p: ctx.cov.copy())
 register_family(
     "hard_threshold",
-    lambda ctx, p: hard_threshold(ctx.cov, p["threshold"]),
+    lambda ctx, p: _hard(ctx.cov, ctx.magnitude, p["threshold"]),
     _validate_hard,
     ("threshold",),
 )
 register_family(
     "scad_threshold",
-    lambda ctx, p: scad_threshold(ctx.cov, p["threshold"], p["shape"]),
+    lambda ctx, p: _scad(ctx.cov, ctx.magnitude, ctx.sign, p["threshold"], p["shape"]),
     _validate_scad,
     ("threshold", "shape"),
 )
 register_family(
     "adaptive_lasso",
-    lambda ctx, p: adaptive_lasso_threshold(ctx.cov, p["threshold"], p["exponent"]),
+    lambda ctx, p: _adaptive_lasso(
+        ctx.magnitude, ctx.sign, ctx.inverse_power(p["exponent"]), p["threshold"], p["exponent"]
+    ),
     _validate_adaptive,
     ("threshold", "exponent"),
 )
 register_family(
     "banding",
-    lambda ctx, p: band_matrix(ctx.cov, p["bands"]),
+    lambda ctx, p: _band(ctx.cov, ctx.distance, p["bands"]),
     _validate_banding,
     ("bands",),
 )
 
 
 def _fit_tapering(ctx: FitContext, params: dict) -> np.ndarray:
-    weights = taper_weights(ctx.cov.shape[0], params["bands"])
+    weights = _taper_weights(ctx.distance, params["bands"])
     out = weights * ctx.cov
     out[weights == 0.0] = 0.0
     return out
@@ -411,7 +492,7 @@ register_family("linear_shrinkage", lambda ctx, p: _identity_shrinkage(ctx.data,
 register_family("dense_linear_shrinkage", lambda ctx, p: _dense_shrinkage(ctx.data, ctx.cov))
 register_family(
     "poet",
-    lambda ctx, p: _poet_from_eig(ctx.cov, ctx.eig, p["factors"], p["threshold"]),
+    lambda ctx, p: _poet(ctx.cov, *ctx.poet_parts(p["factors"]), p["threshold"]),
     _validate_poet,
     ("factors", "threshold"),
 )
@@ -504,15 +585,27 @@ def apply_with_context(spec: EstimatorSpec, ctx: FitContext) -> np.ndarray:
     return _FAMILIES[spec.family].fit(ctx, spec.params)
 
 
-def apply_library(library: CandidateLibrary, data):
-    """Fit every candidate on the same data, sharing cached quantities.
+def iter_fits(library: CandidateLibrary, data):
+    """Fit every candidate on the same data, lazily and in library order.
 
-    Returns a list of ``(estimate, failure)`` pairs in library order; a
-    failed candidate carries ``estimate=None`` and a reason string instead
-    of aborting the whole batch.
+    Returns an iterator of ``(estimate, failure)`` pairs over one shared
+    :class:`FitContext`; a failed candidate yields ``estimate=None`` and a
+    reason string instead of aborting the whole batch.  Each fit runs when
+    the caller asks for its pair, so a caller that is done with an
+    estimate before asking for the next one holds one ``J x J`` estimate
+    at a time, next to the context's bounded cache.
     """
     ctx = FitContext(data)
-    return [_try_fit(spec, ctx) for spec in library]
+    return (_try_fit(spec, ctx) for spec in library)
+
+
+def apply_library(library: CandidateLibrary, data):
+    """All of :func:`iter_fits` as a list, in library order.
+
+    The list holds every successful estimate at once, ``K`` matrices of
+    ``J x J``; scoring or flagging code iterates :func:`iter_fits` instead.
+    """
+    return list(iter_fits(library, data))
 
 
 def _try_fit(spec: EstimatorSpec, ctx: FitContext):

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,9 +154,50 @@ def eigendecompose(m) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=eigvals, eigenvectors=eigvecs)
 
 
+def _has_cholesky(m: np.ndarray, shift: float) -> bool:
+    """Whether ``m + shift * I`` has a Cholesky factor (is numerically PD)."""
+    shifted = m.copy()
+    shifted.flat[:: m.shape[0] + 1] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _frobenius_norm(m: np.ndarray) -> float:
+    """``||m||_F``, scaled by the largest entry so squaring cannot overflow."""
+    peak = float(np.max(np.abs(m))) if m.size else 0.0
+    if peak == 0.0:
+        return 0.0
+    scaled = m / peak
+    return peak * math.sqrt(float(np.vdot(scaled, scaled)))
+
+
 def is_psd(m, rtol: float = 1e-10) -> bool:
-    """Whether all eigenvalues are nonnegative up to a relative tolerance."""
+    """Whether ``lambda_min >= -rtol * max|lambda|`` for a symmetric matrix.
+
+    Two Cholesky factorizations decide almost every matrix without an
+    eigendecomposition.  With ``F = ||m||_F >= max|lambda|`` and
+    ``d = max|m_jj| <= max|lambda|``:
+
+    * if ``m + 2 rtol F I`` has no Cholesky factor, ``lambda_min`` lies
+      below ``-2 rtol F <= -2 rtol max|lambda|`` and the answer is False;
+    * if ``m + rtol d I / 2`` has one, ``lambda_min`` lies above
+      ``-rtol d / 2 >= -rtol max|lambda| / 2`` and the answer is True.
+
+    Both margins exceed the factorizations' rounding error by orders of
+    magnitude.  The band in between, and a zero or overflowing ``F``, fall
+    back to ``eigvalsh`` and the definition itself.
+    """
     m = as_square_matrix(m)
+    fro = _frobenius_norm(m)
+    if fro > 0.0 and math.isfinite(fro):
+        if not _has_cholesky(m, 2.0 * rtol * fro):
+            return False
+        diag_peak = float(np.max(np.abs(np.diag(m))))
+        if diag_peak > 0.0 and _has_cholesky(m, 0.5 * rtol * diag_peak):
+            return True
     try:
         eigvals = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError:

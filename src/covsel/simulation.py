@@ -30,12 +30,14 @@ from .cv_engine import (
     make_splits,
 )
 from .errors import ConfigError, EstimationError
-from .estimators import (
+# apply_library stays bound here for code that patches or traces it by this name.
+from .estimators import (  # noqa: F401
     CandidateLibrary,
     FitContext,
     _try_fit,
     apply_library,
     default_library,
+    iter_fits,
     wide_library,
 )
 from .matrix_core import as_square_matrix, spectral_norm, symmetrize
@@ -164,6 +166,11 @@ def sample_gaussian(psi, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ConfigError(f"need at least one draw, got {n}")
+    return _draw(_sampling_factor(psi), n, seed)
+
+
+def _sampling_factor(psi) -> np.ndarray:
+    """``F`` with ``F @ F.T == psi`` for :func:`sample_gaussian`."""
     psi = symmetrize(as_square_matrix(psi))
     try:
         eigvals, eigvecs = np.linalg.eigh(psi)
@@ -175,9 +182,12 @@ def sample_gaussian(psi, n: int, seed: int) -> np.ndarray:
             f"sampling covariance is not positive semi-definite (min eigenvalue {eigvals[0]:.3e})"
         )
     eigvals = np.where(eigvals < 1e-10, 0.0, eigvals)
-    factor = eigvecs * np.sqrt(eigvals)
+    return eigvecs * np.sqrt(eigvals)
+
+
+def _draw(factor: np.ndarray, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, psi.shape[0])) @ factor.T
+    return rng.standard_normal((n, factor.shape[0])) @ factor.T
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +363,8 @@ def _replications(config: ExperimentConfig, model: int, n: int, ratio_idx: int, 
     """Yield ``(rep, psi0, data, data_seed, splits)`` for each replication of one cell.
 
     Models 5 and 8 are redrawn each replication unless ``config.fix_model``
-    is set; every other model matrix is built once per cell.
+    is set; every other model matrix is built, and factorized for
+    sampling, once per cell.
     """
     redrawn = model in (5, 8) and not config.fix_model
     psi0 = None
@@ -361,8 +372,9 @@ def _replications(config: ExperimentConfig, model: int, n: int, ratio_idx: int, 
         if psi0 is None or redrawn:
             model_seed = _stream_seed(config.seed, model, n, ratio_idx, rep if redrawn else 0, 0)
             psi0 = build_model_covariance(CovModelSpec(model, dim, model_seed))
+            factor = _sampling_factor(psi0)
         data_seed = _stream_seed(config.seed, model, n, ratio_idx, rep, 1)
-        data = sample_gaussian(psi0, n, data_seed)
+        data = _draw(factor, n, data_seed)
         split_seed = _stream_seed(config.seed, model, n, ratio_idx, rep, 2)
         yield rep, psi0, data, data_seed, make_splits(config.scheme(split_seed), n)
 
@@ -396,7 +408,7 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
         spec_norm = np.full(len(library), np.nan)
         failures = dict(ev.failures)
         if need_full_fits:
-            for idx, (estimate, failure) in enumerate(apply_library(library, data)):
+            for idx, (estimate, failure) in enumerate(iter_fits(library, data)):
                 if failure is not None:
                     failures.setdefault(idx, f"full-data fit: {failure}")
                     continue

@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+import covsel.estimators as estimators
 from covsel.cv_engine import (
     MonteCarloSplit,
     SingleSplit,
@@ -13,7 +16,15 @@ from covsel.cv_engine import (
     select,
 )
 from covsel.errors import ConfigError, SelectionError
-from covsel.estimators import CandidateLibrary, EstimatorSpec, apply, apply_library, build_library
+from covsel.estimators import (
+    CandidateLibrary,
+    EstimatorSpec,
+    apply,
+    apply_library,
+    build_library,
+    default_library,
+    wide_library,
+)
 from covsel.loss_risk import estimate_weight_matrix, resolve_constant_scaling, row_losses, validation_risk
 from covsel.matrix_core import sample_covariance
 from covsel.simulation import CovModelSpec, build_model_covariance, sample_gaussian
@@ -386,3 +397,64 @@ class TestClosedFormObservationRisk:
         data = rng.normal(size=(30, 6))
         report = select(small_library(), data, VFold(5, seed=0), scaling=scaling, risk="observation")
         assert report.selected_id in small_library().ids
+
+
+def bench_union():
+    """The default library followed by the rest of the wide one, as ``bench`` builds it."""
+    default = tuple(default_library())
+    seen = {spec.id for spec in default}
+    return CandidateLibrary(default + tuple(s for s in wide_library() if s.id not in seen))
+
+
+class TestStreamedFits:
+    @staticmethod
+    def count_live_estimates(monkeypatch):
+        """Patch ``_try_fit`` to record how many of its estimates are alive at each fit."""
+        refs = []
+        peak = []
+        real = estimators._try_fit
+
+        def tracked(spec, ctx):
+            estimate, failure = real(spec, ctx)
+            if estimate is not None:
+                refs.append(weakref.ref(estimate))
+            peak.append(sum(ref() is not None for ref in refs))
+            return estimate, failure
+
+        monkeypatch.setattr(estimators, "_try_fit", tracked)
+        return peak
+
+    @pytest.mark.parametrize("make_library", [default_library, bench_union], ids=["K=73", "K=183"])
+    def test_fits_are_dropped_after_scoring(self, make_library, monkeypatch):
+        library = make_library()
+        data = np.random.default_rng(13).standard_normal((30, 12))
+        splits = make_splits(VFold(5, seed=1), 30)
+        live = self.count_live_estimates(monkeypatch)
+        evaluate_candidates(library, data, splits, risk="matrix")
+        assert len(live) == 5 * len(library) and max(live) <= 2
+        live.clear()
+        report = select(library, data, VFold(5, seed=1), risk="matrix")
+        assert len(live) == 6 * len(library) and max(live) <= 3
+        assert report.estimate is not None
+
+    def test_winner_failing_on_the_full_data_falls_back_to_the_runner_up(self, monkeypatch):
+        data = np.random.default_rng(14).standard_normal((25, 6))
+        library = small_library()
+        scheme = VFold(5, seed=2)
+        first = select(library, data, scheme)
+        ranked = sorted((c.cv_risk, c.index) for c in first.candidates if c.cv_risk is not None)
+        runner_up = library[ranked[1][1]]
+        real = estimators._try_fit
+
+        def fails_on_full_data(spec, ctx):
+            if spec.id == first.selected_id and ctx.data.shape[0] == data.shape[0]:
+                return None, "forced failure"
+            return real(spec, ctx)
+
+        monkeypatch.setattr(estimators, "_try_fit", fails_on_full_data)
+        second = select(library, data, scheme)
+        assert second.selected_id == runner_up.id
+        assert np.array_equal(second.estimate, apply(runner_up, data - data.mean(axis=0)))
+        failed = second.candidates[first.selected_index]
+        assert failed.cv_risk is None and failed.psd is None
+        assert failed.failure == "full-data fit: forced failure"

@@ -15,12 +15,13 @@ from covsel.estimators import (
     dense_target,
     expand_grid,
     hard_threshold,
+    library_preset,
     light_library,
     scad_threshold,
     taper_weights,
     wide_library,
 )
-from covsel.matrix_core import sample_covariance
+from covsel.matrix_core import eigendecompose, sample_covariance
 
 
 def soft_threshold(matrix, cut):
@@ -384,3 +385,63 @@ class TestSpecsAndLibraries:
                 register_family("scaled_diagonal", fit_scaled_diagonal)
         finally:
             _FAMILIES.pop("scaled_diagonal", None)
+
+
+def uncached_fit(spec, cov):
+    """One candidate from the public transforms of ``cov``, sharing nothing."""
+    p = spec.params
+    if spec.family == "sample_covariance":
+        return cov
+    if spec.family == "hard_threshold":
+        return hard_threshold(cov, p["threshold"])
+    if spec.family == "scad_threshold":
+        return scad_threshold(cov, p["threshold"], p["shape"])
+    if spec.family == "adaptive_lasso":
+        return adaptive_lasso_threshold(cov, p["threshold"], p["exponent"])
+    if spec.family == "banding":
+        return band_matrix(cov, p["bands"])
+    if spec.family == "tapering":
+        weights = taper_weights(cov.shape[0], p["bands"])
+        return np.where(weights == 0.0, 0.0, weights * cov)
+    if spec.family == "poet":
+        eig = eigendecompose(cov)
+        vecs = eig.eigenvectors[:, : p["factors"]]
+        low_rank = (vecs * eig.eigenvalues[: p["factors"]]) @ vecs.T
+        out = low_rank + hard_threshold(cov - low_rank, p["threshold"])
+        out = 0.5 * (out + out.T)
+        np.fill_diagonal(out, np.diag(cov))
+        return out
+    return None  # the shrinkage families share nothing beyond cov
+
+
+def ternary_data():
+    """J > n data whose covariance has exact zeros and entries at k/4.
+
+    Every grid threshold that is a multiple of 1/4 (0.25, 0.5, 0.75, 1.0)
+    is hit exactly by some entry.
+    """
+    rng = np.random.default_rng(3)
+    data = rng.integers(-1, 2, size=(4, 12)).astype(float)
+    data[:, 0] = [1.0, 1.0, 0.0, 0.0]
+    data[:, 1] = [0.0, 0.0, 1.0, 1.0]
+    return data
+
+
+class TestCachedKernels:
+    @pytest.mark.parametrize("preset", ["default", "wide", "light"])
+    @pytest.mark.parametrize("kind", ["ternary", "gaussian"])
+    def test_shared_context_fits_equal_the_public_transforms(self, preset, kind):
+        if kind == "ternary":
+            data = ternary_data()
+        else:
+            data = np.random.default_rng(4).standard_normal((8, 15))
+        cov = sample_covariance(data)
+        if kind == "ternary":
+            assert np.any(cov == 0.0) and {0.25, 0.5, 0.75, 1.0} <= set(np.abs(cov).ravel())
+        library = library_preset(preset)
+        for spec, (estimate, failure) in zip(library, apply_library(library, data)):
+            assert failure is None, spec.id
+            assert np.array_equal(estimate, apply(spec, data)), spec.id
+            expected = uncached_fit(spec, cov)
+            if expected is not None:
+                assert np.array_equal(estimate, expected), spec.id

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,61 @@ class TestEigendecompose:
 def test_is_psd():
     assert is_psd(np.eye(3))
     assert not is_psd(np.diag([1.0, -0.5]))
+
+
+RTOL = 1e-10
+
+
+def psd_by_definition(m, rtol=RTOL):
+    """The definition ``is_psd`` certifies, computed from the full spectrum."""
+    eigvals = np.linalg.eigvalsh(m)
+    return bool(eigvals.min() >= -rtol * max(float(np.abs(eigvals).max()), 1e-300))
+
+
+def with_spectrum(eigvals, seed=0):
+    """A symmetric matrix with (up to rounding) the given eigenvalues."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigvals), len(eigvals))))
+    m = (q * np.asarray(eigvals)) @ q.T
+    return 0.5 * (m + m.T)
+
+
+class TestIsPsdCertificate:
+    @pytest.mark.parametrize("dim", [1, 2, 50, 300])
+    @pytest.mark.parametrize("ratio", [-10.0, -2.0, -1.01, -0.99, -0.5, 0.0, 1e-6])
+    def test_boundary_spectra_match_the_definition(self, dim, ratio):
+        # lambda_max = 1 and lambda_min = ratio * rtol; a 1x1 matrix is lambda_min alone.
+        if dim == 1:
+            m = np.array([[ratio * RTOL]])
+        else:
+            middle = np.linspace(1.0, 0.01, dim - 1)[1:]
+            m = with_spectrum([1.0, *middle, ratio * RTOL], seed=dim)
+        assert is_psd(m, RTOL) == psd_by_definition(m)
+        if dim > 1:
+            assert is_psd(m, RTOL) == (ratio >= -1.0)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.zeros((4, 4)),
+            np.array([[2.0]]),
+            np.array([[-2.0]]),
+            np.array([[0.0]]),
+            np.array([[0.0, 1.0], [1.0, 0.0]]),
+            np.ones((5, 5)) - np.eye(5),
+        ],
+        ids=["zero", "1x1-positive", "1x1-negative", "1x1-zero", "off-diagonal-2", "off-diagonal-5"],
+    )
+    def test_degenerate_matrices_match_the_definition(self, m):
+        assert is_psd(m) == psd_by_definition(m)
+
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200])
+    def test_extreme_magnitudes_without_warnings(self, magnitude):
+        psd = 0.5 ** np.abs(np.subtract.outer(np.arange(6), np.arange(6)))
+        indefinite = psd - 0.9 * np.eye(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert is_psd(magnitude * psd)
+            assert not is_psd(magnitude * indefinite)
+            assert psd_by_definition(magnitude * psd)
+            assert not psd_by_definition(magnitude * indefinite)

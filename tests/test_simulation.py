@@ -406,3 +406,22 @@ class TestSkippedWork:
         assert fixed == [pytest.approx(float(np.linalg.norm(2.0 * np.eye(15) - psi0)))] * 2
         # per replication: the selector's winner, then truth (fails) and far
         assert len(refits) == 2 * 3 and refits.count("truth") == 2
+
+
+class TestSamplingFactor:
+    @pytest.mark.parametrize("model, factorizations", [(2, 1), (8, 3)])
+    def test_each_sampled_model_is_factorized_once(self, model, factorizations, monkeypatch):
+        config = tiny_config(models=(model,), replications=3)
+        calls = []
+        real = simulation._sampling_factor
+
+        def counted(psi):
+            calls.append(1)
+            return real(psi)
+
+        monkeypatch.setattr(simulation, "_sampling_factor", counted)
+        run_experiment(config)
+        assert len(calls) == factorizations
+        # The cached factor draws the same bytes as sampling each replication afresh.
+        for rep, psi0, data, data_seed, _ in simulation._replications(config, model, 30, 0, 15):
+            assert np.array_equal(data, sample_gaussian(psi0, 30, data_seed)), rep
