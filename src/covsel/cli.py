@@ -157,11 +157,11 @@ def _write_matrix(path, matrix, column_names=None, comment: str | None = None) -
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         if comment is not None:
             handle.write(f"# {comment}\n")
-        writer = csv.writer(handle, lineterminator="\n")
         if column_names is not None:
-            writer.writerow(column_names)
+            csv.writer(handle, lineterminator="\n").writerow(column_names)
+        # repr of a float never needs CSV quoting, so each row is one join.
         for row in np.atleast_2d(matrix):
-            writer.writerow([_fmt_float(v) for v in row])
+            handle.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_estimate_csv(path):

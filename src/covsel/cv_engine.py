@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, EstimationError, SelectionError
 # apply_library stays bound here for code that patches or traces it by this name.
-from .estimators import CandidateLibrary, EstimatorSpec, apply_library, iter_fits  # noqa: F401
+from .estimators import CandidateLibrary, EstimatorSpec, _score_fits, apply_library, iter_fits  # noqa: F401
 from .loss_risk import (
     _inverse_variance_weights,
     estimate_weight_matrix,
@@ -193,6 +193,8 @@ class CandidateEvaluation:
     have shape ``(K, n_splits)`` and hold NaN for failed candidates.  A
     candidate that fails on any split is excluded outright; ``failures``
     maps its library index to the first reason seen.
+    ``max_abs_estimate`` is the largest absolute entry of any
+    training-fold estimate, ``None`` unless requested.
     """
 
     library: CandidateLibrary
@@ -200,7 +202,7 @@ class CandidateEvaluation:
     oracle_diffs: np.ndarray | None
     failures: dict[int, str]
     warnings: tuple[str, ...]
-    max_abs_estimate: float
+    max_abs_estimate: float | None
 
     def _means(self, values: np.ndarray) -> np.ndarray:
         means = values.mean(axis=1)
@@ -223,6 +225,7 @@ def evaluate_candidates(
     center: bool = True,
     risk: str | None = "observation",
     psi0=None,
+    max_abs: bool = False,
 ) -> CandidateEvaluation:
     """Fit and score every candidate over every split in one pass.
 
@@ -233,7 +236,16 @@ def evaluate_candidates(
     one per-split constant (:func:`_observation_offset`), so both cost
     the same; ``risk=None`` scores nothing.  With ``psi0`` given, exact
     risk differences against it are also recorded for each training-fold
-    estimate.
+    estimate.  ``max_abs=True`` also records the largest absolute entry
+    of any training-fold estimate.
+
+    Each split is one :func:`~covsel.estimators._score_fits` call, which
+    scores the grid families from shared sums over the training
+    covariance and fits only the other candidates.  Those sums round
+    differently from one sum per estimate, so candidates whose mean
+    values lie within :data:`_TIE_RTOL` of the smallest are scored again
+    on the direct path: ties, and the selections that break them, are
+    those of fitting and scoring every candidate.
 
     With ``center=True`` each training fold is column-centered and the
     fold means are subtracted from its validation rows before scoring.
@@ -254,47 +266,75 @@ def evaluate_candidates(
     n_splits = len(splits)
     if n_splits == 0:
         raise ConfigError("at least one split is required")
-    risks = np.full((n_candidates, n_splits), np.nan) if risk is not None else None
-    orc = np.full((n_candidates, n_splits), np.nan) if psi0 is not None else None
+    n_targets = (risk is not None) + (psi0 is not None)
+    # Per target, candidate and split: the distance to the target, before
+    # the observation risk's per-split offset.
+    values = np.full((n_targets, n_candidates, n_splits), np.nan)
+    bases = np.zeros((n_targets, n_splits))
+    offsets = np.zeros(n_splits)
     failures: dict[int, str] = {}
     warnings: list[str] = []
-    max_abs = 0.0
+    peak = 0.0 if max_abs else None
     min_train = n
 
-    for split_idx, mask in enumerate(splits):
-        # A split is a validation mask (training = complement) or an
-        # explicit (train_mask, validation_mask) pair, which permits
-        # overlapping sets in tests.
-        if isinstance(mask, tuple):
-            train_mask = np.asarray(mask[0], dtype=bool)
-            val_mask = np.asarray(mask[1], dtype=bool)
-        else:
-            val_mask = np.asarray(mask, dtype=bool)
-            train_mask = ~val_mask
-        if val_mask.shape != (n,) or train_mask.shape != (n,):
-            raise ValueError(f"split mask {split_idx} does not match {n} observations")
-        train = data[train_mask]
-        val = data[val_mask]
-        if train.shape[0] == 0 or val.shape[0] == 0:
-            raise ConfigError(f"split {split_idx} leaves an empty training or validation set")
-        min_train = min(min_train, train.shape[0])
-        if center:
-            fold_means = train.mean(axis=0, keepdims=True)
-            train = train - fold_means
-            val = val - fold_means
-        eta = _fold_scaling(scaling, train, dim)
-        val_cov = sample_covariance(val) if risk is not None else None
-        for cand_idx, (estimate, failure) in enumerate(iter_fits(library, train)):
-            if failure is not None:
-                failures.setdefault(cand_idx, failure)
-                continue
-            max_abs = max(max_abs, float(np.max(np.abs(estimate))))
+    def folds():
+        """``(split_idx, train, targets)`` per split; records offsets and the smallest fold."""
+        nonlocal min_train
+        for split_idx, mask in enumerate(splits):
+            # A split is a validation mask (training = complement) or an
+            # explicit (train_mask, validation_mask) pair, which permits
+            # overlapping sets in tests.
+            if isinstance(mask, tuple):
+                train_mask = np.asarray(mask[0], dtype=bool)
+                val_mask = np.asarray(mask[1], dtype=bool)
+            else:
+                val_mask = np.asarray(mask, dtype=bool)
+                train_mask = ~val_mask
+            if val_mask.shape != (n,) or train_mask.shape != (n,):
+                raise ValueError(f"split mask {split_idx} does not match {n} observations")
+            train = data[train_mask]
+            val = data[val_mask]
+            if train.shape[0] == 0 or val.shape[0] == 0:
+                raise ConfigError(f"split {split_idx} leaves an empty training or validation set")
+            min_train = min(min_train, train.shape[0])
+            if center:
+                fold_means = train.mean(axis=0, keepdims=True)
+                train = train - fold_means
+                val = val - fold_means
+            eta = _fold_scaling(scaling, train, dim)
+            targets = []
             if risk is not None:
-                risks[cand_idx, split_idx] = scaled_frobenius_sq(val_cov - estimate, eta)
-            if orc is not None:
-                orc[cand_idx, split_idx] = true_risk_difference(estimate, psi0, oracle_eta)
-        if risk == "observation":
-            risks[:, split_idx] += _observation_offset(val, val_cov, eta)
+                val_cov = sample_covariance(val)
+                targets.append((val_cov, eta))
+                if risk == "observation":
+                    offsets[split_idx] = _observation_offset(val, val_cov, eta)
+            if psi0 is not None:
+                targets.append((psi0, oracle_eta))
+            yield split_idx, train, targets
+
+    for split_idx, train, targets in folds():
+        scores = _score_fits(library, train, targets, want_max=max_abs)
+        for cand_idx, failure in scores.failures.items():
+            failures.setdefault(cand_idx, failure)
+        values[:, :, split_idx] = scores.values.T
+        bases[:, split_idx] = scores.base
+        if max_abs:
+            peak = float(np.max(scores.maxima[np.isfinite(scores.maxima)], initial=peak))
+
+    rescore = _near_minimum(values, bases, list(failures))
+    if len(rescore) > 1:
+        subset = CandidateLibrary(tuple(library[i] for i in rescore))
+        for split_idx, train, targets in folds():
+            scores = _score_fits(subset, train, targets, grid=False)
+            for i, failure in scores.failures.items():
+                failures.setdefault(rescore[i], failure)
+            values[:, rescore, split_idx] = scores.values.T
+
+    risks = orc = None
+    if risk is not None:
+        risks = values[0] + offsets if risk == "observation" else values[0]
+    if psi0 is not None:
+        orc = values[-1]
 
     if min_train < dim:
         warnings.append(
@@ -307,8 +347,32 @@ def evaluate_candidates(
         oracle_diffs=orc,
         failures=failures,
         warnings=tuple(warnings),
-        max_abs_estimate=max_abs,
+        max_abs_estimate=peak,
     )
+
+
+#: A candidate is scored again on the direct path when, for some target,
+#: its mean value over the splits exceeds the smallest by at most this
+#: fraction of the smallest plus the sample covariance's mean value.  Grid
+#: values agree with the direct path's to within 1e-12 of the larger of a
+#: value and the sample covariance's (see ``tests/test_grid_scoring.py``),
+#: so no candidate outside the window ties the smallest there.
+_TIE_RTOL = 1e-10
+
+
+def _near_minimum(values: np.ndarray, bases: np.ndarray, failed: list[int]) -> list[int]:
+    """Indices of the candidates within :data:`_TIE_RTOL` of the smallest mean value of any target."""
+    near: set[int] = set()
+    for per_target, base in zip(values, bases):
+        means = per_target.mean(axis=1)
+        means[failed] = np.nan
+        finite = np.isfinite(means)
+        if not finite.any():
+            continue
+        best = float(np.min(means[finite]))
+        window = _TIE_RTOL * (float(np.mean(base)) + abs(best))
+        near.update(int(i) for i in np.flatnonzero(finite & (means - best <= window)))
+    return sorted(near)
 
 
 def cv_risk_estimate(spec: EstimatorSpec, data, splits, *, scaling: str = "one", center: bool = True) -> float:

@@ -19,10 +19,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _grid
 from .errors import ConfigError, EstimationError
 from .matrix_core import (
     as_data_matrix,
@@ -243,13 +244,14 @@ def _poet_parts(cov: np.ndarray, eig, factors: int) -> tuple[np.ndarray, np.ndar
         return np.zeros_like(cov), cov
     vecs = eig.eigenvectors[:, :factors]
     low_rank = (vecs * eig.eigenvalues[:factors]) @ vecs.T
+    # Exactly symmetric, so the remainder and the estimate are too.
+    low_rank = 0.5 * (low_rank + low_rank.T)
     return low_rank, cov - low_rank
 
 
 def _poet(cov: np.ndarray, low_rank: np.ndarray, residual: np.ndarray, threshold: float) -> np.ndarray:
     """Leading eigencomponents plus the hard-thresholded remainder."""
     out = low_rank + _hard(residual, np.abs(residual), threshold)
-    out = 0.5 * (out + out.T)
     # The residual's diagonal is kept as-is, so the estimate's diagonal
     # reconstitutes the sample variances exactly.
     np.fill_diagonal(out, np.diag(cov))
@@ -427,6 +429,29 @@ class _Family:
 
 
 _FAMILIES: dict[str, _Family] = {}
+
+#: Grid scorers of the built-in families, by family name.  A scorer
+#: ``score(fold, specs)`` scores many candidates of its family on one
+#: training fold without building their estimates (see :func:`_score_fits`).
+#: ``fold`` is a :class:`covsel._grid.Fold`: the fold's :class:`FitContext`
+#: as ``fold.ctx``, the ``(T, eta)`` pairs to score against as
+#: ``fold.targets`` (exactly symmetric), and ``fold.want_max``.  It returns
+#: one entry per spec: ``(values, maximum)``, where ``values[t]`` equals
+#: ``scaled_frobenius_sq(T_t - fit, eta_t)`` up to rounding and ``maximum``
+#: is ``np.max(np.abs(fit))`` exactly (``None`` unless ``fold.want_max``),
+#: or ``None`` to leave that spec to the direct path, which fits, scores
+#: and drops it.  Families sharing one scorer are scored in one call per
+#: fold, so they share its pass over the covariance.  Families without a
+#: scorer, user-registered ones included, take the direct path.
+_SCORERS: dict[str, Callable] = {
+    "sample_covariance": _grid.score_identity,
+    "hard_threshold": _grid.score_thresholds,
+    "scad_threshold": _grid.score_thresholds,
+    "adaptive_lasso": _grid.score_thresholds,
+    "banding": _grid.score_bands,
+    "tapering": _grid.score_bands,
+    "poet": _grid.score_poet,
+}
 
 
 def register_family(name, fit, validate=None, param_order=()) -> None:
@@ -606,6 +631,63 @@ def apply_library(library: CandidateLibrary, data):
     ``J x J``; scoring or flagging code iterates :func:`iter_fits` instead.
     """
     return list(iter_fits(library, data))
+
+
+class _FoldScores(NamedTuple):
+    """What :func:`_score_fits` returns for one fold."""
+
+    values: np.ndarray
+    maxima: np.ndarray | None
+    failures: dict[int, str]
+    base: np.ndarray
+
+
+def _score_fits(library: CandidateLibrary, data, targets, *, want_max: bool = False, grid: bool = True) -> _FoldScores:
+    """Score every candidate's fit on ``data`` against each ``(T, eta)`` target.
+
+    ``values[k, t]`` is ``scaled_frobenius_sq(T_t - fit_k, eta_t)``, NaN
+    for a failed candidate; ``maxima[k]`` is ``np.max(np.abs(fit_k))``
+    (``None`` unless ``want_max``); ``failures`` maps a failed candidate's
+    index to its reason, in library order; ``base[t]`` is the sample
+    covariance's value, the scale of the grid values' rounding.
+
+    With ``grid`` and exactly symmetric targets, families with a scorer
+    (see :data:`_SCORERS`) are scored from shared sums over the data's
+    covariance and build no ``J x J`` estimate.  The rest, and any
+    candidate a scorer leaves or scores as non-finite, take the direct
+    path: one fit at a time, scored and dropped before the next.  The
+    direct path is the reference the scorers are tested against.
+    """
+    ctx = FitContext(data)
+    fold = _grid.Fold(ctx, targets, want_max)
+    values = np.full((len(library), len(fold.targets)), np.nan)
+    maxima = np.full(len(library), np.nan) if want_max else None
+    groups: dict[Callable, list[int]] = {}
+    direct: list[int] = []
+    for idx, spec in enumerate(library):
+        score = _SCORERS.get(spec.family) if grid and fold.symmetric else None
+        if score is None:
+            direct.append(idx)
+        else:
+            groups.setdefault(score, []).append(idx)
+    for score, indices in groups.items():
+        for idx, scored in zip(indices, score(fold, [library[i] for i in indices])):
+            if scored is None or not np.all(np.isfinite(scored[0])):
+                direct.append(idx)
+                continue
+            values[idx], maximum = scored
+            if want_max:
+                maxima[idx] = maximum
+    failures: dict[int, str] = {}
+    for idx in sorted(direct):
+        estimate, failure = _try_fit(library[idx], ctx)
+        if failure is not None:
+            failures[idx] = failure
+            continue
+        values[idx] = [scaled_frobenius_sq(target - estimate, eta) for target, eta in fold.targets]
+        if want_max:
+            maxima[idx] = float(np.max(np.abs(estimate)))
+    return _FoldScores(values, maxima, failures, fold.value(0.0))
 
 
 def _try_fit(spec: EstimatorSpec, ctx: FitContext):

@@ -96,17 +96,25 @@ def scaled_frobenius_sq(m, scale=1.0) -> float:
     weights with the same shape as ``m``.
     """
     m = np.asarray(m, dtype=np.float64)
+    scale = _nonnegative_scale(scale, m.shape)
+    if isinstance(scale, float):
+        return scale * float(np.sum(m * m))
+    return float(np.sum(scale * m * m))
+
+
+def _nonnegative_scale(scale, shape):
+    """``scale`` as a float, or as a float array of ``shape``; raises unless finite and nonnegative."""
     if np.isscalar(scale) or np.ndim(scale) == 0:
         c = float(scale)
         if not np.isfinite(c) or c < 0.0:
             raise ValueError("scale must be a finite nonnegative scalar")
-        return c * float(np.sum(m * m))
+        return c
     w = np.asarray(scale, dtype=np.float64)
-    if w.shape != m.shape:
-        raise ValueError(f"scale shape {w.shape} does not match matrix shape {m.shape}")
+    if w.shape != shape:
+        raise ValueError(f"scale shape {w.shape} does not match matrix shape {shape}")
     if not np.all(np.isfinite(w)) or np.any(w < 0.0):
         raise ValueError("scale entries must be finite and nonnegative")
-    return float(np.sum(w * m * m))
+    return w
 
 
 def spectral_norm(m) -> float:

@@ -314,7 +314,11 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class CellStats:
-    """Per-cell side information needed for the finite-sample bound."""
+    """Per-cell side information needed for the finite-sample bound.
+
+    ``max_abs_estimate`` is ``None`` unless ``cv_ratio`` was run, the only
+    metric whose bound reads it.
+    """
 
     model: int
     n: int
@@ -324,7 +328,7 @@ class CellStats:
     n_candidates: int
     validation_fraction: float
     max_sq_observation: float
-    max_abs_estimate: float
+    max_abs_estimate: float | None
 
 
 @dataclass
@@ -399,6 +403,7 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
             center=config.center,
             risk=config.selector_risk,
             psi0=psi0 if want_cv else None,
+            max_abs=want_cv,
         )
         selector = ev.mean_risks()
         cv_diffs = ev.mean_oracle_diffs() if want_cv else None
@@ -412,7 +417,8 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
                 if failure is not None:
                     failures.setdefault(idx, f"full-data fit: {failure}")
                     continue
-                max_abs_est = max(max_abs_est, float(np.max(np.abs(estimate))))
+                if want_cv:
+                    max_abs_est = max(max_abs_est, float(np.max(np.abs(estimate))))
                 residual = estimate - psi0
                 full_diffs[idx] = float(np.sum(residual * residual))
                 if want_frob:
@@ -438,7 +444,8 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
         k_full = _argmin_with_ties(full_diffs)[0] if want_full else None
 
         max_sq_obs = max(max_sq_obs, float(np.max(data * data)))
-        max_abs_est = max(max_abs_est, ev.max_abs_estimate, float(np.max(np.abs(psi0))))
+        if want_cv:
+            max_abs_est = max(max_abs_est, ev.max_abs_estimate, float(np.max(np.abs(psi0))))
 
         def emit(subject: str, metric: str, value: float) -> None:
             rows.append(
@@ -473,7 +480,7 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
     stats = CellStats(
         model=model, n=n, dim=dim, ratio=ratio, replications=config.replications,
         n_candidates=len(library), validation_fraction=config.validation_proportion(),
-        max_sq_observation=max_sq_obs, max_abs_estimate=max_abs_est,
+        max_sq_observation=max_sq_obs, max_abs_estimate=max_abs_est if want_cv else None,
     )
     return rows, stats
 

@@ -143,6 +143,17 @@ class TestSelectCommand:
         assert record["error"] == "invalid_input"
         assert "ragged" in record["message"]
 
+    def test_constant_column_under_weighted_scaling_exits_2(self, tmp_path, capsys):
+        data = np.random.default_rng(1).normal(size=(20, 4))
+        data[:, 2] = 5.0
+        path = tmp_path / "constant.csv"
+        write_csv(path, data)
+        code = main(["select", "--input", str(path), "--scaling", "weighted", "--out", str(tmp_path / "out")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "invalid_input"
+        assert "column(s) 2" in record["message"]
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main(["select", "--input", str(tmp_path / "nope.csv")])
         assert code == 2

@@ -15,7 +15,7 @@ from covsel.cv_engine import (
     oracle_select_full,
     select,
 )
-from covsel.errors import ConfigError, SelectionError
+from covsel.errors import ConfigError, DegenerateFeatureError, SelectionError
 from covsel.estimators import (
     CandidateLibrary,
     EstimatorSpec,
@@ -229,6 +229,27 @@ class TestSelect:
         report = select(small_library(), data, VFold(4, seed=0), scaling="weighted")
         assert report.selected_id in small_library().ids
 
+    def test_one_feature_and_two_observations(self):
+        report = select(default_library(), np.array([[1.0], [3.0]]), VFold(2, seed=0))
+        # Each training fold is one row, centered to zero, so every candidate
+        # that can be fitted estimates zero and they all tie.
+        failed = {c.id: c.failure for c in report.candidates if c.failure is not None}
+        assert failed.pop("dense_linear_shrinkage") == "ConfigError: the dense target needs at least two features"
+        assert failed == {
+            f"poet(factors={k}, threshold={u})": f"ConfigError: factor count {k} outside [0, 1]"
+            for k in (2, 3, 4, 5)
+            for u in (0.1, 0.2, 0.3)
+        }
+        assert report.tie_ids == tuple(c.id for c in report.candidates if c.failure is None)
+        assert report.selected_id == "sample_covariance"
+        assert np.array_equal(report.estimate, [[1.0]])
+
+    def test_constant_column_under_weighted_scaling(self):
+        data = np.random.default_rng(15).normal(size=(20, 4))
+        data[:, 2] = 5.0
+        with pytest.raises(DegenerateFeatureError, match=r"column\(s\) 2"):
+            select(small_library(), data, VFold(5, seed=0), scaling="weighted")
+
     def test_psd_flags_present(self):
         rng = np.random.default_rng(12)
         data = rng.normal(size=(40, 4))
@@ -409,32 +430,38 @@ def bench_union():
 class TestStreamedFits:
     @staticmethod
     def count_live_estimates(monkeypatch):
-        """Patch ``_try_fit`` to record how many of its estimates are alive at each fit."""
+        """Patch every fit to record its family and how many estimates are alive at each fit."""
         refs = []
-        peak = []
-        real = estimators._try_fit
+        live = []
+        families = []
+        real = estimators.apply_with_context
 
         def tracked(spec, ctx):
-            estimate, failure = real(spec, ctx)
-            if estimate is not None:
-                refs.append(weakref.ref(estimate))
-            peak.append(sum(ref() is not None for ref in refs))
-            return estimate, failure
+            estimate = real(spec, ctx)
+            refs.append(weakref.ref(estimate))
+            live.append(sum(ref() is not None for ref in refs))
+            families.append(spec.family)
+            return estimate
 
-        monkeypatch.setattr(estimators, "_try_fit", tracked)
-        return peak
+        monkeypatch.setattr(estimators, "apply_with_context", tracked)
+        return live, families
 
     @pytest.mark.parametrize("make_library", [default_library, bench_union], ids=["K=73", "K=183"])
     def test_fits_are_dropped_after_scoring(self, make_library, monkeypatch):
         library = make_library()
         data = np.random.default_rng(13).standard_normal((30, 12))
         splits = make_splits(VFold(5, seed=1), 30)
-        live = self.count_live_estimates(monkeypatch)
+        live, families = self.count_live_estimates(monkeypatch)
         evaluate_candidates(library, data, splits, risk="matrix")
-        assert len(live) == 5 * len(library) and max(live) <= 2
+        # The grid families build no estimate on the folds; the rest are
+        # fitted one at a time and dropped after scoring.
+        direct = [spec.family for spec in library if spec.family not in estimators._SCORERS]
+        assert sorted(direct) == ["dense_linear_shrinkage", "linear_shrinkage"]
+        assert families == direct * 5 and max(live) <= 2
         live.clear()
+        families.clear()
         report = select(library, data, VFold(5, seed=1), risk="matrix")
-        assert len(live) == 6 * len(library) and max(live) <= 3
+        assert len(families) == 5 * len(direct) + len(library) and max(live) <= 3
         assert report.estimate is not None
 
     def test_winner_failing_on_the_full_data_falls_back_to_the_runner_up(self, monkeypatch):

@@ -407,8 +407,8 @@ def uncached_fit(spec, cov):
         eig = eigendecompose(cov)
         vecs = eig.eigenvectors[:, : p["factors"]]
         low_rank = (vecs * eig.eigenvalues[: p["factors"]]) @ vecs.T
+        low_rank = 0.5 * (low_rank + low_rank.T)
         out = low_rank + hard_threshold(cov - low_rank, p["threshold"])
-        out = 0.5 * (out + out.T)
         np.fill_diagonal(out, np.diag(cov))
         return out
     return None  # the shrinkage families share nothing beyond cov

@@ -1,0 +1,309 @@
+"""Grid scores against the direct path: fit each candidate, score it, drop it.
+
+``_score_fits`` scores the grid families (sample covariance, thresholding,
+banding, tapering, POET) from shared sums over the training covariance
+and builds no estimate for them.  The oracle here is the direct path,
+``_try_fit`` plus ``scaled_frobenius_sq``.  Values agree to 1e-12 of the
+larger of the value and the fold's base, the sample covariance's value:
+each grid value is the base plus a sum over the changed entries, so a
+candidate that lands much closer to the target than ``S`` does (seen at
+J=1) carries the base's rounding.  Largest absolute entries and failure
+reasons agree exactly.  Candidates with equal estimates get equal values,
+bit for bit, when one scorer sums both or when the estimate is ``S``;
+selections score the candidates near the smallest mean risk again on the
+direct path, so their winners and tie sets equal the direct path's.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import covsel.estimators as estimators
+from covsel.cv_engine import MonteCarloSplit, VFold, evaluate_candidates, make_splits, select
+from covsel.errors import DegenerateFeatureError
+from covsel.estimators import CandidateLibrary, EstimatorSpec, FitContext, _score_fits, library_preset
+from covsel.loss_risk import _inverse_variance_weights, estimate_weight_matrix, resolve_constant_scaling
+from covsel.matrix_core import sample_covariance, scaled_frobenius_sq
+
+RTOL = 1e-12
+
+# The adaptive-LASSO kernel at threshold 0 multiplies 0 by inf at exact
+# zeros; the direct path reports the NaN value that follows.
+pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+
+
+def preset_specs():
+    """Every candidate of the default, wide and light presets, once each."""
+    specs = {}
+    for name in ("default", "wide", "light"):
+        for spec in library_preset(name):
+            specs.setdefault(spec.id, spec)
+    return list(specs.values())
+
+
+#: Specs outside the presets that probe a scorer's domain: threshold 0,
+#: exponent 0, another SCAD shape, banding 0 and POET without factors.
+EDGE_SPECS = [
+    EstimatorSpec("adaptive_lasso", {"threshold": 0.0, "exponent": 0.5}),
+    EstimatorSpec("adaptive_lasso", {"threshold": 0.25, "exponent": 0.0}),
+    EstimatorSpec("scad_threshold", {"threshold": 0.25, "shape": 2.5}),
+    EstimatorSpec("hard_threshold", {"threshold": 0.0}),
+    EstimatorSpec("banding", {"bands": 0}),
+    EstimatorSpec("poet", {"factors": 0, "threshold": 0.25}),
+]
+PRESETS = preset_specs()
+LIBRARY = CandidateLibrary(tuple(PRESETS + EDGE_SPECS))
+
+
+def ar1(dim):
+    idx = np.arange(dim)
+    return 0.7 ** np.abs(idx[:, None] - idx[None, :])
+
+
+def make_data(kind, dim, seed=0):
+    """``(data, psi0)``: AR(1), three-factor, or ternary rows with exact zeros and breakpoints."""
+    rng = np.random.default_rng([seed, dim])
+    if kind == "ar1":
+        psi0 = ar1(dim)
+        return rng.standard_normal((30, dim)) @ np.linalg.cholesky(psi0).T, psi0
+    if kind == "factor":
+        loadings = rng.standard_normal((dim, 3))
+        psi0 = loadings @ loadings.T + np.eye(dim)
+        return rng.standard_normal((25, dim)) @ np.linalg.cholesky(psi0).T, psi0
+    # n=4 rows of {-1, 0, 1}: covariance entries are multiples of 1/4, so
+    # the grid thresholds 0.25, 0.5, 0.75 and 1.0 are hit exactly.
+    data = rng.integers(-1, 2, size=(4, dim)).astype(float)
+    if dim >= 2:
+        data[:, 0], data[:, 1] = [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]
+    return data, np.eye(dim)
+
+
+def fold_targets(data, psi0, scaling):
+    """A training fold and its targets: the validation covariance and psi0, each with its scaling."""
+    split = max(1, data.shape[0] // 3)
+    val, train = data[:split], data[split:]
+    dim = data.shape[1]
+    if scaling == "weighted":
+        eta, oracle_eta = estimate_weight_matrix(train), _inverse_variance_weights(np.diag(psi0))
+    else:
+        eta = oracle_eta = resolve_constant_scaling(scaling, dim)
+    return train, [(sample_covariance(val), eta), (psi0, oracle_eta)]
+
+
+def direct_scores(library, data, targets):
+    """The oracle: each candidate fitted, scored against every target and kept for comparison."""
+    ctx = FitContext(data)
+    values = np.full((len(library), len(targets)), np.nan)
+    maxima = np.full(len(library), np.nan)
+    failures, estimates = {}, []
+    for idx, spec in enumerate(library):
+        estimate, failure = estimators._try_fit(spec, ctx)
+        estimates.append(estimate)
+        if failure is not None:
+            failures[idx] = failure
+            continue
+        values[idx] = [scaled_frobenius_sq(target - estimate, eta) for target, eta in targets]
+        maxima[idx] = float(np.max(np.abs(estimate)))
+    return values, maxima, failures, estimates
+
+
+def assert_matches_direct_path(library, data, targets):
+    got, got_max, got_failures, _ = _score_fits(library, data, targets, want_max=True)
+    want, want_max, want_failures, estimates = direct_scores(library, data, targets)
+    assert got_failures == want_failures
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    base = want[library.ids.index("sample_covariance")]
+    for idx, spec in enumerate(library):
+        if np.all(np.isfinite(want[idx])):
+            bound = RTOL * np.maximum(np.abs(want[idx]), np.abs(base))
+            assert np.all(np.abs(got[idx] - want[idx]) <= bound), (spec.id, got[idx], want[idx])
+    assert np.array_equal(got_max, want_max, equal_nan=True)
+    # Equal estimates get equal values when one scorer sums both, or when
+    # they equal S.  Otherwise their sums differ in order and they are held
+    # to the bound above: POET without factors is hard thresholding binned
+    # on its own, and a shrinkage can equal a banded S.
+    cov = sample_covariance(data)
+    scorer = [estimators._SCORERS.get(spec.family) for spec in library]
+    for i, j in itertools.combinations(range(len(library)), 2):
+        if estimates[i] is None or estimates[j] is None or not np.array_equal(estimates[i], estimates[j]):
+            continue
+        if scorer[i] is scorer[j] or np.array_equal(estimates[i], cov):
+            assert np.array_equal(got[i], got[j]), (library[i].id, library[j].id)
+
+
+@pytest.mark.parametrize("scaling", ["one", "inv_J", "inv_J2", "weighted"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 40])
+@pytest.mark.parametrize("kind", ["ar1", "factor", "ternary"])
+def test_grid_matches_the_direct_path(kind, dim, scaling):
+    data, psi0 = make_data(kind, dim)
+    if scaling == "weighted" and np.any(np.all(data[data.shape[0] // 3 :] == 0.0, axis=0)):
+        with pytest.raises(DegenerateFeatureError):
+            fold_targets(data, psi0, scaling)
+        return
+    train, targets = fold_targets(data, psi0, scaling)
+    assert_matches_direct_path(LIBRARY, train, targets)
+
+
+@pytest.mark.parametrize("scaling", ["one", "weighted"])
+def test_a_nonsymmetric_target_takes_the_direct_path(scaling):
+    data, psi0 = make_data("factor", 40, seed=6)
+    train, targets = fold_targets(data, psi0, scaling)
+    tilt = np.triu(np.full((40, 40), 0.01), 1)
+    targets = [(target + tilt, eta) for target, eta in targets]
+    got = _score_fits(LIBRARY, train, targets, want_max=True)
+    want, want_max, want_failures, _ = direct_scores(LIBRARY, train, targets)
+    assert np.array_equal(got.values, want, equal_nan=True)
+    assert np.array_equal(got.maxima, want_max, equal_nan=True)
+    assert got.failures == want_failures
+
+
+@pytest.mark.parametrize("eta", [-1.0, np.nan, np.full((4, 4), -1.0), np.ones((3, 3))])
+def test_scales_are_checked_as_the_direct_path_checks_them(eta):
+    data = np.random.default_rng(8).standard_normal((10, 4))
+    with pytest.raises(ValueError, match="scale"):
+        _score_fits(library_preset("light"), data, [(np.eye(4), eta)])
+
+
+def test_ternary_data_sits_on_the_breakpoints():
+    data, _ = make_data("ternary", 40)
+    cov = sample_covariance(data)
+    assert np.any(cov == 0.0) and {0.25, 0.5, 0.75, 1.0} <= set(np.abs(cov).ravel())
+
+
+@pytest.fixture
+def direct_path(monkeypatch):
+    """Drop every grid scorer, so each candidate is fitted and scored directly."""
+
+    def disable():
+        monkeypatch.setattr(estimators, "_SCORERS", {})
+
+    return disable
+
+
+@pytest.mark.parametrize("dim", [2, 3, 40])
+@pytest.mark.parametrize("kind", ["ar1", "factor", "ternary"])
+def test_selections_and_ties_match_the_direct_path(kind, dim, direct_path):
+    data, psi0 = make_data(kind, dim, seed=1)
+    data = np.vstack([data, make_data(kind, dim, seed=2)[0]])
+    library = CandidateLibrary(tuple(PRESETS))
+    settings = [("matrix", "one"), ("matrix", "inv_J"), ("observation", "one"), ("observation", "inv_J2")]
+    scheme = VFold(4, seed=3)
+    splits = make_splits(scheme, data.shape[0])
+    if all(np.all(np.var(data[~mask], axis=0) > 0.0) for mask in splits):
+        settings.append(("observation", "weighted"))
+    grid = [select(library, data, scheme, risk=r, scaling=s) for r, s in settings]
+    grid_oracle = evaluate_candidates(library, data, splits, risk=None, psi0=psi0, max_abs=True)
+    direct_path()
+    direct = [select(library, data, scheme, risk=r, scaling=s) for r, s in settings]
+    direct_oracle = evaluate_candidates(library, data, splits, risk=None, psi0=psi0, max_abs=True)
+    for a, b in zip(grid, direct):
+        # Near-minimum candidates are scored again on the direct path, so
+        # ties match exactly, also between estimates equal only to rounding.
+        assert (a.selected_id, a.tie_ids) == (b.selected_id, b.tie_ids)
+        assert [(c.failure, c.psd) for c in a.candidates] == [(c.failure, c.psd) for c in b.candidates]
+    a, b = grid_oracle.mean_oracle_diffs(), direct_oracle.mean_oracle_diffs()
+    best = np.nanmin(b)
+    assert np.array_equal(a == np.nanmin(a), b == best)
+    assert grid_oracle.max_abs_estimate == direct_oracle.max_abs_estimate
+
+
+def test_deferred_candidates_take_the_direct_path(monkeypatch):
+    fitted = []
+    real = estimators.apply_with_context
+
+    def tracked(spec, ctx):
+        fitted.append(spec.id)
+        return real(spec, ctx)
+
+    monkeypatch.setattr(estimators, "apply_with_context", tracked)
+    # S[0, 1] is exactly 0.1, where the adaptive-LASSO kernel keeps
+    # u - u**1.1 * u**-0.1 > 0 although |s| <= u.
+    data = np.zeros((10, 3))
+    data[0, :2] = 1.0
+    data[1:, 2] = np.linspace(-1.0, 1.0, 9)
+    assert sample_covariance(data)[0, 1] == 0.1
+    library = CandidateLibrary(
+        (
+            EstimatorSpec("adaptive_lasso", {"threshold": 0.1, "exponent": 0.1}),
+            EstimatorSpec("adaptive_lasso", {"threshold": 0.1, "exponent": 0.5}),
+            EstimatorSpec("adaptive_lasso", {"threshold": 0.0, "exponent": 0.3}),
+            EstimatorSpec("poet", {"factors": 4, "threshold": 0.1}),
+            EstimatorSpec("poet", {"factors": 1, "threshold": 0.1}),
+            EstimatorSpec("sample_covariance"),
+            EstimatorSpec("linear_shrinkage"),
+        )
+    )
+    targets = [(np.eye(3), 1.0)]
+    failures = _score_fits(library, data, targets).failures
+    assert fitted == [
+        "adaptive_lasso(threshold=0.1, exponent=0.1)",
+        "adaptive_lasso(threshold=0.0, exponent=0.3)",
+        "poet(factors=4, threshold=0.1)",
+        "linear_shrinkage",
+    ]
+    assert failures == {3: "ConfigError: factor count 4 outside [0, 3]"}
+    assert_matches_direct_path(library, data, targets)
+
+
+def test_nonfinite_grid_values_fall_back(monkeypatch):
+    data = np.random.default_rng(5).standard_normal((12, 4))
+    library = CandidateLibrary((EstimatorSpec("sample_covariance"), EstimatorSpec("banding", {"bands": 1})))
+
+    def broken(fold, specs):
+        return [(np.full(len(fold.targets), np.nan), None) for _ in specs]
+
+    monkeypatch.setitem(estimators._SCORERS, "banding", broken)
+    targets = [(np.eye(4), 0.25)]
+    got = _score_fits(library, data, targets).values
+    want, _, _, _ = direct_scores(library, data, targets)
+    assert got[1, 0] == want[1, 0]
+
+
+def test_monte_carlo_splits_score_like_the_direct_path(direct_path):
+    data, psi0 = make_data("factor", 40, seed=4)
+    library = CandidateLibrary(tuple(PRESETS))
+    splits = make_splits(MonteCarloSplit(3, 0.3, seed=2), data.shape[0])
+    grid = evaluate_candidates(library, data, splits, risk="observation", psi0=psi0, max_abs=True)
+    direct_path()
+    direct = evaluate_candidates(library, data, splits, risk="observation", psi0=psi0, max_abs=True)
+    assert np.allclose(grid.risks, direct.risks, rtol=RTOL, atol=0.0)
+    assert np.allclose(grid.oracle_diffs, direct.oracle_diffs, rtol=RTOL, atol=0.0)
+    assert grid.max_abs_estimate == direct.max_abs_estimate
+    assert grid.failures == direct.failures
+
+
+def test_max_abs_is_computed_only_when_asked():
+    data, _ = make_data("ar1", 6)
+    splits = make_splits(VFold(3, seed=0), data.shape[0])
+    library = CandidateLibrary(tuple(PRESETS))
+    assert evaluate_candidates(library, data, splits).max_abs_estimate is None
+    assert evaluate_candidates(library, data, splits, max_abs=True).max_abs_estimate > 0.0
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the property test below needs hypothesis
+    given = None
+
+if given is not None:
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 30),
+        st.integers(1, 12),
+        st.sampled_from(["one", "inv_J", "inv_J2", "weighted"]),
+        st.booleans(),
+    )
+    def test_grid_matches_the_direct_path_on_random_data(seed, n, dim, scaling, ternary):
+        rng = np.random.default_rng(seed)
+        if ternary:
+            data = rng.integers(-1, 2, size=(n, dim)).astype(float)
+        else:
+            data = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, dim)
+        try:
+            train, targets = fold_targets(data, ar1(dim), scaling)
+        except DegenerateFeatureError:
+            return  # a zero training column leaves weighted scaling undefined
+        assert_matches_direct_path(library_preset("default"), train, targets)

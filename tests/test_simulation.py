@@ -5,7 +5,6 @@ import covsel.cv_engine as cv_engine
 import covsel.simulation as simulation
 from covsel.errors import ConfigError
 from covsel.estimators import CandidateLibrary, EstimatorSpec, build_library
-from covsel.loss_risk import true_risk_difference
 from covsel.simulation import (
     CV_ORACLE_SUBJECT,
     FULL_ORACLE_SUBJECT,
@@ -369,17 +368,21 @@ def test_cell_failure_skips_cell_not_run(caplog):
 
 class TestSkippedWork:
     def test_frobenius_only_run_computes_no_oracle_diffs(self, monkeypatch):
-        calls = []
+        oracle_targets = []
+        real = cv_engine._score_fits
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return true_risk_difference(*args, **kwargs)
+        def counted(library, data, targets, **kwargs):
+            # The selector scores against the validation covariance; any
+            # further target is the true covariance.
+            oracle_targets.append(len(targets) - 1)
+            return real(library, data, targets, **kwargs)
 
-        monkeypatch.setattr(cv_engine, "true_risk_difference", counted)
+        monkeypatch.setattr(cv_engine, "_score_fits", counted)
         frob_only = run_experiment(tiny_config()).rows
-        assert calls == []
+        assert oracle_targets == [0] * (2 * 5)  # replications x folds
+        oracle_targets.clear()
         with_oracle = run_experiment(tiny_config(metrics=("cv_ratio", "frobenius"))).rows
-        assert len(calls) == 2 * 5 * 3  # replications x folds x candidates
+        assert oracle_targets == [1] * (2 * 5)
         assert frob_only == [r for r in with_oracle if r.metric == "frobenius"]
 
     def test_benchmark_refits_winners_and_falls_back_on_failure(self, monkeypatch):
