@@ -85,16 +85,6 @@ class Fold:
         return self.ctx.cov
 
     @cached_property
-    def symmetric(self) -> bool:
-        """Whether every target and weight matrix is exactly symmetric, as the scorers require."""
-        return all(
-            np.array_equal(matrix, matrix.T)
-            for pair in self.targets
-            for matrix in pair
-            if isinstance(matrix, np.ndarray)
-        )
-
-    @cached_property
     def blocks(self) -> list[_Block]:
         """The :class:`_Block` of each run of rows with at most :data:`_BLOCK_ENTRIES` entries."""
         dim = self.cov.shape[0]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -197,26 +198,27 @@ def write_results_csv(path, rows) -> None:
     _write_csv_rows(path, out)
 
 
-def read_results_csv(path) -> list[ResultRow]:
+def _read_rows(path, columns: tuple[str, ...], kind: str) -> list[list[str]]:
+    """The non-blank rows of a CSV whose header must be ``columns``."""
     path = Path(path)
-    rows: list[ResultRow] = []
     with path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        if header is None or tuple(header) != _RESULT_COLUMNS:
-            raise ConfigError(f"{path}: unexpected results header {header}")
-        for fields in reader:
-            if not fields:
-                continue
-            rows.append(
-                ResultRow(
-                    model=int(fields[0]), n=int(fields[1]), dim=int(fields[2]),
-                    ratio=float(fields[3]), replication=int(fields[4]),
-                    subject=fields[5], metric=fields[6],
-                    value=float(fields[7]), seed=int(fields[8]),
-                )
-            )
-    return rows
+        if header is None or tuple(header) != columns:
+            raise ConfigError(f"{path}: unexpected {kind} header {header}")
+        return [fields for fields in reader if fields]
+
+
+def read_results_csv(path) -> list[ResultRow]:
+    return [
+        ResultRow(
+            model=int(fields[0]), n=int(fields[1]), dim=int(fields[2]),
+            ratio=float(fields[3]), replication=int(fields[4]),
+            subject=fields[5], metric=fields[6],
+            value=float(fields[7]), seed=int(fields[8]),
+        )
+        for fields in _read_rows(path, _RESULT_COLUMNS, "results")
+    ]
 
 
 def _params_string(params: dict) -> str:
@@ -246,27 +248,17 @@ def write_risk_table(path, report) -> None:
 
 
 def read_risk_table(path) -> list[dict]:
-    path = Path(path)
-    rows: list[dict] = []
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != _RISK_COLUMNS:
-            raise ConfigError(f"{path}: unexpected risk-table header {header}")
-        for fields in reader:
-            if not fields:
-                continue
-            rows.append(
-                {
-                    "index": int(fields[0]), "id": fields[1], "family": fields[2],
-                    "hyperparameters": fields[3],
-                    "cv_risk": float(fields[4]) if fields[4] else None,
-                    "psd": None if not fields[5] else fields[5] == "true",
-                    "selected": fields[6] == "true",
-                    "failure": fields[7] or None,
-                }
-            )
-    return rows
+    return [
+        {
+            "index": int(fields[0]), "id": fields[1], "family": fields[2],
+            "hyperparameters": fields[3],
+            "cv_risk": float(fields[4]) if fields[4] else None,
+            "psd": None if not fields[5] else fields[5] == "true",
+            "selected": fields[6] == "true",
+            "failure": fields[7] or None,
+        }
+        for fields in _read_rows(path, _RISK_COLUMNS, "risk-table")
+    ]
 
 
 _BENCH_COLUMNS = ("model", "n", "J", "ratio", "procedure", "metric", "mean", "replications")
@@ -286,24 +278,14 @@ def write_benchmark_table(path, table) -> None:
 
 
 def read_benchmark_table(path) -> list[dict]:
-    path = Path(path)
-    table: list[dict] = []
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != _BENCH_COLUMNS:
-            raise ConfigError(f"{path}: unexpected benchmark header {header}")
-        for fields in reader:
-            if not fields:
-                continue
-            table.append(
-                {
-                    "model": int(fields[0]), "n": int(fields[1]), "J": int(fields[2]),
-                    "ratio": float(fields[3]), "procedure": fields[4], "metric": fields[5],
-                    "mean": float(fields[6]), "replications": int(fields[7]),
-                }
-            )
-    return table
+    return [
+        {
+            "model": int(fields[0]), "n": int(fields[1]), "J": int(fields[2]),
+            "ratio": float(fields[3]), "procedure": fields[4], "metric": fields[5],
+            "mean": float(fields[6]), "replications": int(fields[7]),
+        }
+        for fields in _read_rows(path, _BENCH_COLUMNS, "benchmark")
+    ]
 
 
 def _write_json(path, payload) -> None:
@@ -459,8 +441,6 @@ def cmd_select(args) -> int:
         library = library_preset("default")
 
     data, _ = read_numeric_csv(input_path, delimiter=delimiter, header=header)
-    if data.shape[0] < 2:
-        raise ConfigError(f"{input_path}: need at least 2 observations, got {data.shape[0]}")
     if pca < 0:
         raise ConfigError(f"--pca must be nonnegative, got {pca}")
     if pca > data.shape[1]:
@@ -545,8 +525,6 @@ def _experiment_from_settings(args, config: dict, profiles: dict, default_metric
     risk = str(section.get("risk", "matrix"))
     center = _as_bool(section.get("center", False))
     fix_model = _as_bool(section.get("fix_model", False))
-    if split_count is not None and fraction is None:
-        raise ConfigError("--splits requires --pn")
 
     return ExperimentConfig(
         models=models,
@@ -578,22 +556,10 @@ def _estimate_runtime_seconds(config: ExperimentConfig) -> float:
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    return {
-        "models": list(config.models),
-        "sample_sizes": list(config.sample_sizes),
-        "ratios": list(config.ratios),
-        "replications": config.replications,
-        "folds": config.folds,
-        "validation_fraction": config.validation_fraction,
-        "split_count": config.split_count,
-        "metrics": list(config.metrics),
-        "seed": config.seed,
-        "scaling": config.scaling,
-        "selector_risk": config.selector_risk,
-        "center": config.center,
-        "fix_model": config.fix_model,
-        "candidates": len(config.resolve_library()),
-    }
+    """Every config field, with the library as its candidate count."""
+    echo = {f.name: getattr(config, f.name) for f in dataclasses.fields(config) if f.name != "library"}
+    echo["candidates"] = len(config.resolve_library())
+    return echo
 
 
 def _warn_if_large(config: ExperimentConfig, profile: str | None) -> None:

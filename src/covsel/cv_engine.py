@@ -229,15 +229,18 @@ def evaluate_candidates(
 ) -> CandidateEvaluation:
     """Fit and score every candidate over every split in one pass.
 
-    ``risk="matrix"`` scores the squared scaled distance to the
-    validation sample covariance (constant scaling only);
+    ``splits`` are boolean validation masks of length ``n``; each split
+    trains on the complement of its mask.  ``risk="matrix"`` scores the
+    squared scaled distance to the validation sample covariance;
     ``risk="observation"`` the mean observation-level loss on the
     validation rows, computed in closed form as that same distance plus
-    one per-split constant (:func:`_observation_offset`), so both cost
-    the same; ``risk=None`` scores nothing.  With ``psi0`` given, exact
-    risk differences against it are also recorded for each training-fold
-    estimate.  ``max_abs=True`` also records the largest absolute entry
-    of any training-fold estimate.
+    one per-split constant that does not depend on the candidate, for
+    any scaling (:func:`_observation_offset`), so both cost the same and
+    rank candidates alike; ``risk=None`` scores nothing.  With ``psi0``
+    given, which must be exactly symmetric, exact risk differences
+    against it are also recorded for each training-fold estimate.
+    ``max_abs=True`` also records the largest absolute entry of any
+    training-fold estimate.
 
     Each split is one :func:`~covsel.estimators._score_fits` call, which
     scores the grid families from shared sums over the training
@@ -254,12 +257,12 @@ def evaluate_candidates(
     n, dim = data.shape
     if risk not in ("observation", "matrix", None):
         raise ConfigError(f"risk must be 'observation', 'matrix' or None, got {risk!r}")
-    if risk == "matrix" and scaling == "weighted":
-        raise ConfigError("the matrix risk shortcut requires a constant scaling factor")
     if psi0 is not None:
         psi0 = as_square_matrix(psi0)
         if psi0.shape[0] != dim:
             raise ValueError(f"psi0 dimension {psi0.shape[0]} does not match data dimension {dim}")
+        if not np.array_equal(psi0, psi0.T):
+            raise ValueError("psi0 must be exactly symmetric")
         oracle_eta = _oracle_scaling(scaling, psi0)
 
     n_candidates = len(library)
@@ -281,18 +284,10 @@ def evaluate_candidates(
         """``(split_idx, train, targets)`` per split; records offsets and the smallest fold."""
         nonlocal min_train
         for split_idx, mask in enumerate(splits):
-            # A split is a validation mask (training = complement) or an
-            # explicit (train_mask, validation_mask) pair, which permits
-            # overlapping sets in tests.
-            if isinstance(mask, tuple):
-                train_mask = np.asarray(mask[0], dtype=bool)
-                val_mask = np.asarray(mask[1], dtype=bool)
-            else:
-                val_mask = np.asarray(mask, dtype=bool)
-                train_mask = ~val_mask
-            if val_mask.shape != (n,) or train_mask.shape != (n,):
+            val_mask = np.asarray(mask, dtype=bool)
+            if val_mask.shape != (n,):
                 raise ValueError(f"split mask {split_idx} does not match {n} observations")
-            train = data[train_mask]
+            train = data[~val_mask]
             val = data[val_mask]
             if train.shape[0] == 0 or val.shape[0] == 0:
                 raise ConfigError(f"split {split_idx} leaves an empty training or validation set")
@@ -438,17 +433,14 @@ def select(
     the mean observation-level loss on validation rows; ``"matrix"`` is
     the squared distance to the validation sample covariance.  The two
     differ by a per-split constant that does not depend on the
-    candidate, so they cost the same and (for constant scaling) select
-    the same candidate; ``"weighted"`` scaling requires
-    ``"observation"``.  Every candidate is refitted on the full dataset
+    candidate, for every scaling, so they cost the same and select the
+    same candidate.  Every candidate is refitted on the full dataset
     for its ``psd`` flag, one at a time; the winner is the first
     candidate in ascending ``(risk, index)`` order whose refit succeeds,
     and its refit is the only one kept, for the report.
     """
     if risk not in ("observation", "matrix"):
         raise ConfigError(f"risk must be 'observation' or 'matrix', got {risk!r}")
-    if risk == "matrix" and scaling == "weighted":
-        raise ConfigError("matrix risk requires a constant scaling factor; use risk='observation'")
     data = as_data_matrix(data, min_rows=2)
     splits = make_splits(scheme, data.shape[0])
     ev = evaluate_candidates(

@@ -38,7 +38,6 @@ __all__ = [
     "CandidateLibrary",
     "FitContext",
     "register_family",
-    "family_names",
     "apply",
     "apply_library",
     "iter_fits",
@@ -472,10 +471,6 @@ def register_family(name, fit, validate=None, param_order=()) -> None:
     )
 
 
-def family_names() -> tuple[str, ...]:
-    return tuple(_FAMILIES)
-
-
 register_family("sample_covariance", lambda ctx, p: ctx.cov.copy())
 register_family(
     "hard_threshold",
@@ -597,9 +592,6 @@ class CandidateLibrary:
     def ids(self) -> tuple[str, ...]:
         return tuple(spec.id for spec in self.candidates)
 
-    def subset_indices(self, predicate) -> tuple[int, ...]:
-        return tuple(i for i, spec in enumerate(self.candidates) if predicate(spec))
-
 
 def apply(spec: EstimatorSpec, data) -> np.ndarray:
     """Fit one candidate on a (centered) data matrix."""
@@ -649,14 +641,16 @@ def _score_fits(library: CandidateLibrary, data, targets, *, want_max: bool = Fa
     for a failed candidate; ``maxima[k]`` is ``np.max(np.abs(fit_k))``
     (``None`` unless ``want_max``); ``failures`` maps a failed candidate's
     index to its reason, in library order; ``base[t]`` is the sample
-    covariance's value, the scale of the grid values' rounding.
+    covariance's value, the scale of the grid values' rounding.  Every
+    ``T_t``, and every matrix ``eta_t``, must be exactly symmetric, as
+    validation covariances, weights and checked true covariances are.
 
-    With ``grid`` and exactly symmetric targets, families with a scorer
-    (see :data:`_SCORERS`) are scored from shared sums over the data's
-    covariance and build no ``J x J`` estimate.  The rest, and any
-    candidate a scorer leaves or scores as non-finite, take the direct
-    path: one fit at a time, scored and dropped before the next.  The
-    direct path is the reference the scorers are tested against.
+    With ``grid``, families with a scorer (see :data:`_SCORERS`) are
+    scored from shared sums over the data's covariance and build no
+    ``J x J`` estimate.  The rest, and any candidate a scorer leaves or
+    scores as non-finite, take the direct path: one fit at a time,
+    scored and dropped before the next.  The direct path is the
+    reference the scorers are tested against.
     """
     ctx = FitContext(data)
     fold = _grid.Fold(ctx, targets, want_max)
@@ -665,7 +659,7 @@ def _score_fits(library: CandidateLibrary, data, targets, *, want_max: bool = Fa
     groups: dict[Callable, list[int]] = {}
     direct: list[int] = []
     for idx, spec in enumerate(library):
-        score = _SCORERS.get(spec.family) if grid and fold.symmetric else None
+        score = _SCORERS.get(spec.family) if grid else None
         if score is None:
             direct.append(idx)
         else:

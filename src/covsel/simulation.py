@@ -28,8 +28,9 @@ from .cv_engine import (
     _argmin_with_ties,
     evaluate_candidates,
     make_splits,
+    validation_fraction,
 )
-from .errors import ConfigError, EstimationError
+from .errors import ConfigError, DegenerateFeatureError, EstimationError, SelectionError
 # apply_library stays bound here for code that patches or traces it by this name.
 from .estimators import (  # noqa: F401
     CandidateLibrary,
@@ -237,20 +238,14 @@ class ExperimentConfig:
         object.__setattr__(self, "metrics", tuple(self.metrics))
         if not self.models or any(not 1 <= m <= 8 for m in self.models):
             raise ConfigError(f"models must be a nonempty subset of 1..8, got {self.models}")
-        if not self.sample_sizes or any(n < 2 for n in self.sample_sizes):
-            raise ConfigError("sample sizes must be integers >= 2")
+        if not self.sample_sizes:
+            raise ConfigError("need at least one sample size")
         if not self.ratios or any(r <= 0 for r in self.ratios):
             raise ConfigError("dimension ratios must be positive")
         if self.replications < 1:
             raise ConfigError("need at least one replication")
-        if self.folds < 2:
-            raise ConfigError("need at least two folds")
         if self.split_count is not None and self.validation_fraction is None:
             raise ConfigError("split_count requires validation_fraction")
-        if self.validation_fraction is not None and not 0.0 < self.validation_fraction < 1.0:
-            raise ConfigError("validation_fraction must lie in (0, 1)")
-        if self.split_count is not None and self.split_count < 1:
-            raise ConfigError("need at least one split")
         unknown = [m for m in self.metrics if m not in _METRICS]
         if unknown:
             raise ConfigError(f"unknown metrics {unknown}; known: {list(_METRICS)}")
@@ -261,17 +256,12 @@ class ExperimentConfig:
         if self.selector_risk not in ("observation", "matrix"):
             raise ConfigError(f"selector_risk must be 'observation' or 'matrix', got {self.selector_risk!r}")
         for n in self.sample_sizes:
+            # make_splits holds the CV design's rules; a design it rejects fails here, not mid-run.
+            make_splits(self.scheme(0), n)
             for ratio in self.ratios:
                 dim = _dim_for(n, ratio)
                 if dim < 2:
                     raise ConfigError(f"cell n={n}, ratio={ratio} yields dimension {dim} < 2")
-            if self.validation_fraction is None and self.folds > n:
-                raise ConfigError(f"{self.folds}-fold CV impossible with n={n}")
-            if self.validation_fraction is not None:
-                if n * self.validation_fraction < 1.0:
-                    raise ConfigError(f"validation fraction selects no rows for n={n}")
-                if math.ceil(n * self.validation_fraction) >= n:
-                    raise ConfigError(f"validation fraction leaves no training rows for n={n}")
 
     def cells(self) -> list[tuple[int, int, int, float, int]]:
         """All (model, n, ratio_index, ratio, dim) grid cells in run order."""
@@ -292,9 +282,6 @@ class ExperimentConfig:
         if self.split_count is None:
             return SingleSplit(self.validation_fraction, seed=seed)
         return MonteCarloSplit(self.split_count, self.validation_fraction, seed=seed)
-
-    def validation_proportion(self) -> float:
-        return self.validation_fraction if self.validation_fraction is not None else 1.0 / self.folds
 
 
 @dataclass(frozen=True)
@@ -479,21 +466,25 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
 
     stats = CellStats(
         model=model, n=n, dim=dim, ratio=ratio, replications=config.replications,
-        n_candidates=len(library), validation_fraction=config.validation_proportion(),
+        n_candidates=len(library), validation_fraction=validation_fraction(config.scheme(0)),
         max_sq_observation=max_sq_obs, max_abs_estimate=max_abs_est if want_cv else None,
     )
     return rows, stats
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the full grid; failures skip the affected cell, never the run."""
+    """Run the full grid; a cell that fails on its data skips that cell, not the run.
+
+    Only the package's errors and ``LinAlgError`` skip a cell; any other
+    exception is a fault in the program and ends the run.
+    """
     library = config.resolve_library()
     rows: list[ResultRow] = []
     cells: list[CellStats] = []
     for model, n, ratio_idx, ratio, dim in config.cells():
         try:
             cell_rows, stats = _run_cell(config, library, model, n, ratio_idx, ratio, dim)
-        except Exception:
+        except (ConfigError, EstimationError, SelectionError, DegenerateFeatureError, np.linalg.LinAlgError):
             logger.exception("cell model=%d n=%d ratio=%s failed; skipping", model, n, ratio)
             continue
         rows.extend(cell_rows)
@@ -624,14 +615,10 @@ def benchmark_table(rows, procedures=None) -> list[dict]:
     return table
 
 
-def run_benchmark(
-    config: ExperimentConfig,
-    selection_library: CandidateLibrary | None = None,
-    tuning_grids: dict | None = None,
-) -> BenchmarkResult:
+def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) -> BenchmarkResult:
     """Norm benchmark: the selector against each family tuned on its own.
 
-    The selector picks from ``selection_library`` while each single-family
+    The selector picks from ``config``'s library while each single-family
     procedure picks, with the same CV scheme and risk, from its (usually
     denser) grid in ``tuning_grids``.  Every procedure's winner is then
     refitted on the full dataset and its error norms against the true
@@ -642,7 +629,7 @@ def run_benchmark(
     for metric in config.metrics:
         if metric not in ("frobenius", "spectral"):
             raise ConfigError(f"benchmark metrics must be frobenius/spectral, got {metric!r}")
-    selection_library = selection_library if selection_library is not None else config.resolve_library()
+    selection_library = config.resolve_library()
     if tuning_grids is None:
         tuning_grids = _family_grids(wide_library())
 
@@ -691,7 +678,7 @@ def run_benchmark(
                 residual = estimate - psi0
                 for metric in config.metrics:
                     if metric == "frobenius":
-                        value = float(np.linalg.norm(residual))
+                        value = math.sqrt(float(np.sum(residual * residual)))
                     else:
                         value = spectral_norm(residual)
                     rows.append(

@@ -154,6 +154,16 @@ class TestSelectCommand:
         assert record["error"] == "invalid_input"
         assert "column(s) 2" in record["message"]
 
+    def test_matrix_risk_under_weighted_scaling_selects_as_observation_risk(self, tmp_path, toy_csv):
+        path, _ = toy_csv
+        picked = {}
+        for risk in ("matrix", "observation"):
+            out = tmp_path / risk
+            argv = ["select", "--input", str(path), "--scaling", "weighted", "--risk", risk, "--out", str(out)]
+            assert main(argv) == 0
+            picked[risk] = json.loads((out / "selection_report.json").read_text())["selected_id"]
+        assert picked["matrix"] == picked["observation"]
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main(["select", "--input", str(tmp_path / "nope.csv")])
         assert code == 2

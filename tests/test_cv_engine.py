@@ -106,16 +106,6 @@ class TestCvRiskEstimate:
         expected = np.mean([validation_risk(psi_c, data[mask]) for mask in splits])
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_degenerate_full_overlap_split(self):
-        # training = validation = the full dataset (test-only split shape)
-        rng = np.random.default_rng(1)
-        data = rng.normal(size=(12, 3))
-        everything = np.ones(12, dtype=bool)
-        got = cv_risk_estimate(
-            EstimatorSpec("sample_covariance"), data, [(everything, everything)], center=False
-        )
-        assert got == pytest.approx(validation_risk(sample_covariance(data), data), rel=1e-15)
-
     def test_failure_propagates(self):
         rng = np.random.default_rng(2)
         data = rng.normal(size=(10, 3))
@@ -221,13 +211,13 @@ class TestSelect:
         )
         assert any("fewer observations" in w or "as few as" in w for w in report.warnings)
 
-    def test_weighted_scaling_requires_observation_risk(self):
+    def test_weighted_scaling_selects_alike_under_both_risks(self):
         rng = np.random.default_rng(11)
         data = rng.normal(size=(20, 3))
-        with pytest.raises(ConfigError):
-            select(small_library(), data, VFold(4, seed=0), scaling="weighted", risk="matrix")
-        report = select(small_library(), data, VFold(4, seed=0), scaling="weighted")
-        assert report.selected_id in small_library().ids
+        by_mat = select(small_library(), data, VFold(4, seed=0), scaling="weighted", risk="matrix")
+        by_obs = select(small_library(), data, VFold(4, seed=0), scaling="weighted", risk="observation")
+        assert by_mat.selected_id == by_obs.selected_id
+        assert by_mat.tie_ids == by_obs.tie_ids
 
     def test_one_feature_and_two_observations(self):
         report = select(default_library(), np.array([[1.0], [3.0]]), VFold(2, seed=0))
@@ -357,8 +347,7 @@ def definitional_risks(library, data, splits, scaling, center):
     """Per-fold mean of ``row_losses``, the loss evaluated row by row."""
     out = np.full((len(library), len(splits)), np.nan)
     for split_idx, split in enumerate(splits):
-        train_mask, val_mask = split if isinstance(split, tuple) else (~split, split)
-        train, val = data[train_mask], data[val_mask]
+        train, val = data[~split], data[split]
         if center:
             means = train.mean(axis=0, keepdims=True)
             train, val = train - means, val - means
@@ -374,7 +363,7 @@ def definitional_risks(library, data, splits, scaling, center):
 
 def one_row_validation_splits(n):
     """Four splits whose validation folds are each a single row."""
-    return [(np.arange(n) != i, np.arange(n) == i) for i in range(4)]
+    return [np.arange(n) == i for i in range(4)]
 
 
 class TestClosedFormObservationRisk:

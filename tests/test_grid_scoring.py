@@ -146,16 +146,12 @@ def test_grid_matches_the_direct_path(kind, dim, scaling):
 
 
 @pytest.mark.parametrize("scaling", ["one", "weighted"])
-def test_a_nonsymmetric_target_takes_the_direct_path(scaling):
-    data, psi0 = make_data("factor", 40, seed=6)
-    train, targets = fold_targets(data, psi0, scaling)
-    tilt = np.triu(np.full((40, 40), 0.01), 1)
-    targets = [(target + tilt, eta) for target, eta in targets]
-    got = _score_fits(LIBRARY, train, targets, want_max=True)
-    want, want_max, want_failures, _ = direct_scores(LIBRARY, train, targets)
-    assert np.array_equal(got.values, want, equal_nan=True)
-    assert np.array_equal(got.maxima, want_max, equal_nan=True)
-    assert got.failures == want_failures
+def test_a_nonsymmetric_true_covariance_is_rejected(scaling):
+    # The scorers sum the upper triangle only, so psi0 must be exactly symmetric.
+    data = np.random.default_rng(6).standard_normal((25, 40))
+    tilted = ar1(40) + np.triu(np.full((40, 40), 0.01), 1)
+    with pytest.raises(ValueError, match="symmetric"):
+        evaluate_candidates(LIBRARY, data, make_splits(VFold(5, seed=0), 25), scaling=scaling, psi0=tilted)
 
 
 @pytest.mark.parametrize("eta", [-1.0, np.nan, np.full((4, 4), -1.0), np.ones((3, 3))])

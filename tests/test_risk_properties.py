@@ -1,9 +1,10 @@
 """Property test: observation and matrix risk select the same candidate.
 
-Under a constant scaling factor the two risks differ, on each fold, by a
-constant that does not depend on the candidate, so their argmins and tie
-sets agree.  Data are drawn from seeded generators, so a failing example
-is reproduced by its seed and shape alone.
+Under any scaling, a constant factor or the inverse-variance weights
+estimated from each training fold, the two risks differ, on each fold,
+by a constant that does not depend on the candidate, so their argmins
+and tie sets agree.  Data are drawn from seeded generators, so a
+failing example is reproduced by its seed and shape alone.
 """
 
 import numpy as np
@@ -35,7 +36,7 @@ LIBRARY = build_library(
     st.integers(0, 2**32 - 1),
     st.integers(10, 40),
     st.integers(1, 20),
-    st.sampled_from(["one", "inv_J", "inv_J2"]),
+    st.sampled_from(["one", "inv_J", "inv_J2", "weighted"]),
     st.booleans(),
 )
 def test_observation_and_matrix_risk_select_the_same_candidate(seed, n, dim, scaling, center):

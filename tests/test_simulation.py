@@ -3,6 +3,7 @@ import pytest
 
 import covsel.cv_engine as cv_engine
 import covsel.simulation as simulation
+from covsel.cv_engine import MonteCarloSplit, SingleSplit, VFold, make_splits
 from covsel.errors import ConfigError
 from covsel.estimators import CandidateLibrary, EstimatorSpec, build_library
 from covsel.simulation import (
@@ -156,6 +157,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(scaling="weighted")
 
+    @pytest.mark.parametrize(
+        "overrides, scheme, n",
+        [
+            ({"folds": 1}, VFold(1), 30),
+            ({"folds": 31}, VFold(31), 30),
+            ({"sample_sizes": (1,), "ratios": (2.0,)}, VFold(5), 1),
+            ({"validation_fraction": 0.01}, SingleSplit(0.01), 30),
+            ({"validation_fraction": 0.99}, SingleSplit(0.99), 30),
+            ({"validation_fraction": 0.2, "split_count": 0}, MonteCarloSplit(0, 0.2), 30),
+        ],
+        ids=["one-fold", "more-folds-than-rows", "one-row", "no-validation-rows",
+             "no-training-rows", "no-splits"],
+    )
+    def test_rejects_what_make_splits_rejects_at_construction(self, overrides, scheme, n):
+        with pytest.raises(ConfigError) as expected:
+            make_splits(scheme, n)
+        with pytest.raises(ConfigError) as got:
+            tiny_config(**overrides)
+        assert str(got.value) == str(expected.value)
+
 
 class TestRunner:
     def test_frobenius_row_count_candidates_plus_selected(self):
@@ -247,8 +268,7 @@ class TestCrossPath:
         sim_frob = selected_frobenius(simulated)
         bench_frob = selected_frobenius(benched)
         assert sim_frob.keys() == bench_frob.keys() and len(sim_frob) == 6
-        for key, value in sim_frob.items():
-            assert bench_frob[key] == pytest.approx(value, rel=1e-12), key
+        assert bench_frob == sim_frob
 
 
 class TestSummaries:
@@ -345,6 +365,15 @@ class TestBenchmark:
     def test_risk_metric_rejected(self):
         with pytest.raises(ConfigError):
             run_benchmark(tiny_config(metrics=("cv_ratio",)))
+
+
+def test_a_programming_error_in_a_cell_ends_the_run(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a fault in the program, not in its inputs")
+
+    monkeypatch.setattr(simulation, "evaluate_candidates", broken)
+    with pytest.raises(TypeError, match="a fault in the program"):
+        run_experiment(tiny_config())
 
 
 def test_cell_failure_skips_cell_not_run(caplog):
