@@ -48,7 +48,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+#: Format versions of ``selection_report.json`` (2: ``psd`` is flagged for
+#: the winner and its ties only) and of the ``simulate`` ``summary.json``.
+SCHEMA_VERSION = 2
+SUMMARY_SCHEMA_VERSION = 1
 
 _PROFILES = {
     "smoke": {"models": (2,), "sample_sizes": (50,), "ratios": (0.5,), "replications": 2},
@@ -613,7 +616,7 @@ def cmd_simulate(args) -> int:
             "note": "m1/m2 are empirical plug-ins, not almost-sure bounds",
         }
     payload = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": SUMMARY_SCHEMA_VERSION,
         "command": "simulate",
         "config": _config_echo(config),
         "cells": summary["cells"],

@@ -19,7 +19,15 @@ import numpy as np
 
 from .errors import ConfigError, EstimationError, SelectionError
 # apply_library stays bound here for code that patches or traces it by this name.
-from .estimators import CandidateLibrary, EstimatorSpec, _score_fits, apply_library, iter_fits  # noqa: F401
+from .estimators import (  # noqa: F401
+    CandidateLibrary,
+    EstimatorSpec,
+    FitContext,
+    _ranked_refits,
+    _score_fits,
+    apply_library,
+    iter_fits,
+)
 from .loss_risk import (
     _inverse_variance_weights,
     estimate_weight_matrix,
@@ -434,10 +442,13 @@ def select(
     the squared distance to the validation sample covariance.  The two
     differ by a per-split constant that does not depend on the
     candidate, for every scaling, so they cost the same and select the
-    same candidate.  Every candidate is refitted on the full dataset
-    for its ``psd`` flag, one at a time; the winner is the first
-    candidate in ascending ``(risk, index)`` order whose refit succeeds,
-    and its refit is the only one kept, for the report.
+    same candidate.  Candidates are refitted on the full dataset in
+    ascending ``(risk, index)`` order: the first refit that succeeds is
+    the winner, and the other candidates with the winner's risk are
+    refitted too, for the tie set.  Only these carry a ``psd`` flag; a
+    candidate whose refit fails is recorded as failed, and one never
+    refitted keeps its risk.  Only the winner's refit is kept, for the
+    report.
     """
     if risk not in ("observation", "matrix"):
         raise ConfigError(f"risk must be 'observation' or 'matrix', got {risk!r}")
@@ -453,24 +464,23 @@ def select(
     )
     risks = ev.mean_risks()
 
-    # Stream the full-data fits: flag each estimate, keep only the best so
-    # far in ascending (risk, index) order.  That is the argmin below,
-    # because a candidate whose full-data fit fails is masked there too.
     full = data - data.mean(axis=0, keepdims=True) if center else data
+    refits = _ranked_refits(library, FitContext(full), risks, range(len(library)))
     failures = dict(ev.failures)
-    psd_flags: list[bool | None] = []
-    best, best_estimate = -1, None
-    for idx, (estimate, failure) in enumerate(iter_fits(library, full)):
+    psd_flags: dict[int, bool] = {}
+    tie_indices: list[int] = []
+    best_estimate = None
+    for idx, estimate, failure in refits:
         if failure is not None:
-            failures.setdefault(idx, f"full-data fit: {failure}")
-            psd_flags.append(None)
+            failures[idx] = f"full-data fit: {failure}"
             continue
-        psd_flags.append(is_psd(estimate))
-        if np.isfinite(risks[idx]) and (best < 0 or risks[idx] < risks[best]):
-            best, best_estimate = idx, estimate
-    risks[list(failures)] = np.nan
-
-    selected_index, tie_indices = _argmin_with_ties(risks)
+        psd_flags[idx] = is_psd(estimate)
+        tie_indices.append(idx)
+        if best_estimate is None:
+            best_estimate = estimate
+    if not tie_indices:
+        raise SelectionError("every candidate failed; nothing to select")
+    selected_index = tie_indices[0]
     results = [
         CandidateResult(
             index=idx,
@@ -478,7 +488,7 @@ def select(
             family=spec.family,
             params={k: v for k, v in spec.params.items() if k != "matrix"},
             cv_risk=None if idx in failures else float(risks[idx]),
-            psd=psd_flags[idx],
+            psd=psd_flags.get(idx),
             failure=failures.get(idx),
         )
         for idx, spec in enumerate(library)

@@ -234,15 +234,20 @@ def _dense_shrinkage(data: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return rho * target + (1.0 - rho) * cov
 
 
-def _poet_parts(cov: np.ndarray, eig, factors: int) -> tuple[np.ndarray, np.ndarray]:
-    """POET's rank-``factors`` part of ``cov`` and the remainder ``cov - low_rank``."""
+def _poet_parts(cov: np.ndarray, basis, factors: int) -> tuple[np.ndarray, np.ndarray]:
+    """POET's rank-``factors`` part of ``cov`` and the remainder ``cov - low_rank``.
+
+    ``basis`` is a :attr:`FitContext.factor_basis` pair ``(B, w)``: the
+    low-rank part is ``(B_k * w_k) @ B_k.T`` over its leading ``k`` columns.
+    """
     dim = cov.shape[0]
     if not 0 <= factors <= dim:
         raise ConfigError(f"factor count {factors} outside [0, {dim}]")
     if factors == 0:
         return np.zeros_like(cov), cov
-    vecs = eig.eigenvectors[:, :factors]
-    low_rank = (vecs * eig.eigenvalues[:factors]) @ vecs.T
+    vectors, weights = basis
+    vecs = vectors[:, :factors]
+    low_rank = (vecs * weights[:factors]) @ vecs.T
     # Exactly symmetric, so the remainder and the estimate are too.
     low_rank = 0.5 * (low_rank + low_rank.T)
     return low_rank, cov - low_rank
@@ -270,15 +275,17 @@ class FitContext:
     """Per-dataset cache of quantities shared across candidate fits.
 
     Every quantity is computed on first use and kept for the context's
-    life: the sample covariance ``S`` and its eigendecomposition, ``|S|``
-    and ``sign(S)`` (thresholding), the ``|j - l|`` band distances
-    (banding, tapering), POET's low-rank part and remainder for the most
-    recent factor count (the library lists POET grouped by factor count),
-    and ``|S| ** -e`` for the last :data:`_CACHED_EXPONENTS`
-    adaptive-LASSO exponents.  That bounds the cache at
-    ``7 + _CACHED_EXPONENTS = 12`` ``J x J`` matrices plus the data,
-    whatever the number of candidates fitted.  Cached arrays are shared
-    by the fits and must not be written to; every fit returns a new array.
+    life: the sample covariance ``S``, POET's factor basis (the ``J x J``
+    eigenvectors of ``S`` when ``n >= J``, else ``J x n`` loadings, see
+    :attr:`factor_basis`), ``|S|`` and ``sign(S)`` (thresholding), the
+    ``|j - l|`` band distances (banding, tapering), POET's low-rank part
+    and remainder for the most recent factor count (the library lists
+    POET grouped by factor count), and ``|S| ** -e`` for the last
+    :data:`_CACHED_EXPONENTS` adaptive-LASSO exponents.  That bounds the
+    cache at ``7 + _CACHED_EXPONENTS = 12`` ``J x J`` matrices plus the
+    data, whatever the number of candidates fitted.  Cached arrays are
+    shared by the fits and must not be written to; every fit returns a
+    new array.
     """
 
     def __init__(self, data) -> None:
@@ -291,8 +298,25 @@ class FitContext:
         return sample_covariance(self.data)
 
     @cached_property
-    def eig(self):
-        return eigendecompose(self.cov)
+    def factor_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(B, w)`` with POET's rank-``k`` part ``(B_k * w_k) @ B_k.T``, leading columns first.
+
+        With ``n >= J``, the eigenvectors and eigenvalues of ``S``.  With
+        ``n < J``, the dual (snapshot) PCA identity: the Gram matrix
+        ``X X^T / n`` has the nonzero eigenvalues of ``S = X^T X / n``, and
+        with its eigenvectors ``U``, ``B = X^T U`` and ``w = 1 / n`` give
+        the same rank-``k`` part, ``(X^T U_k)(X^T U_k)^T / n``, from an
+        ``n x n`` eigendecomposition and without dividing by an eigenvalue.
+        """
+        n, dim = self.data.shape
+        if n >= dim:
+            eig = eigendecompose(self.cov)
+            return eig.eigenvectors, eig.eigenvalues
+        gram = self.data @ self.data.T
+        gram /= n
+        vectors = eigendecompose(gram).eigenvectors
+        del gram  # freed before the loadings are allocated
+        return self.data.T @ vectors, np.full(n, 1.0 / n)
 
     @cached_property
     def magnitude(self) -> np.ndarray:
@@ -310,7 +334,7 @@ class FitContext:
         """``(low_rank, residual)`` for ``factors``, cached for the latest count only."""
         if self._poet is None or self._poet[0] != factors:
             self._poet = None  # release the previous pair before building the next
-            self._poet = (factors, *_poet_parts(self.cov, self.eig, factors))
+            self._poet = (factors, *_poet_parts(self.cov, self.factor_basis, factors))
         return self._poet[1:]
 
     def inverse_power(self, exponent: float) -> np.ndarray:
@@ -692,6 +716,32 @@ def _try_fit(spec: EstimatorSpec, ctx: FitContext):
         return None, f"{type(exc).__name__}: {exc}"
     except np.linalg.LinAlgError as exc:
         return None, f"LinAlgError: {exc}"
+
+
+def _ranked_refits(library: CandidateLibrary, ctx: FitContext, risks, indices, cache=None):
+    """Fit ``indices`` on ``ctx`` in ascending ``(risk, position)`` order, through the winner's ties.
+
+    Yields ``(index, estimate, failure)``, fitting each candidate only
+    when asked for it, and skips candidates whose risk is not finite.
+    The winner is the first candidate whose fit succeeds; the candidates
+    after it with the same risk follow, and the generator stops before
+    the first higher risk.  ``cache``, a dict by library index, keeps
+    every pair and reuses the pairs already there, so rankings of
+    overlapping indices on one context fit each candidate once.
+    """
+    best = None
+    for risk, _, idx in sorted((risks[i], pos, i) for pos, i in enumerate(indices) if np.isfinite(risks[i])):
+        if best is not None and risk != best:
+            return
+        if cache is None:
+            pair = _try_fit(library[idx], ctx)
+        elif idx in cache:
+            pair = cache[idx]
+        else:
+            pair = cache[idx] = _try_fit(library[idx], ctx)
+        if best is None and pair[1] is None:
+            best = risk
+        yield (idx, *pair)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .errors import ConfigError, DegenerateFeatureError, EstimationError, Select
 from .estimators import (  # noqa: F401
     CandidateLibrary,
     FitContext,
-    _try_fit,
+    _ranked_refits,
     apply_library,
     default_library,
     iter_fits,
@@ -655,20 +655,10 @@ def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) ->
             )
             selector = ev.mean_risks()
             ctx = FitContext(data)
-            full_fits: dict[int, np.ndarray | None] = {}
+            full_fits: dict[int, tuple] = {}
             for procedure, indices in groups.items():
-                # Refit in ascending (risk, position) order; the first
-                # candidate whose full-data fit succeeds is the winner.
-                ranked = sorted(
-                    (selector[i], pos, i) for pos, i in enumerate(indices) if np.isfinite(selector[i])
-                )
-                estimate = None
-                for _, _, i in ranked:
-                    if i not in full_fits:
-                        full_fits[i] = _try_fit(union[i], ctx)[0]
-                    estimate = full_fits[i]
-                    if estimate is not None:
-                        break
+                refits = _ranked_refits(union, ctx, selector, indices, cache=full_fits)
+                estimate = next((fit for _, fit, failure in refits if failure is None), None)
                 if estimate is None:
                     logger.warning(
                         "model %d n=%d J=%d rep %d: procedure %s has no valid candidate",

@@ -89,7 +89,7 @@ class TestSelectCommand:
         ])
         assert code == 0
         report = json.loads((out / "selection_report.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["selected_id"] == "sample_covariance"
         assert len(report["candidates"]) == 1
         assert report["seed"] == 3

@@ -26,7 +26,7 @@ from covsel.estimators import (
     wide_library,
 )
 from covsel.loss_risk import estimate_weight_matrix, resolve_constant_scaling, row_losses, validation_risk
-from covsel.matrix_core import sample_covariance
+from covsel.matrix_core import is_psd, sample_covariance
 from covsel.simulation import CovModelSpec, build_model_covariance, sample_gaussian
 
 
@@ -240,12 +240,51 @@ class TestSelect:
         with pytest.raises(DegenerateFeatureError, match=r"column\(s\) 2"):
             select(small_library(), data, VFold(5, seed=0), scaling="weighted")
 
-    def test_psd_flags_present(self):
-        rng = np.random.default_rng(12)
-        data = rng.normal(size=(40, 4))
-        report = select(small_library(), data, VFold(5, seed=0))
-        sample_row = next(c for c in report.candidates if c.id == "sample_covariance")
-        assert sample_row.psd is True
+    @pytest.mark.parametrize(
+        "library, data, folds, n_ties",
+        [
+            (default_library(), np.random.default_rng(12).normal(size=(40, 4)), 5, 1),
+            (default_library(), np.array([[1.0], [3.0]]), 2, 60),
+            (
+                CandidateLibrary((fixed_spec([[1.0, 2.0], [2.0, 1.0]], "a"), fixed_spec([[1.0, 2.0], [2.0, 1.0]], "b"))),
+                np.random.default_rng(12).normal(size=(10, 2)),
+                5,
+                2,
+            ),
+        ],
+        ids=["single-winner", "tie-set", "indefinite-ties"],
+    )
+    def test_psd_is_flagged_for_the_winner_and_its_ties_only(self, library, data, folds, n_ties):
+        report = select(library, data, VFold(folds, seed=0))
+        centered = data - data.mean(axis=0)
+        flagged = {c.id: c.psd for c in report.candidates if c.psd is not None}
+        assert tuple(flagged) == report.tie_ids and report.tie_ids[0] == report.selected_id
+        assert len(report.tie_ids) == n_ties
+        for spec in library:
+            if spec.id in flagged:
+                assert flagged[spec.id] == is_psd(apply(spec, centered)), spec.id
+        if n_ties == 2:
+            assert set(flagged.values()) == {False}
+
+    def test_a_tie_failing_on_the_full_data_leaves_the_tie_set(self, monkeypatch):
+        data = np.array([[1.0], [3.0]])
+        library = default_library()
+        first = select(library, data, VFold(2, seed=0))
+        dropped = first.tie_ids[1]
+        real = estimators._try_fit
+
+        def fails_on_full_data(spec, ctx):
+            if spec.id == dropped and ctx.data.shape[0] == data.shape[0]:
+                return None, "forced failure"
+            return real(spec, ctx)
+
+        monkeypatch.setattr(estimators, "_try_fit", fails_on_full_data)
+        second = select(library, data, VFold(2, seed=0))
+        assert second.selected_id == first.selected_id
+        assert second.tie_ids == tuple(i for i in first.tie_ids if i != dropped)
+        row = next(c for c in second.candidates if c.id == dropped)
+        assert row.cv_risk is None and row.psd is None
+        assert row.failure == "full-data fit: forced failure"
 
 
 class TestOracles:
@@ -450,7 +489,8 @@ class TestStreamedFits:
         live.clear()
         families.clear()
         report = select(library, data, VFold(5, seed=1), risk="matrix")
-        assert len(families) == 5 * len(direct) + len(library) and max(live) <= 3
+        # Only the winner and its ties are refitted on the full data.
+        assert len(families) == 5 * len(direct) + len(report.tie_ids) and max(live) <= 3
         assert report.estimate is not None
 
     def test_winner_failing_on_the_full_data_falls_back_to_the_runner_up(self, monkeypatch):

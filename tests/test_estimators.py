@@ -5,6 +5,7 @@ from covsel.errors import ConfigError
 from covsel.estimators import (
     CandidateLibrary,
     EstimatorSpec,
+    FitContext,
     adaptive_lasso_threshold,
     apply,
     _shrinkage_components,
@@ -387,8 +388,9 @@ class TestSpecsAndLibraries:
             _FAMILIES.pop("scaled_diagonal", None)
 
 
-def uncached_fit(spec, cov):
-    """One candidate from the public transforms of ``cov``, sharing nothing."""
+def uncached_fit(spec, data):
+    """One candidate from the public transforms of the data's covariance, sharing nothing."""
+    cov = sample_covariance(data)
     p = spec.params
     if spec.family == "sample_covariance":
         return cov
@@ -404,9 +406,15 @@ def uncached_fit(spec, cov):
         weights = taper_weights(cov.shape[0], p["bands"])
         return np.where(weights == 0.0, 0.0, weights * cov)
     if spec.family == "poet":
-        eig = eigendecompose(cov)
-        vecs = eig.eigenvectors[:, : p["factors"]]
-        low_rank = (vecs * eig.eigenvalues[: p["factors"]]) @ vecs.T
+        n, dim = data.shape
+        if n < dim:
+            # The rank-k part from the n x n Gram matrix: (X^T U_k)(X^T U_k)^T / n.
+            vecs = (data.T @ eigendecompose(data @ data.T / n).eigenvectors)[:, : p["factors"]]
+            weights = np.full(vecs.shape[1], 1.0 / n)
+        else:
+            eig = eigendecompose(cov)
+            vecs, weights = eig.eigenvectors[:, : p["factors"]], eig.eigenvalues[: p["factors"]]
+        low_rank = (vecs * weights) @ vecs.T
         low_rank = 0.5 * (low_rank + low_rank.T)
         out = low_rank + hard_threshold(cov - low_rank, p["threshold"])
         np.fill_diagonal(out, np.diag(cov))
@@ -442,6 +450,58 @@ class TestCachedKernels:
         for spec, (estimate, failure) in zip(library, apply_library(library, data)):
             assert failure is None, spec.id
             assert np.array_equal(estimate, apply(spec, data)), spec.id
-            expected = uncached_fit(spec, cov)
+            expected = uncached_fit(spec, data)
             if expected is not None:
                 assert np.array_equal(estimate, expected), spec.id
+
+
+def factor_data():
+    """Three strong latent factors plus noise, n=12 rows and J=30 features."""
+    rng = np.random.default_rng(21)
+    loadings = rng.standard_normal((30, 3))
+    return rng.standard_normal((12, 3)) @ loadings.T + 0.3 * rng.standard_normal((12, 30))
+
+
+def eigh_low_rank(cov, factors):
+    """POET's rank-``factors`` part from the full eigendecomposition of ``cov``."""
+    eig = eigendecompose(cov)
+    vecs = eig.eigenvectors[:, :factors]
+    low_rank = (vecs * eig.eigenvalues[:factors]) @ vecs.T
+    return 0.5 * (low_rank + low_rank.T), eig.eigenvalues
+
+
+class TestGramFactors:
+    @pytest.mark.parametrize("center", [False, True], ids=["raw", "centered"])
+    @pytest.mark.parametrize(
+        "make_data",
+        [ternary_data, factor_data, lambda: np.random.default_rng(4).standard_normal((8, 15))],
+        ids=["ternary", "factor", "gaussian"],
+    )
+    def test_wide_data_take_the_eigh_low_rank_part_from_the_gram_matrix(self, make_data, center):
+        data = make_data()
+        if center:
+            data = data - data.mean(axis=0)
+        n, dim = data.shape
+        assert n < dim
+        ctx = FitContext(data)
+        assert ctx.factor_basis[0].shape == (dim, n)
+        scale = np.max(np.abs(ctx.cov))
+        checked = 0
+        for factors in range(1, min(10, n) + 1):
+            low_rank, residual = ctx.poet_parts(factors)
+            assert np.array_equal(low_rank, low_rank.T)
+            assert np.array_equal(residual, ctx.cov - low_rank)
+            expected, eigenvalues = eigh_low_rank(ctx.cov, factors)
+            if eigenvalues[factors - 1] > eigenvalues[factors]:
+                assert np.max(np.abs(low_rank - expected)) <= 1e-12 * scale, factors
+                checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("shape", [(15, 15), (40, 6)])
+    def test_tall_data_keep_the_eigh_path_bit_for_bit(self, shape):
+        data = np.random.default_rng(5).standard_normal(shape)
+        ctx = FitContext(data)
+        for factors in range(0, min(10, shape[1]) + 1):
+            low_rank, _ = ctx.poet_parts(factors)
+            expected = eigh_low_rank(ctx.cov, factors)[0] if factors else np.zeros_like(ctx.cov)
+            assert np.array_equal(low_rank, expected), factors

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import covsel.cv_engine as cv_engine
+import covsel.estimators as estimators
 import covsel.simulation as simulation
 from covsel.cv_engine import MonteCarloSplit, SingleSplit, VFold, make_splits
 from covsel.errors import ConfigError
@@ -424,15 +425,17 @@ class TestSkippedWork:
         }
         config = tiny_config(metrics=("frobenius",))
         refits = []
-        real_try_fit = simulation._try_fit
+        real_try_fit = estimators._try_fit
 
         def failing_truth(spec, ctx):
+            if ctx.data.shape[0] < 30:  # a training fold
+                return real_try_fit(spec, ctx)
             refits.append(spec.id)
             if spec.id == "truth":
                 return None, "forced failure"
             return real_try_fit(spec, ctx)
 
-        monkeypatch.setattr(simulation, "_try_fit", failing_truth)
+        monkeypatch.setattr(estimators, "_try_fit", failing_truth)
         result = run_benchmark(config, tuning_grids=grids)
         fixed = [r.value for r in result.rows if r.subject == "fixed"]
         assert fixed == [pytest.approx(float(np.linalg.norm(2.0 * np.eye(15) - psi0)))] * 2
