@@ -36,13 +36,19 @@ they equal the kernels' exactly.
 
 Sums are taken over row blocks of at most :data:`_BLOCK_ENTRIES` entries,
 so a fold holds no ``J x J`` temporary besides the cached covariance (and
-POET's low-rank part and remainder).  The targets and weights must be
-exactly symmetric, as ``S`` and POET's parts are by construction: a
-block holds only its upper-triangle entries and counts each
-off-diagonal one twice.  Each block is sorted by bin and each bin summed
-pairwise (``np.add.reduceat``), so a sum's rounding error does not grow
-with the number of entries in its bin.  The direct path, a fit scored
-with :func:`~covsel.matrix_core.scaled_frobenius_sq`, is the reference;
+POET's low-rank part, plus the positions of the entries above its
+smallest threshold; its remainder is formed where it is read).  The
+targets and weights must be exactly symmetric, as ``S`` and POET's
+low-rank part are by construction: a block holds only its upper-triangle
+entries and counts each off-diagonal one twice.  Each block is sorted by
+bin and each bin summed pairwise (``np.add.reduceat``), so a sum's
+rounding error does not grow with the number of entries in its bin.
+POET sorts only the entries above its smallest threshold, which some
+candidate keeps, in runs of at most :data:`_BLOCK_ENTRIES` of them; those
+at or below it, zeroed by every candidate, get one pairwise sum per
+block, and its diagonal, ``diag(S)`` for every candidate, is not binned
+at all.  The direct path, a fit scored with
+:func:`~covsel.matrix_core.scaled_frobenius_sq`, is the reference;
 the values agree with it to rounding.
 """
 
@@ -91,7 +97,7 @@ class Fold:
         step = max(1, _BLOCK_ENTRIES // dim)
         return [_Block(start, min(start + step, dim), dim) for start in range(0, dim, step)]
 
-    def rows(self, block: _Block, order: np.ndarray):
+    def rows(self, block: _Block, order):
         """Per target, the block's ``(T, eta)`` entries in ``order``; ``eta`` is None when scalar."""
         return [
             (block.pick(target, order), block.pick(eta, order) if isinstance(eta, np.ndarray) else None)
@@ -135,11 +141,20 @@ class _Block:
         """``|j - l|`` of each entry."""
         return np.abs(self.take // self._dim + self._start - self.take % self._dim)
 
+    def flat(self, indices: np.ndarray) -> np.ndarray:
+        """Flat positions in the whole matrix of the block's entries at ``indices``."""
+        return self.take[indices] + self._start * self._dim
+
+    @cached_property
+    def diagonal_at(self) -> np.ndarray:
+        """Indices of the diagonal entries among the block's entries."""
+        return np.flatnonzero(self.diagonal)
+
     def entries(self, matrix: np.ndarray) -> np.ndarray:
         return matrix[self.rows].ravel()[self.take]
 
-    def pick(self, matrix: np.ndarray, order: np.ndarray) -> np.ndarray:
-        """The block's entries of ``matrix`` in ``order``."""
+    def pick(self, matrix: np.ndarray, order) -> np.ndarray:
+        """The block's entries of ``matrix`` in ``order``, an index array or a slice."""
         return matrix[self.rows].ravel()[self.take[order]]
 
 
@@ -420,10 +435,17 @@ def score_poet(fold: Fold, specs) -> list:
     """POET candidates, one pass per factor count over ``L`` and ``R = S - L``.
 
     Off the diagonal POET keeps ``L + R`` where ``|R| > u`` and ``L``
-    elsewhere; its diagonal is ``diag(S)``.  A zeroed entry adds
-    ``eta * [(T - L)**2 - (T - S)**2]``, a prefix over bins of ``|R|``, and
-    a kept one adds ``eta * [(T - (L + R))**2 - (T - S)**2]``, a suffix.  Factor counts the context cannot
-    decompose are left to the direct path, which reports the failure.
+    elsewhere; its diagonal is ``diag(S)``, which changes nothing and is
+    left out.  A zeroed entry adds ``eta * [(T - L)**2 - (T - S)**2]``, a
+    prefix over bins of ``|R|``, and a kept one adds
+    ``eta * [(T - (L + R))**2 - (T - S)**2]``, a suffix.  Every candidate
+    zeroes the entries in bin 0, at or below the smallest threshold, so
+    they are summed block by block as they come; the entries above it are
+    gathered from all blocks and sorted into bins in runs of at most
+    :data:`_BLOCK_ENTRIES`.  ``R`` is formed as ``S - L``, the expression
+    the direct path's remainder is built with.  Factor counts the context
+    cannot decompose are left to the direct path, which reports the
+    failure.
     """
     out: list = [None] * len(specs)
     by_factors: dict[int, list[int]] = {}
@@ -432,40 +454,62 @@ def score_poet(fold: Fold, specs) -> list:
     dim = fold.cov.shape[0]
     n_targets = len(fold.targets)
     diag_peak = float(np.max(np.abs(np.diag(fold.cov)))) if fold.want_max else None
+    cov = fold.cov.ravel()
+    flat_targets = [
+        (np.ravel(target), np.ravel(eta) if isinstance(eta, np.ndarray) else None) for target, eta in fold.targets
+    ]
     for factors, members in by_factors.items():
         if factors > dim:
             continue
         try:
-            low_rank, residual = fold.ctx.poet_parts(factors)
+            low_rank = fold.ctx.poet_low_rank(factors)
         except (EstimationError, FloatingPointError, ValueError, np.linalg.LinAlgError):
             continue  # the direct path refits and reports the failure
         cuts = np.array(sorted({specs[i].params["threshold"] for i in members}))
         n_bins = cuts.size + 1
-        # Bin n_bins holds the diagonal, which POET leaves at diag(S).
-        zeroed = np.zeros((n_targets, n_bins + 1))
-        kept = np.zeros((n_targets, n_bins + 1))
-        low_peaks = np.zeros(n_bins + 1)
-        kept_peaks = np.zeros(n_bins + 1)
+        zeroed = np.zeros((n_targets, n_bins))
+        kept = np.zeros((n_targets, n_bins))
+        low_peaks = np.zeros(n_bins)
+        kept_peaks = np.zeros(n_bins)
+        kept_at = []  # flat positions of the entries above the smallest threshold
         for block in fold.blocks:
-            r = block.entries(residual)
-            idx = np.searchsorted(cuts, np.abs(r))
-            idx[block.diagonal] = n_bins
-            bins = _Bins(idx, n_bins + 1, block.diagonal)
-            r = r[bins.order]
-            s = block.pick(fold.cov, bins.order)
-            low = block.pick(low_rank, bins.order)
-            both = low + r
+            s = block.entries(fold.cov)
+            low = block.entries(low_rank)
+            mag = np.abs(s - low)
+            mag[block.diagonal_at] = 0.0  # POET keeps diag(S): no bin, no change
+            above = np.flatnonzero(mag > cuts[0])
+            kept_at.append(block.flat(above))
+            if fold.want_max:
+                low_mag = np.abs(low)
+                low_mag[above] = 0.0
+                low_mag[block.diagonal_at] = 0.0
+                low_peaks[0] = max(low_peaks[0], float(np.max(low_mag)))
+            for t, (target, eta) in enumerate(fold.rows(block, slice(None))):
+                changed = _square(target - low, eta) - _square(target - s, eta)
+                # What is left is bin 0 off the diagonal, zeroed by every candidate.
+                changed[above] = 0.0
+                changed[block.diagonal_at] = 0.0
+                zeroed[t, 0] += 2.0 * float(np.sum(changed))
+        kept_at = np.concatenate(kept_at)
+        low_rank = low_rank.ravel()
+        for first in range(0, kept_at.size, _BLOCK_ENTRIES):
+            at = kept_at[first : first + _BLOCK_ENTRIES]
+            s, low = cov[at], low_rank[at]
+            bins = _Bins(np.searchsorted(cuts, np.abs(s - low)), n_bins, False)
+            at, s, low = at[bins.order], s[bins.order], low[bins.order]
+            both = low + (s - low)
             if fold.want_max:
                 bins.peaks(low_peaks, np.abs(low))
                 bins.peaks(kept_peaks, np.abs(both))
-            for t, (target, eta) in enumerate(fold.rows(block, bins.order)):
+            for t, (target, eta) in enumerate(flat_targets):
+                target, eta = target[at], None if eta is None else eta[at]
                 d2 = _square(target - s, eta)
                 bins.add(zeroed[t], _square(target - low, eta) - d2)
                 bins.add(kept[t], _square(target - both, eta) - d2)
-        zeroed_upto = _prefix(zeroed[:, :n_bins])
-        kept_from = _suffix(kept[:, :n_bins])
-        low_upto = np.maximum.accumulate(low_peaks[:n_bins])
-        kept_above = _suffix_max(kept_peaks[:n_bins])
+        zeroed_upto = _prefix(zeroed)
+        kept_from = _suffix(kept)
+        low_upto = np.maximum.accumulate(low_peaks)
+        kept_above = _suffix_max(kept_peaks)
         for i in members:
             j = int(np.searchsorted(cuts, specs[i].params["threshold"]))
             maximum = None

@@ -323,6 +323,13 @@ def evaluate_candidates(
         bases[:, split_idx] = scores.base
         if max_abs:
             peak = float(np.max(scores.maxima[np.isfinite(scores.maxima)], initial=peak))
+    if risk is not None and not (np.all(np.isfinite(bases[0])) and np.all(np.isfinite(offsets))):
+        # Finite data whose squared distances or x**4 sums overflow would
+        # leave every candidate without a finite risk.
+        raise ConfigError(
+            f"the {risk} risk overflows the float range: the data's largest |x| is "
+            f"{float(np.max(np.abs(data))):.6g}; rescale the data"
+        )
 
     rescore = _near_minimum(values, bases, list(failures))
     if len(rescore) > 1:

@@ -234,23 +234,24 @@ def _dense_shrinkage(data: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return rho * target + (1.0 - rho) * cov
 
 
-def _poet_parts(cov: np.ndarray, basis, factors: int) -> tuple[np.ndarray, np.ndarray]:
-    """POET's rank-``factors`` part of ``cov`` and the remainder ``cov - low_rank``.
+def _poet_low_rank(cov: np.ndarray, basis, factors: int) -> np.ndarray:
+    """POET's rank-``factors`` part of ``cov``.
 
     ``basis`` is a :attr:`FitContext.factor_basis` pair ``(B, w)``: the
-    low-rank part is ``(B_k * w_k) @ B_k.T`` over its leading ``k`` columns.
+    low-rank part is ``C @ C.T`` with ``C = B_k * sqrt(max(w_k, 0))`` over
+    its leading ``k`` columns.  numpy computes that product with one
+    symmetric rank-k update (syrk), so it is exactly symmetric, and so are
+    the remainder and the estimate.  A weight below zero is an eigenvalue
+    of a rank-deficient ``S`` at rounding level and adds nothing.
     """
     dim = cov.shape[0]
     if not 0 <= factors <= dim:
         raise ConfigError(f"factor count {factors} outside [0, {dim}]")
     if factors == 0:
-        return np.zeros_like(cov), cov
+        return np.zeros_like(cov)
     vectors, weights = basis
-    vecs = vectors[:, :factors]
-    low_rank = (vecs * weights[:factors]) @ vecs.T
-    # Exactly symmetric, so the remainder and the estimate are too.
-    low_rank = 0.5 * (low_rank + low_rank.T)
-    return low_rank, cov - low_rank
+    loadings = vectors[:, :factors] * np.sqrt(np.maximum(weights[:factors], 0.0))
+    return loadings @ loadings.T
 
 
 def _poet(cov: np.ndarray, low_rank: np.ndarray, residual: np.ndarray, threshold: float) -> np.ndarray:
@@ -279,18 +280,21 @@ class FitContext:
     eigenvectors of ``S`` when ``n >= J``, else ``J x n`` loadings, see
     :attr:`factor_basis`), ``|S|`` and ``sign(S)`` (thresholding), the
     ``|j - l|`` band distances (banding, tapering), POET's low-rank part
-    and remainder for the most recent factor count (the library lists
-    POET grouped by factor count), and ``|S| ** -e`` for the last
-    :data:`_CACHED_EXPONENTS` adaptive-LASSO exponents.  That bounds the
-    cache at ``7 + _CACHED_EXPONENTS = 12`` ``J x J`` matrices plus the
-    data, whatever the number of candidates fitted.  Cached arrays are
-    shared by the fits and must not be written to; every fit returns a
-    new array.
+    for the most recent factor count (the library lists POET grouped by
+    factor count) and its remainder once a direct POET fit asks for it,
+    and ``|S| ** -e`` for the last :data:`_CACHED_EXPONENTS`
+    adaptive-LASSO exponents.  That bounds the cache at
+    ``7 + _CACHED_EXPONENTS = 12`` ``J x J`` matrices plus the data,
+    whatever the number of candidates fitted.  The grid scorers read only
+    ``S``, the factor basis and the low-rank part, so a fold scored on the
+    grid caches at most three ``J x J`` matrices besides what its
+    direct-path candidates build.  Cached arrays are shared by the fits
+    and must not be written to; every fit returns a new array.
     """
 
     def __init__(self, data) -> None:
         self.data = as_data_matrix(data)
-        self._poet: tuple | None = None
+        self._poet: list | None = None
         self._inverse_powers: dict[float, np.ndarray] = {}
 
     @cached_property
@@ -330,12 +334,19 @@ class FitContext:
     def distance(self) -> np.ndarray:
         return _band_distance(self.cov.shape[0])
 
-    def poet_parts(self, factors: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(low_rank, residual)`` for ``factors``, cached for the latest count only."""
+    def poet_low_rank(self, factors: int) -> np.ndarray:
+        """POET's rank-``factors`` part, cached for the latest count only."""
         if self._poet is None or self._poet[0] != factors:
-            self._poet = None  # release the previous pair before building the next
-            self._poet = (factors, *_poet_parts(self.cov, self.factor_basis, factors))
-        return self._poet[1:]
+            self._poet = None  # release the previous parts before building the next
+            self._poet = [factors, _poet_low_rank(self.cov, self.factor_basis, factors), None]
+        return self._poet[1]
+
+    def poet_parts(self, factors: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(low_rank, residual)`` with ``residual = S - low_rank``, cached with the low-rank part."""
+        low_rank = self.poet_low_rank(factors)
+        if self._poet[2] is None:
+            self._poet[2] = self.cov - low_rank
+        return low_rank, self._poet[2]
 
     def inverse_power(self, exponent: float) -> np.ndarray:
         """``|S| ** -exponent``, cached for the latest exponents."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from covsel.cli import (
+    _write_matrix,
     main,
     read_benchmark_table,
     read_estimate_csv,
@@ -179,6 +180,20 @@ class TestSelectCommand:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "selection_failed"
 
+    @pytest.mark.parametrize("risk", ["matrix", "observation"])
+    def test_data_whose_risk_overflows_exits_2(self, tmp_path, toy_csv, capsys, risk):
+        _, data = toy_csv
+        for scale, code in ((1e70, 0), (1e80, 2)):
+            path = tmp_path / f"scaled{scale:g}.csv"
+            write_csv(path, data * scale)
+            argv = ["select", "--input", str(path), "--risk", risk, "--out", str(tmp_path / "out")]
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main(argv) == code
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "invalid_input"
+        assert "overflows" in record["message"]
+        assert f"{float(np.max(np.abs(data * 1e80))):.6g}" in record["message"]
+
     def test_pca_larger_than_dim_exits_2(self, tmp_path, toy_csv):
         path, _ = toy_csv
         assert main(["select", "--input", str(path), "--pca", "9"]) == 2
@@ -311,3 +326,21 @@ class TestBenchCommand:
         for out in (out_a, out_b):
             assert main(["bench", "--profile", "smoke", "--seed", "1", "--out", str(out)]) == 0
         assert (out_a / "bench_table.csv").read_bytes() == (out_b / "bench_table.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1.0, -0.0], [0.0, 2.0]],
+        [[-0.0, 1e22, 5e-324], [1e22, np.nan, -0.0], [5e-324, -0.0, 0.1]],
+        [[0.1, 0.2, 0.3], [0.2, 0.5, 0.6], [0.3, 0.7, 0.9]],
+        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+    ],
+    ids=["signed-zero-pair", "symmetric-special-values", "nonsymmetric", "wide"],
+)
+def test_matrix_csv_is_each_entry_repr_row_by_row(tmp_path, matrix):
+    matrix = np.array(matrix)
+    path = tmp_path / "m.csv"
+    _write_matrix(path, matrix, comment="J=3")
+    expected = "# J=3\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)
+    assert path.read_bytes() == expected.encode("utf-8")

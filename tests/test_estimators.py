@@ -414,8 +414,9 @@ def uncached_fit(spec, data):
         else:
             eig = eigendecompose(cov)
             vecs, weights = eig.eigenvectors[:, : p["factors"]], eig.eigenvalues[: p["factors"]]
-        low_rank = (vecs * weights) @ vecs.T
-        low_rank = 0.5 * (low_rank + low_rank.T)
+        # One syrk: C @ C.T with C = B_k * sqrt(max(w_k, 0)).
+        loadings = vecs * np.sqrt(np.maximum(weights, 0.0))
+        low_rank = loadings @ loadings.T
         out = low_rank + hard_threshold(cov - low_rank, p["threshold"])
         np.fill_diagonal(out, np.diag(cov))
         return out
@@ -465,9 +466,8 @@ def factor_data():
 def eigh_low_rank(cov, factors):
     """POET's rank-``factors`` part from the full eigendecomposition of ``cov``."""
     eig = eigendecompose(cov)
-    vecs = eig.eigenvectors[:, :factors]
-    low_rank = (vecs * eig.eigenvalues[:factors]) @ vecs.T
-    return 0.5 * (low_rank + low_rank.T), eig.eigenvalues
+    loadings = eig.eigenvectors[:, :factors] * np.sqrt(np.maximum(eig.eigenvalues[:factors], 0.0))
+    return loadings @ loadings.T, eig.eigenvalues
 
 
 class TestGramFactors:

@@ -167,6 +167,60 @@ def test_ternary_data_sits_on_the_breakpoints():
     assert np.any(cov == 0.0) and {0.25, 0.5, 0.75, 1.0} <= set(np.abs(cov).ravel())
 
 
+def poet_library(factor_counts, thresholds):
+    """The sample covariance, then POET at every factor count and threshold."""
+    poet = [
+        EstimatorSpec("poet", {"factors": k, "threshold": float(u)}) for k in factor_counts for u in thresholds
+    ]
+    return CandidateLibrary(tuple([EstimatorSpec("sample_covariance")] + poet))
+
+
+def off_diagonal_residuals(train, factors):
+    """The sorted distinct ``|S - L|`` off the diagonal of the training fold's POET remainder."""
+    residual = FitContext(train).poet_parts(factors)[1]
+    return np.unique(np.abs(residual[np.triu_indices(residual.shape[0], 1)]))
+
+
+@pytest.mark.parametrize("scaling", ["one", "weighted"])
+@pytest.mark.parametrize("case", ["on_a_cut", "all_below", "none_below", "empty_bin"])
+def test_poet_bins_at_their_edges(case, scaling):
+    data, psi0 = make_data("factor", 12, seed=7)
+    train, targets = fold_targets(data, psi0, scaling)
+    mags = off_diagonal_residuals(train, 2)
+    assert mags[0] > 0.0
+    if case == "on_a_cut":
+        # Entries equal to a cut are zeroed, as the kernel's |R| > u keeps only those above.
+        thresholds = mags[[0, mags.size // 3, mags.size // 2, -1]]
+    elif case == "all_below":
+        thresholds = [mags[-1] * 1.5, mags[-1] * 2.0]
+    elif case == "none_below":
+        thresholds = [mags[0] / 2.0, mags[mags.size // 2]]
+    else:
+        gap = int(np.argmax(np.diff(mags)))
+        lo, hi = mags[gap], mags[gap + 1]
+        thresholds = [mags[0], lo + (hi - lo) / 3.0, lo + 2.0 * (hi - lo) / 3.0]
+    library = poet_library([2], thresholds)
+    assert_matches_direct_path(library, train, targets)
+    if case == "empty_bin":
+        values = _score_fits(library, train, targets).values
+        assert np.array_equal(values[2], values[3])
+
+
+@pytest.mark.parametrize("scaling", ["one", "weighted"])
+def test_poet_on_data_of_lower_rank_than_its_factor_count(scaling):
+    # n >= J data of rank 2: S's eigenvalues past the second are rounding,
+    # some of them below zero, and they weigh nothing in the low-rank part.
+    rng = np.random.default_rng(0)
+    data = rng.standard_normal((30, 2)) @ rng.standard_normal((2, 8))
+    train, targets = fold_targets(data, np.eye(8), scaling)
+    weights = FitContext(train).factor_basis[1]
+    assert train.shape[0] >= train.shape[1] and np.any(weights[:8] < 0.0)
+    library = poet_library(range(1, 9), [0.0, 0.1, 0.5])
+    values = _score_fits(library, train, targets, want_max=True).values
+    assert np.all(np.isfinite(values))
+    assert_matches_direct_path(library, train, targets)
+
+
 @pytest.fixture
 def direct_path(monkeypatch):
     """Drop every grid scorer, so each candidate is fitted and scored directly."""
