@@ -17,9 +17,13 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import io
+import itertools
 import json
 import logging
+import math
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -105,50 +109,69 @@ def read_numeric_csv(path, delimiter: str = ",", header: str = "auto"):
     if header not in ("auto", "yes", "no"):
         raise ConfigError(f"header must be auto/yes/no, got {header!r}")
     path = Path(path)
-    rows: list[list[str]] = []
     with path.open("r", encoding="utf-8", newline="") as handle:
-        for line_no, fields in enumerate(csv.reader(handle, delimiter=delimiter), start=1):
-            if not fields or all(not f.strip() for f in fields):
-                continue
-            rows.append([f.strip() for f in fields])
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
+        text = handle.read()
+    return _parse_rows(path, _split_rows(text, delimiter), header)
 
+
+def _split_rows(text: str, delimiter: str):
+    """The fields of each line of ``text``, split as ``csv.reader`` splits them.
+
+    Without quotes or carriage returns other than CRLF line ends, that is
+    ``str.split``: a CR left at a line's end is whitespace, which
+    ``float`` and the blank-row test ignore.  Otherwise ``csv.reader``
+    splits the text.
+    """
+    crs = text.count("\r")
+    if '"' in text or (crs and (delimiter == "\r" or crs != text.count("\r\n"))):
+        return csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    return (line.split(delimiter) for line in text.split("\n"))
+
+
+def _parse_rows(path, rows, header: str):
+    """``(matrix, column_names)`` from the field lists ``rows``; blank rows are skipped.
+
+    Each data row is converted as it comes, straight into one buffer of
+    doubles.  Fields may carry surrounding whitespace, which ``float``
+    ignores; header names and error messages show them stripped.
+    """
+    rows = (fields for fields in rows if any(map(str.strip, fields)))
+    first = next(rows, None)
+    if first is None:
+        raise ConfigError(f"{path}: no data rows")
     names = None
-    first = rows[0]
     if header == "yes":
-        names, rows = first, rows[1:]
+        names = first
     elif header == "auto":
         try:
             [float(f) for f in first]
         except ValueError:
-            names, rows = first, rows[1:]
-    if not rows:
-        raise ConfigError(f"{path}: header only, no data rows")
+            names = first
+    if names is not None:
+        names = [f.strip() for f in names]
+        first = next(rows, None)
+        if first is None:
+            raise ConfigError(f"{path}: header only, no data rows")
 
-    width = len(rows[0])
-    values = np.empty((len(rows), width))
-    for i, fields in enumerate(rows):
+    width = len(first)
+    values = array("d")
+    for i, fields in enumerate(itertools.chain([first], rows), start=1 + (names is not None)):
         if len(fields) != width:
-            raise ConfigError(
-                f"{path}: ragged row {i + 1 + (names is not None)}: "
-                f"expected {width} columns, got {len(fields)}"
-            )
+            raise ConfigError(f"{path}: ragged row {i}: expected {width} columns, got {len(fields)}")
         try:
-            values[i] = [float(f) for f in fields]
+            values.extend(map(float, fields))
         except ValueError:
             for j, f in enumerate(fields):
                 try:
                     float(f)
                 except ValueError:
                     raise ConfigError(
-                        f"{path}: row {i + 1 + (names is not None)}, column {j + 1}: "
-                        f"cannot parse {f!r} as a number"
+                        f"{path}: row {i}, column {j + 1}: cannot parse {f.strip()!r} as a number"
                     ) from None
             raise
     if names is not None and len(names) != width:
         raise ConfigError(f"{path}: header has {len(names)} columns, data rows have {width}")
-    return values, names
+    return np.frombuffer(values).reshape(-1, width), names
 
 
 def _write_csv_rows(path, rows) -> None:
@@ -158,14 +181,65 @@ def _write_csv_rows(path, rows) -> None:
 
 
 def _write_matrix(path, matrix, column_names=None, comment: str | None = None) -> None:
+    """Write ``matrix`` as CSV, each entry its ``repr``, one row per line.
+
+    A square float matrix that is bit-for-bit symmetric and at least a
+    quarter nonzero has each pair ``(j, l)``, ``(l, j)`` formatted once
+    (:func:`_write_mirrored`); any other matrix is formatted row by row.
+    Both write the same bytes.
+    """
+    matrix = np.atleast_2d(matrix)
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         if comment is not None:
             handle.write(f"# {comment}\n")
         if column_names is not None:
             csv.writer(handle, lineterminator="\n").writerow(column_names)
+        if _is_dense_bit_symmetric(matrix):
+            _write_mirrored(handle, matrix)
+            return
         # repr of a float never needs CSV quoting, so each row is one join.
-        for row in np.atleast_2d(matrix):
+        for row in matrix:
             handle.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def _is_dense_bit_symmetric(matrix: np.ndarray) -> bool:
+    """Square float64, at least a quarter nonzero, and equal to its transpose bit for bit.
+
+    Comparing bits, not values, tells ``-0.0`` from ``0.0`` and matches
+    NaNs, so mirrored entries have the same ``repr``.
+    """
+    if matrix.dtype != np.float64 or matrix.shape[0] != matrix.shape[1]:
+        return False
+    if 4 * np.count_nonzero(matrix) < matrix.size:
+        return False  # mostly zeros: the row loop is faster
+    bits = matrix.view(np.uint64)
+    return bool(np.array_equal(bits, bits.T))
+
+
+def _write_mirrored(handle, matrix: np.ndarray) -> None:
+    """Write a bit-symmetric matrix, formatting each entry at or right of its row band once.
+
+    A band of rows is formatted from its first column on.  Its strings
+    right of the band, transposed, become one joined segment per later
+    row, which is where that row's line begins.  Bands of about
+    ``sqrt(J) / 2`` rows balance what a band formats twice, its own lower
+    triangle (about ``J**1.5 / 4`` entries in all), against the number of
+    segments (about ``J**1.5``).  The segments held at once cover the
+    entries above the current band and right of it, at most ``J**2 / 4``.
+    """
+    dim = matrix.shape[0]
+    band = max(1, math.isqrt(dim) // 2)
+    left: list = [[] for _ in range(dim)]  # per row, the joined segments of the bands above it
+    for start in range(0, dim, band):
+        stop = min(start + band, dim)
+        rows = [list(map(repr, row)) for row in matrix[start:stop, start:].tolist()]
+        for i, strings in enumerate(rows, start=start):
+            head, left[i] = left[i], None
+            head.extend(strings)
+            handle.write(",".join(head) + "\n")
+        segments = map(",".join, zip(*[strings[stop - start :] for strings in rows]))
+        for head, segment in zip(left[stop:], segments):
+            head.append(segment)
 
 
 def read_estimate_csv(path):
@@ -178,8 +252,7 @@ def read_estimate_csv(path):
         meta = first[2:]
         dim_part, _, selected = meta.partition(" selected=")
         dim = int(dim_part[len("J=") :])
-        values = [[float(f) for f in fields] for fields in csv.reader(handle) if fields]
-    matrix = np.asarray(values)
+        matrix, _ = _parse_rows(path, _split_rows(handle.read(), ","), "no")
     if matrix.shape != (dim, dim):
         raise ConfigError(f"{path}: expected a {dim}x{dim} matrix, got {matrix.shape}")
     return matrix, dim, selected

@@ -17,6 +17,7 @@ from typing import Union
 
 import numpy as np
 
+from . import _grid
 from .errors import ConfigError, EstimationError, SelectionError
 # apply_library stays bound here for code that patches or traces it by this name.
 from .estimators import (  # noqa: F401
@@ -277,6 +278,15 @@ def evaluate_candidates(
     n_splits = len(splits)
     if n_splits == 0:
         raise ConfigError("at least one split is required")
+    masks = []
+    for split_idx, mask in enumerate(splits):
+        val_mask = np.asarray(mask, dtype=bool)
+        if val_mask.shape != (n,):
+            raise ValueError(f"split mask {split_idx} does not match {n} observations")
+        if not 0 < np.count_nonzero(val_mask) < n:
+            raise ConfigError(f"split {split_idx} leaves an empty training or validation set")
+        masks.append(val_mask)
+    min_train = n - max(int(np.count_nonzero(mask)) for mask in masks)
     n_targets = (risk is not None) + (psi0 is not None)
     # Per target, candidate and split: the distance to the target, before
     # the observation risk's per-split offset.
@@ -286,56 +296,59 @@ def evaluate_candidates(
     failures: dict[int, str] = {}
     warnings: list[str] = []
     peak = 0.0 if max_abs else None
-    min_train = n
 
-    def folds():
-        """``(split_idx, train, targets)`` per split; records offsets and the smallest fold."""
-        nonlocal min_train
-        for split_idx, mask in enumerate(splits):
-            val_mask = np.asarray(mask, dtype=bool)
-            if val_mask.shape != (n,):
-                raise ValueError(f"split mask {split_idx} does not match {n} observations")
-            train = data[~val_mask]
-            val = data[val_mask]
-            if train.shape[0] == 0 or val.shape[0] == 0:
-                raise ConfigError(f"split {split_idx} leaves an empty training or validation set")
-            min_train = min(min_train, train.shape[0])
-            if center:
-                fold_means = train.mean(axis=0, keepdims=True)
-                train = train - fold_means
-                val = val - fold_means
-            eta = _fold_scaling(scaling, train, dim)
-            targets = []
-            if risk is not None:
-                val_cov = sample_covariance(val)
-                targets.append((val_cov, eta))
+    def fold_of(split_idx: int, want_max: bool, layout: _grid.Layout | None) -> _grid.Fold:
+        """The training fold of split ``split_idx`` with its targets; records its observation offset.
+
+        Finite data whose squared distances or ``x**4`` sums overflow
+        would leave every candidate without a finite risk, so a fold whose
+        risk overflows ends the pass before any of its candidates is fitted.
+        """
+        val_mask = masks[split_idx]
+        train = data[~val_mask]
+        val = data[val_mask]
+        if center:
+            fold_means = train.mean(axis=0, keepdims=True)
+            train = train - fold_means
+            val = val - fold_means
+        eta = _fold_scaling(scaling, train, dim)
+        targets = []
+        if risk is not None:
+            val_cov = sample_covariance(val)
+            targets.append((val_cov, eta))
+        if psi0 is not None:
+            targets.append((psi0, oracle_eta))
+        fold = _grid.Fold(FitContext(train), targets, want_max, layout)
+        if risk is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
                 if risk == "observation":
                     offsets[split_idx] = _observation_offset(val, val_cov, eta)
-            if psi0 is not None:
-                targets.append((psi0, oracle_eta))
-            yield split_idx, train, targets
+                finite = np.isfinite(fold.value(0.0)[0]) and np.isfinite(offsets[split_idx])
+            if not finite:
+                raise ConfigError(
+                    f"the {risk} risk overflows the float range: the data's largest |x| is "
+                    f"{float(np.max(np.abs(data))):.6g}; rescale the data"
+                )
+        return fold
 
-    for split_idx, train, targets in folds():
-        scores = _score_fits(library, train, targets, want_max=max_abs)
+    # The grid scorers' row blocks depend only on J, so the folds share one
+    # layout.  Each fold is dropped, with its fitting context, once scored.
+    layout = _grid.Layout(dim)
+    for split_idx in range(n_splits):
+        scores = _score_fits(library, fold_of(split_idx, max_abs, layout))
         for cand_idx, failure in scores.failures.items():
             failures.setdefault(cand_idx, failure)
         values[:, :, split_idx] = scores.values.T
         bases[:, split_idx] = scores.base
         if max_abs:
             peak = float(np.max(scores.maxima[np.isfinite(scores.maxima)], initial=peak))
-    if risk is not None and not (np.all(np.isfinite(bases[0])) and np.all(np.isfinite(offsets))):
-        # Finite data whose squared distances or x**4 sums overflow would
-        # leave every candidate without a finite risk.
-        raise ConfigError(
-            f"the {risk} risk overflows the float range: the data's largest |x| is "
-            f"{float(np.max(np.abs(data))):.6g}; rescale the data"
-        )
+    del layout  # the near-tie pass takes the direct path, which reads no blocks
 
     rescore = _near_minimum(values, bases, list(failures))
     if len(rescore) > 1:
         subset = CandidateLibrary(tuple(library[i] for i in rescore))
-        for split_idx, train, targets in folds():
-            scores = _score_fits(subset, train, targets, grid=False)
+        for split_idx in range(n_splits):
+            scores = _score_fits(subset, fold_of(split_idx, False, None), grid=False)
             for i, failure in scores.failures.items():
                 failures.setdefault(rescore[i], failure)
             values[:, rescore, split_idx] = scores.values.T

@@ -669,12 +669,14 @@ class _FoldScores(NamedTuple):
     base: np.ndarray
 
 
-def _score_fits(library: CandidateLibrary, data, targets, *, want_max: bool = False, grid: bool = True) -> _FoldScores:
-    """Score every candidate's fit on ``data`` against each ``(T, eta)`` target.
+def _score_fits(library: CandidateLibrary, fold: _grid.Fold, *, grid: bool = True) -> _FoldScores:
+    """Score every candidate's fit on ``fold`` against each of its ``(T, eta)`` targets.
 
-    ``values[k, t]`` is ``scaled_frobenius_sq(T_t - fit_k, eta_t)``, NaN
-    for a failed candidate; ``maxima[k]`` is ``np.max(np.abs(fit_k))``
-    (``None`` unless ``want_max``); ``failures`` maps a failed candidate's
+    ``fold`` is a :class:`covsel._grid.Fold`: the training data's
+    :class:`FitContext` and the targets.  ``values[k, t]`` is
+    ``scaled_frobenius_sq(T_t - fit_k, eta_t)``, NaN for a failed
+    candidate; ``maxima[k]`` is ``np.max(np.abs(fit_k))`` (``None``
+    unless ``fold.want_max``); ``failures`` maps a failed candidate's
     index to its reason, in library order; ``base[t]`` is the sample
     covariance's value, the scale of the grid values' rounding.  Every
     ``T_t``, and every matrix ``eta_t``, must be exactly symmetric, as
@@ -687,8 +689,7 @@ def _score_fits(library: CandidateLibrary, data, targets, *, want_max: bool = Fa
     scored and dropped before the next.  The direct path is the
     reference the scorers are tested against.
     """
-    ctx = FitContext(data)
-    fold = _grid.Fold(ctx, targets, want_max)
+    ctx, want_max = fold.ctx, fold.want_max
     values = np.full((len(library), len(fold.targets)), np.nan)
     maxima = np.full(len(library), np.nan) if want_max else None
     groups: dict[Callable, list[int]] = {}

@@ -1,9 +1,13 @@
+import csv
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from covsel.cli import (
+    _is_dense_bit_symmetric,
     _write_matrix,
     main,
     read_benchmark_table,
@@ -12,6 +16,7 @@ from covsel.cli import (
     read_results_csv,
     read_risk_table,
 )
+from covsel.errors import ConfigError
 from covsel.simulation import ExperimentConfig, expected_row_count
 from covsel.estimators import default_library
 
@@ -187,9 +192,16 @@ class TestSelectCommand:
             path = tmp_path / f"scaled{scale:g}.csv"
             write_csv(path, data * scale)
             argv = ["select", "--input", str(path), "--risk", risk, "--out", str(tmp_path / "out")]
-            with np.errstate(over="ignore", invalid="ignore"):
+            capsys.readouterr()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 assert main(argv) == code
-        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert [str(w.message) for w in caught] == []
+        # The overflow is found before any candidate is fitted or scored,
+        # so the error record is all that is written.
+        err = capsys.readouterr().err
+        record = json.loads(err)
+        assert err == json.dumps(record, sort_keys=True) + "\n"
         assert record["error"] == "invalid_input"
         assert "overflows" in record["message"]
         assert f"{float(np.max(np.abs(data * 1e80))):.6g}" in record["message"]
@@ -328,6 +340,32 @@ class TestBenchCommand:
         assert (out_a / "bench_table.csv").read_bytes() == (out_b / "bench_table.csv").read_bytes()
 
 
+def dense_symmetric(dim, seed=0):
+    """A random matrix that equals its transpose bit for bit, with no zero entries."""
+    a = np.random.default_rng([seed, dim]).standard_normal((dim, dim))
+    return np.triu(a) + np.triu(a, 1).T
+
+
+def signed_zero_pair_with_nans():
+    """Dense and symmetric by value, but a -0.0/0.0 mirror pair breaks bit symmetry."""
+    m = dense_symmetric(6)
+    m[0, 1], m[1, 0] = -0.0, 0.0
+    m[2, 4] = m[4, 2] = np.nan
+    m[3, 5] = m[5, 3] = np.nan
+    return m
+
+
+def near_density_cut(above):
+    """A 20 x 20 banded matrix with 100 nonzeros, the cut of a quarter, or 98."""
+    m = dense_symmetric(20)
+    distance = np.abs(np.subtract.outer(np.arange(20), np.arange(20)))
+    m[distance > 2] = 0.0  # 94 nonzeros
+    for k in range(3 if above else 2):
+        m[0, 10 + k] = m[10 + k, 0] = 0.5 + k
+    assert np.count_nonzero(m) == (100 if above else 98)
+    return m
+
+
 @pytest.mark.parametrize(
     "matrix",
     [
@@ -335,8 +373,19 @@ class TestBenchCommand:
         [[-0.0, 1e22, 5e-324], [1e22, np.nan, -0.0], [5e-324, -0.0, 0.1]],
         [[0.1, 0.2, 0.3], [0.2, 0.5, 0.6], [0.3, 0.7, 0.9]],
         [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+        dense_symmetric(2),
+        dense_symmetric(3),
+        dense_symmetric(70),
+        dense_symmetric(300),
+        signed_zero_pair_with_nans(),
+        near_density_cut(above=True),
+        near_density_cut(above=False),
     ],
-    ids=["signed-zero-pair", "symmetric-special-values", "nonsymmetric", "wide"],
+    ids=[
+        "signed-zero-pair", "symmetric-special-values", "nonsymmetric", "wide",
+        "dense-2", "dense-3", "dense-70", "dense-300", "signed-zero-pair-with-nans",
+        "at-density-cut", "below-density-cut",
+    ],
 )
 def test_matrix_csv_is_each_entry_repr_row_by_row(tmp_path, matrix):
     matrix = np.array(matrix)
@@ -344,3 +393,127 @@ def test_matrix_csv_is_each_entry_repr_row_by_row(tmp_path, matrix):
     _write_matrix(path, matrix, comment="J=3")
     expected = "# J=3\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_dense_bit_symmetric_matrices_are_the_mirrored_ones():
+    for dim in (1, 2, 3, 70, 300):
+        assert _is_dense_bit_symmetric(dense_symmetric(dim))
+    assert _is_dense_bit_symmetric(near_density_cut(above=True))
+    assert not _is_dense_bit_symmetric(near_density_cut(above=False))
+    assert not _is_dense_bit_symmetric(signed_zero_pair_with_nans())
+    nans = dense_symmetric(5)
+    nans[1, 3] = nans[3, 1] = np.nan
+    assert _is_dense_bit_symmetric(nans)
+    assert not _is_dense_bit_symmetric(dense_symmetric(4).astype(np.float32))
+    assert not _is_dense_bit_symmetric(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        dense_symmetric(40),
+        signed_zero_pair_with_nans(),
+        near_density_cut(above=False),
+        np.array([[-0.0, np.inf], [np.inf, -np.inf]]),
+        np.arange(9.0).reshape(3, 3),
+    ],
+    ids=["dense", "signed-zero-pair-with-nans", "banded", "infinities", "nonsymmetric"],
+)
+def test_estimate_csv_round_trips_bit_for_bit(tmp_path, matrix):
+    path = tmp_path / "estimate.csv"
+    _write_matrix(path, matrix, comment=f"J={matrix.shape[0]} selected=x")
+    got, dim, selected = read_estimate_csv(path)
+    assert (dim, selected) == (matrix.shape[0], "x")
+    assert got.tobytes() == matrix.tobytes()
+
+
+def reference_read_numeric_csv(path, delimiter=",", header="auto"):
+    """``read_numeric_csv`` as it read every row with ``csv.reader`` and kept each field stripped."""
+    if header not in ("auto", "yes", "no"):
+        raise ConfigError(f"header must be auto/yes/no, got {header!r}")
+    path = Path(path)
+    rows: list[list[str]] = []
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        for line_no, fields in enumerate(csv.reader(handle, delimiter=delimiter), start=1):
+            if not fields or all(not f.strip() for f in fields):
+                continue
+            rows.append([f.strip() for f in fields])
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+
+    names = None
+    first = rows[0]
+    if header == "yes":
+        names, rows = first, rows[1:]
+    elif header == "auto":
+        try:
+            [float(f) for f in first]
+        except ValueError:
+            names, rows = first, rows[1:]
+    if not rows:
+        raise ConfigError(f"{path}: header only, no data rows")
+
+    width = len(rows[0])
+    values = np.empty((len(rows), width))
+    for i, fields in enumerate(rows):
+        if len(fields) != width:
+            raise ConfigError(
+                f"{path}: ragged row {i + 1 + (names is not None)}: "
+                f"expected {width} columns, got {len(fields)}"
+            )
+        try:
+            values[i] = [float(f) for f in fields]
+        except ValueError:
+            for j, f in enumerate(fields):
+                try:
+                    float(f)
+                except ValueError:
+                    raise ConfigError(
+                        f"{path}: row {i + 1 + (names is not None)}, column {j + 1}: "
+                        f"cannot parse {f!r} as a number"
+                    ) from None
+            raise
+    if names is not None and len(names) != width:
+        raise ConfigError(f"{path}: header has {len(names)} columns, data rows have {width}")
+    return values, names
+
+
+def outcome(reader, path, delimiter, header):
+    """``(values' shape and bytes, names)`` or the ConfigError message."""
+    try:
+        values, names = reader(path, delimiter=delimiter, header=header)
+    except ConfigError as exc:
+        return str(exc)
+    return values.shape, values.dtype, values.tobytes(), names
+
+
+#: Input texts written with "," as the delimiter; each is also read with
+#: ";" and tab swapped in.
+READER_INPUTS = {
+    "crlf": "a,b\r\n1.5,2\r\n3,-4e-3\r\n",
+    "lone-cr": "a,b\r1.5,2\r3,4\n5,6\r\n",
+    "quoted": '"a","b"\n"1.5",2\n3,"4"\n',
+    "quoted-delimiter": 'a,b\n"1,5",2\n',
+    "padded": " a ,\tb\t\n 1.5 , 2\t\n\t3,4 \n",
+    "blank-and-delimiter-only": "\n , \n,\na,b\n\n1,2\n,\n\t\n3,4\n\n",
+    "headerless": "1,2\n3,4\n",
+    "numeric-header": "1,2\n",
+    "header-only": "\na,b\n,\n",
+    "empty": "\n,\n \n",
+    "underscores": "1_000,2\n3,4_5.5\n",
+    "specials": "nan,-inf\n1e308,-0.0\n",
+    "ragged-after-header": "a,b\n\n,\n1,2\n\n3\n",
+    "unparsable-after-header": "a,b\n\n \n1,2\n3, oops \n",
+    "narrow-header": "a\n1,2\n",
+    "no-trailing-newline": "a,b\n1,2\n3,4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_INPUTS))
+def test_reader_matches_the_csv_reader_reference(tmp_path, name):
+    for delimiter in (",", ";", "\t"):
+        path = tmp_path / "in.csv"
+        path.write_bytes(READER_INPUTS[name].replace(",", delimiter).encode("utf-8"))
+        for header in ("auto", "yes", "no"):
+            want = outcome(reference_read_numeric_csv, path, delimiter, header)
+            assert outcome(read_numeric_csv, path, delimiter, header) == want, (delimiter, header)

@@ -19,7 +19,9 @@ import itertools
 import numpy as np
 import pytest
 
+import covsel.cv_engine as cv_engine
 import covsel.estimators as estimators
+from covsel import _grid
 from covsel.cv_engine import MonteCarloSplit, VFold, evaluate_candidates, make_splits, select
 from covsel.errors import DegenerateFeatureError
 from covsel.estimators import CandidateLibrary, EstimatorSpec, FitContext, _score_fits, library_preset
@@ -31,6 +33,11 @@ RTOL = 1e-12
 # The adaptive-LASSO kernel at threshold 0 multiplies 0 by inf at exact
 # zeros; the direct path reports the NaN value that follows.
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+
+
+def score_fits(library, data, targets, want_max=False):
+    """``_score_fits`` on a fold that trains on ``data`` and scores against ``targets``."""
+    return _score_fits(library, _grid.Fold(FitContext(data), targets, want_max))
 
 
 def preset_specs():
@@ -109,7 +116,7 @@ def direct_scores(library, data, targets):
 
 
 def assert_matches_direct_path(library, data, targets):
-    got, got_max, got_failures, _ = _score_fits(library, data, targets, want_max=True)
+    got, got_max, got_failures, _ = score_fits(library, data, targets, want_max=True)
     want, want_max, want_failures, estimates = direct_scores(library, data, targets)
     assert got_failures == want_failures
     assert np.array_equal(np.isfinite(got), np.isfinite(want))
@@ -158,7 +165,7 @@ def test_a_nonsymmetric_true_covariance_is_rejected(scaling):
 def test_scales_are_checked_as_the_direct_path_checks_them(eta):
     data = np.random.default_rng(8).standard_normal((10, 4))
     with pytest.raises(ValueError, match="scale"):
-        _score_fits(library_preset("light"), data, [(np.eye(4), eta)])
+        score_fits(library_preset("light"), data, [(np.eye(4), eta)])
 
 
 def test_ternary_data_sits_on_the_breakpoints():
@@ -202,7 +209,7 @@ def test_poet_bins_at_their_edges(case, scaling):
     library = poet_library([2], thresholds)
     assert_matches_direct_path(library, train, targets)
     if case == "empty_bin":
-        values = _score_fits(library, train, targets).values
+        values = score_fits(library, train, targets).values
         assert np.array_equal(values[2], values[3])
 
 
@@ -216,7 +223,7 @@ def test_poet_on_data_of_lower_rank_than_its_factor_count(scaling):
     weights = FitContext(train).factor_basis[1]
     assert train.shape[0] >= train.shape[1] and np.any(weights[:8] < 0.0)
     library = poet_library(range(1, 9), [0.0, 0.1, 0.5])
-    values = _score_fits(library, train, targets, want_max=True).values
+    values = score_fits(library, train, targets, want_max=True).values
     assert np.all(np.isfinite(values))
     assert_matches_direct_path(library, train, targets)
 
@@ -285,7 +292,7 @@ def test_deferred_candidates_take_the_direct_path(monkeypatch):
         )
     )
     targets = [(np.eye(3), 1.0)]
-    failures = _score_fits(library, data, targets).failures
+    failures = score_fits(library, data, targets).failures
     assert fitted == [
         "adaptive_lasso(threshold=0.1, exponent=0.1)",
         "adaptive_lasso(threshold=0.0, exponent=0.3)",
@@ -305,7 +312,7 @@ def test_nonfinite_grid_values_fall_back(monkeypatch):
 
     monkeypatch.setitem(estimators._SCORERS, "banding", broken)
     targets = [(np.eye(4), 0.25)]
-    got = _score_fits(library, data, targets).values
+    got = score_fits(library, data, targets).values
     want, _, _, _ = direct_scores(library, data, targets)
     assert got[1, 0] == want[1, 0]
 
@@ -357,3 +364,36 @@ if given is not None:
         except DegenerateFeatureError:
             return  # a zero training column leaves weighted scaling undefined
         assert_matches_direct_path(library_preset("default"), train, targets)
+
+
+def test_folds_share_one_layout_per_call(monkeypatch):
+    # Blocks of at most 64 entries: 12 features make blocks of 5, 5 and 2
+    # rows, built once per call however many folds and passes score them.
+    monkeypatch.setattr(_grid, "_BLOCK_ENTRIES", 64)
+    built = []
+    real_block = _grid._Block.__init__
+
+    def counted_block(self, start, stop, *args):
+        built.append((start, stop))
+        real_block(self, start, stop, *args)
+
+    passes = []
+    real_score = cv_engine._score_fits
+
+    def counted_score(library, fold, **kwargs):
+        passes.append(kwargs.get("grid", True))
+        return real_score(library, fold, **kwargs)
+
+    monkeypatch.setattr(_grid._Block, "__init__", counted_block)
+    monkeypatch.setattr(cv_engine, "_score_fits", counted_score)
+    data, psi0 = make_data("ar1", 12)
+    splits = make_splits(VFold(5, seed=0), data.shape[0])
+    # banding(1) and tapering(2) have equal estimates, so they tie and the
+    # near-tie pass scores them again.
+    library = CandidateLibrary((EstimatorSpec("banding", {"bands": 1}), EstimatorSpec("tapering", {"bands": 2})))
+    for _ in range(2):
+        built.clear()
+        passes.clear()
+        evaluate_candidates(library, data, splits, risk="matrix", psi0=psi0)
+        assert passes == [True] * 5 + [False] * 5
+        assert built == [(0, 5), (5, 10), (10, 12)]

@@ -401,11 +401,11 @@ class TestSkippedWork:
         oracle_targets = []
         real = cv_engine._score_fits
 
-        def counted(library, data, targets, **kwargs):
+        def counted(library, fold, **kwargs):
             # The selector scores against the validation covariance; any
             # further target is the true covariance.
-            oracle_targets.append(len(targets) - 1)
-            return real(library, data, targets, **kwargs)
+            oracle_targets.append(len(fold.targets) - 1)
+            return real(library, fold, **kwargs)
 
         monkeypatch.setattr(cv_engine, "_score_fits", counted)
         frob_only = run_experiment(tiny_config()).rows
