@@ -30,9 +30,11 @@ built and scored.
 The bins use the breakpoints the kernels compare against, built with the
 same float expressions, and ``searchsorted(..., side="left")`` puts an
 entry equal to a breakpoint below it, which is what ``>`` and ``<=`` do
-in the kernels.  Largest absolute entries are maxima over bins of the
-kernels' own expressions, which increase with the binned magnitude, so
-they equal the kernels' exactly.
+in the kernels.  The scorers return values only: every family scored
+here maps ``S`` entrywise to values no larger in magnitude, or keeps
+``diag(S)`` and POET's low-rank part ``L``, which ``S`` dominates, so no
+estimate's largest absolute entry exceeds ``max|S|``, but for the
+rounding of POET's eigendecomposition.
 
 Sums are taken over row blocks of at most :data:`_BLOCK_ENTRIES` entries,
 so a fold holds no ``J x J`` temporary besides the cached covariance (and
@@ -114,16 +116,14 @@ class Fold:
     """One training fold's fitting context and the targets its candidates are scored against.
 
     ``targets`` holds ``(T, eta)`` pairs, ``eta`` a nonnegative scalar or
-    a matrix of nonnegative weights.  ``want_max`` asks the scorers for
-    each estimate's largest absolute entry as well.  ``layout``, a
-    :class:`Layout` of the fold's dimension, may be shared with other
-    folds; by default the fold builds its own.
+    a matrix of nonnegative weights.  ``layout``, a :class:`Layout` of
+    the fold's dimension, may be shared with other folds; by default the
+    fold builds its own.
     """
 
-    def __init__(self, ctx, targets, want_max: bool, layout: Layout | None = None) -> None:
+    def __init__(self, ctx, targets, layout: Layout | None = None) -> None:
         self.ctx = ctx
         self.targets = [(target, _nonnegative_scale(eta, np.shape(target))) for target, eta in targets]
-        self.want_max = want_max
         self.layout = layout if layout is not None else Layout(ctx.data.shape[1])
         # A scalar eta multiplies the finished sum, as scaled_frobenius_sq does.
         self._scale = np.array([1.0 if isinstance(eta, np.ndarray) else eta for _, eta in self.targets])
@@ -151,10 +151,6 @@ class Fold:
             d = target - self.cov
             sums.append(float(np.sum(eta * d * d)) if isinstance(eta, np.ndarray) else float(np.sum(d * d)))
         return np.array(sums)
-
-    @cached_property
-    def max_abs_cov(self) -> float:
-        return max(float(np.max(np.abs(block.entries(self.cov)))) for block in self.blocks)
 
     def value(self, delta) -> np.ndarray:
         """The candidate's value per target from its ``delta`` per target."""
@@ -198,7 +194,7 @@ class _Block:
 
 
 class _Bins:
-    """One block's entries sorted by bin, with sums and maxima per bin.
+    """One block's entries sorted by bin, with sums per bin.
 
     ``order`` sorts the block's entries by bin (``idx``), the diagonal
     ones of a bin after the others; every array passed to the methods is
@@ -240,11 +236,6 @@ class _Bins:
         sums *= self.times[keep]
         acc += np.bincount(self.bins[keep], weights=sums, minlength=acc.size)
 
-    def peaks(self, acc: np.ndarray, values: np.ndarray) -> None:
-        """``acc[b] = max(acc[b], the largest of values in bin b)``."""
-        if self.bins.size:
-            np.maximum.at(acc, self.bins, np.maximum.reduceat(values, self.starts))
-
 
 def _square(values: np.ndarray, eta) -> np.ndarray:
     """``eta * values**2`` rounded as :func:`~covsel.matrix_core.scaled_frobenius_sq` rounds it."""
@@ -262,15 +253,9 @@ def _suffix(sums: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate([sums, pad], axis=-1)[..., ::-1], axis=-1)[..., ::-1]
 
 
-def _suffix_max(peaks: np.ndarray) -> np.ndarray:
-    """``out[b]`` is the largest of ``peaks[b:]``, 0 past the end."""
-    return np.maximum.accumulate(np.append(peaks, 0.0)[::-1])[::-1]
-
-
 def score_identity(fold: Fold, specs) -> list:
     """The sample covariance changes nothing: every value is the base."""
-    maximum = fold.max_abs_cov if fold.want_max else None
-    return [(fold.value(0.0), maximum) for _ in specs]
+    return [fold.value(0.0) for _ in specs]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +307,6 @@ def score_thresholds(fold: Fold, specs) -> list:
     sums = np.zeros((6, n_targets, n_bins))
     # Per exponent, target and bin: eta d sign(S) |S|**-e and eta |S|**-2e.
     lasso = np.zeros((len(exponents), 2, n_targets, n_bins))
-    peaks = np.zeros(n_bins)
     near: list[np.ndarray] = []
     for block in fold.blocks:
         s = block.entries(fold.cov)
@@ -334,8 +318,6 @@ def score_thresholds(fold: Fold, specs) -> list:
         s = s[bins.order]
         mag = np.abs(s)
         sign = np.sign(s)
-        if fold.want_max:
-            bins.peaks(peaks, mag)
         if floor is not None:
             # The entries some adaptive-LASSO candidate keeps.
             first = bins.above(pos[floor])
@@ -355,7 +337,6 @@ def score_thresholds(fold: Fold, specs) -> list:
     cum = _prefix(sums)
     zeroed = cum[5]
     lasso_kept = _suffix(lasso)
-    peak_above = _suffix_max(peaks)
     near = np.concatenate(near) if near else np.zeros(0)
 
     def between(lo: int, hi: int) -> np.ndarray:
@@ -365,12 +346,8 @@ def score_thresholds(fold: Fold, specs) -> list:
     out = []
     for spec in specs:
         u = spec.params["threshold"]
-        maximum = None
         if spec.family == "hard_threshold":
-            j = pos[u]
-            delta = zeroed[:, j]
-            if fold.want_max:
-                maximum = float(peak_above[j + 1])
+            delta = zeroed[:, pos[u]]
         elif spec.family == "scad_threshold":
             a = spec.params["shape"]
             j0, j1, j2 = pos[u], pos[2.0 * u], pos[a * u]
@@ -380,14 +357,6 @@ def score_thresholds(fold: Fold, specs) -> list:
             au, k = a * u, a - 2.0
             middle = 2.0 / k * (au * mid_dg - mid_ds) + (au * au * mid_n - 2.0 * au * mid_sa + mid_ss) / (k * k)
             delta = zeroed[:, j0] + soft + middle
-            if fold.want_max:
-                top_soft = float(np.max(peaks[j0 + 1 : j1 + 1], initial=0.0))
-                top_mid = float(np.max(peaks[j1 + 1 : j2 + 1], initial=0.0))
-                maximum = max(
-                    float(peak_above[j2 + 1]),
-                    top_soft - u if top_soft > 0.0 else 0.0,
-                    ((a - 1.0) * top_mid - a * u) / (a - 2.0) if top_mid > 0.0 else 0.0,
-                )
         else:
             if u <= 0.0:
                 out.append(None)
@@ -401,11 +370,7 @@ def score_thresholds(fold: Fold, specs) -> list:
             j = pos[u]
             k = exponents.index(e)
             delta = zeroed[:, j] + (2.0 * c * lasso_kept[k, 0, :, j + 1] + c * c * lasso_kept[k, 1, :, j + 1])
-            if fold.want_max:
-                top = peaks[j + 1 :]
-                top = top[top > 0.0]
-                maximum = float(np.max(np.maximum(top - c * top**-e, 0.0), initial=0.0))
-        out.append((fold.value(delta), maximum))
+        out.append(fold.value(delta))
     return out
 
 
@@ -430,13 +395,10 @@ def score_bands(fold: Fold, specs) -> list:
     ds = np.zeros((n_targets, n_bins))
     ss = np.zeros((n_targets, n_bins))
     zs = np.zeros((n_targets, n_bins))
-    peaks = np.zeros(n_bins)
     for block in fold.blocks:
         # No distance reaches dim, so capping there keeps the cap in the distance's type.
         bins = _Bins(np.minimum(block.distance, min(widest + 1, dim)), n_bins, block.diagonal)
         s = block.pick(fold.cov, bins.order)
-        if fold.want_max:
-            bins.peaks(peaks, np.abs(s))
         for t, (target, eta) in enumerate(fold.rows(block, bins.order)):
             d = target - s
             bins.add(ds[t], d * s, eta)
@@ -444,26 +406,18 @@ def score_bands(fold: Fold, specs) -> list:
             bins.add(zs[t], _square(target, eta) - _square(d, eta))
 
     zeroed = _suffix(zs)
-    peak_within = np.maximum.accumulate(peaks)
     out = []
     for spec in specs:
         bands = spec.params["bands"]
-        maximum = None
         if spec.family == "banding":
             delta = zeroed[:, bands + 1]
-            if fold.want_max:
-                maximum = float(peak_within[bands])
         else:
             tapered = 0.0
-            top = float(peak_within[bands // 2])
             for k in range(bands // 2 + 1, bands):
                 w = 2.0 - 2.0 * float(k) / bands
                 tapered = tapered + (2.0 * (1.0 - w) * ds[:, k] + (1.0 - w) ** 2 * ss[:, k])
-                top = max(top, w * float(peaks[k]))
             delta = tapered + zeroed[:, bands]
-            if fold.want_max:
-                maximum = top
-        out.append((fold.value(delta), maximum))
+        out.append(fold.value(delta))
     return out
 
 
@@ -494,7 +448,6 @@ def score_poet(fold: Fold, specs) -> list:
         by_factors.setdefault(spec.params["factors"], []).append(i)
     dim = fold.cov.shape[0]
     n_targets = len(fold.targets)
-    diag_peak = float(np.max(np.abs(np.diag(fold.cov)))) if fold.want_max else None
     cov = fold.cov.ravel()
     flat_targets = [
         (np.ravel(target), np.ravel(eta) if isinstance(eta, np.ndarray) else None) for target, eta in fold.targets
@@ -510,8 +463,6 @@ def score_poet(fold: Fold, specs) -> list:
         n_bins = cuts.size + 1
         zeroed = np.zeros((n_targets, n_bins))
         kept = np.zeros((n_targets, n_bins))
-        low_peaks = np.zeros(n_bins)
-        kept_peaks = np.zeros(n_bins)
         kept_at = []  # flat positions of the entries above the smallest threshold
         for block in fold.blocks:
             s = block.entries(fold.cov)
@@ -520,11 +471,6 @@ def score_poet(fold: Fold, specs) -> list:
             mag[block.diagonal_at] = 0.0  # POET keeps diag(S): no bin, no change
             above = np.flatnonzero(mag > cuts[0])
             kept_at.append(block.flat(above))
-            if fold.want_max:
-                low_mag = np.abs(low)
-                low_mag[above] = 0.0
-                low_mag[block.diagonal_at] = 0.0
-                low_peaks[0] = max(low_peaks[0], float(np.max(low_mag)))
             for t, (target, eta) in enumerate(fold.rows(block, slice(None))):
                 changed = _square(target - low, eta) - _square(target - s, eta)
                 # What is left is bin 0 off the diagonal, zeroed by every candidate.
@@ -539,9 +485,6 @@ def score_poet(fold: Fold, specs) -> list:
             bins = _Bins(np.searchsorted(cuts, np.abs(s - low)), n_bins, False)
             at, s, low = at[bins.order], s[bins.order], low[bins.order]
             both = low + (s - low)
-            if fold.want_max:
-                bins.peaks(low_peaks, np.abs(low))
-                bins.peaks(kept_peaks, np.abs(both))
             for t, (target, eta) in enumerate(flat_targets):
                 target, eta = target[at], None if eta is None else eta[at]
                 d2 = _square(target - s, eta)
@@ -549,12 +492,7 @@ def score_poet(fold: Fold, specs) -> list:
                 bins.add(kept[t], _square(target - both, eta) - d2)
         zeroed_upto = _prefix(zeroed)
         kept_from = _suffix(kept)
-        low_upto = np.maximum.accumulate(low_peaks)
-        kept_above = _suffix_max(kept_peaks)
         for i in members:
             j = int(np.searchsorted(cuts, specs[i].params["threshold"]))
-            maximum = None
-            if fold.want_max:
-                maximum = max(diag_peak, float(low_upto[j]), float(kept_above[j + 1]))
-            out[i] = (fold.value(zeroed_upto[:, j] + kept_from[:, j + 1]), maximum)
+            out[i] = fold.value(zeroed_upto[:, j] + kept_from[:, j + 1])
     return out

@@ -53,9 +53,11 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 #: Format versions of ``selection_report.json`` (2: ``psd`` is flagged for
-#: the winner and its ties only) and of the ``simulate`` ``summary.json``.
+#: the winner and its ties only) and of the ``simulate`` ``summary.json``
+#: (2: ``full_risk_diff`` is scaled by the oracle's eta, as
+#: ``cv_risk_diff`` is).
 SCHEMA_VERSION = 2
-SUMMARY_SCHEMA_VERSION = 1
+SUMMARY_SCHEMA_VERSION = 2
 
 _PROFILES = {
     "smoke": {"models": (2,), "sample_sizes": (50,), "ratios": (0.5,), "replications": 2},
@@ -620,17 +622,6 @@ def _experiment_from_settings(args, config: dict, profiles: dict, default_metric
     )
 
 
-def _estimate_runtime_seconds(config: ExperimentConfig) -> float:
-    # Crude flop-count heuristic; only used to warn before huge grids.
-    n_candidates = len(config.resolve_library())
-    total = 0.0
-    for _, n, _, _, dim in config.cells():
-        per_split = 2.0 * n * dim**2 + 3.0 * dim**3 + n_candidates * 10.0 * dim**2
-        scoring = n_candidates * 4.0 * n * dim**2
-        total += config.replications * (config.folds * per_split + scoring)
-    return total / 2e9
-
-
 def _config_echo(config: ExperimentConfig) -> dict:
     """Every config field, with the library as its candidate count."""
     echo = {f.name: getattr(config, f.name) for f in dataclasses.fields(config) if f.name != "library"}
@@ -639,11 +630,10 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 
 def _warn_if_large(config: ExperimentConfig, profile: str | None) -> None:
-    estimate = _estimate_runtime_seconds(config)
-    if profile == "full" or estimate > 600.0:
+    if profile == "full":
         logger.warning(
-            "large grid: %d cells x %d replications, rough runtime estimate %.0f minutes",
-            len(config.cells()), config.replications, max(estimate / 60.0, 1.0),
+            "large grid: %d cells x %d replications; expect a long runtime",
+            len(config.cells()), config.replications,
         )
 
 

@@ -27,13 +27,11 @@ from .estimators import (  # noqa: F401
     _ranked_refits,
     _score_fits,
     apply_library,
-    iter_fits,
 )
 from .loss_risk import (
     _inverse_variance_weights,
     estimate_weight_matrix,
     resolve_constant_scaling,
-    true_risk_difference,
 )
 from .matrix_core import as_data_matrix, as_square_matrix, is_psd, sample_covariance, scaled_frobenius_sq
 
@@ -202,8 +200,12 @@ class CandidateEvaluation:
     have shape ``(K, n_splits)`` and hold NaN for failed candidates.  A
     candidate that fails on any split is excluded outright; ``failures``
     maps its library index to the first reason seen.
-    ``max_abs_estimate`` is the largest absolute entry of any
-    training-fold estimate, ``None`` unless requested.
+    ``max_abs_estimate`` bounds the absolute entries of every
+    training-fold estimate: the largest ``max|S|`` of the folds' sample
+    covariances, or of an estimate fitted on the direct path, if larger.
+    No built-in family's estimate exceeds ``max|S|`` (POET's only by the
+    rounding of its eigendecomposition), so with ``sample_covariance`` in
+    the library it is the largest entry of any estimate.
     """
 
     library: CandidateLibrary
@@ -211,7 +213,7 @@ class CandidateEvaluation:
     oracle_diffs: np.ndarray | None
     failures: dict[int, str]
     warnings: tuple[str, ...]
-    max_abs_estimate: float | None
+    max_abs_estimate: float
 
     def _means(self, values: np.ndarray) -> np.ndarray:
         means = values.mean(axis=1)
@@ -234,7 +236,6 @@ def evaluate_candidates(
     center: bool = True,
     risk: str | None = "observation",
     psi0=None,
-    max_abs: bool = False,
 ) -> CandidateEvaluation:
     """Fit and score every candidate over every split in one pass.
 
@@ -248,8 +249,6 @@ def evaluate_candidates(
     rank candidates alike; ``risk=None`` scores nothing.  With ``psi0``
     given, which must be exactly symmetric, exact risk differences
     against it are also recorded for each training-fold estimate.
-    ``max_abs=True`` also records the largest absolute entry of any
-    training-fold estimate.
 
     Each split is one :func:`~covsel.estimators._score_fits` call, which
     scores the grid families from shared sums over the training
@@ -295,9 +294,9 @@ def evaluate_candidates(
     offsets = np.zeros(n_splits)
     failures: dict[int, str] = {}
     warnings: list[str] = []
-    peak = 0.0 if max_abs else None
+    peak = 0.0
 
-    def fold_of(split_idx: int, want_max: bool, layout: _grid.Layout | None) -> _grid.Fold:
+    def fold_of(split_idx: int, layout: _grid.Layout | None) -> _grid.Fold:
         """The training fold of split ``split_idx`` with its targets; records its observation offset.
 
         Finite data whose squared distances or ``x**4`` sums overflow
@@ -318,7 +317,7 @@ def evaluate_candidates(
             targets.append((val_cov, eta))
         if psi0 is not None:
             targets.append((psi0, oracle_eta))
-        fold = _grid.Fold(FitContext(train), targets, want_max, layout)
+        fold = _grid.Fold(FitContext(train), targets, layout)
         if risk is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 if risk == "observation":
@@ -335,20 +334,22 @@ def evaluate_candidates(
     # layout.  Each fold is dropped, with its fitting context, once scored.
     layout = _grid.Layout(dim)
     for split_idx in range(n_splits):
-        scores = _score_fits(library, fold_of(split_idx, max_abs, layout))
+        fold = fold_of(split_idx, layout)
+        scores = _score_fits(library, fold)
+        top = max(float(fold.cov.max()), -float(fold.cov.min()))
+        del fold
+        peak = max(peak, scores.peak, top if np.isfinite(top) else 0.0)
         for cand_idx, failure in scores.failures.items():
             failures.setdefault(cand_idx, failure)
         values[:, :, split_idx] = scores.values.T
         bases[:, split_idx] = scores.base
-        if max_abs:
-            peak = float(np.max(scores.maxima[np.isfinite(scores.maxima)], initial=peak))
     del layout  # the near-tie pass takes the direct path, which reads no blocks
 
     rescore = _near_minimum(values, bases, list(failures))
     if len(rescore) > 1:
         subset = CandidateLibrary(tuple(library[i] for i in rescore))
         for split_idx in range(n_splits):
-            scores = _score_fits(subset, fold_of(split_idx, False, None), grid=False)
+            scores = _score_fits(subset, fold_of(split_idx, None), grid=False)
             for i, failure in scores.failures.items():
                 failures.setdefault(rescore[i], failure)
             values[:, rescore, split_idx] = scores.values.T
@@ -589,13 +590,13 @@ def oracle_select_full(
     """Oracle selection over full-dataset estimates (simulation only)."""
     data = as_data_matrix(data, min_rows=1)
     psi0 = as_square_matrix(psi0)
+    if psi0.shape[0] != data.shape[1]:
+        raise ValueError(f"psi0 dimension {psi0.shape[0]} does not match data dimension {data.shape[1]}")
     eta = _oracle_scaling(scaling, psi0)
     if center:
         data = data - data.mean(axis=0, keepdims=True)
-    diffs = np.full(len(library), np.nan)
-    for idx, (estimate, failure) in enumerate(iter_fits(library, data)):
-        if failure is None:
-            diffs[idx] = true_risk_difference(estimate, psi0, eta)
+    fold = _grid.Fold(FitContext(data), [(psi0, eta)])
+    diffs = _score_fits(library, fold, grid=False).values[:, 0]
     index, _ = _argmin_with_ties(diffs)
     return OracleReport(
         ids=library.ids,

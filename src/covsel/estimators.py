@@ -468,15 +468,16 @@ _FAMILIES: dict[str, _Family] = {}
 #: ``score(fold, specs)`` scores many candidates of its family on one
 #: training fold without building their estimates (see :func:`_score_fits`).
 #: ``fold`` is a :class:`covsel._grid.Fold`: the fold's :class:`FitContext`
-#: as ``fold.ctx``, the ``(T, eta)`` pairs to score against as
-#: ``fold.targets`` (exactly symmetric), and ``fold.want_max``.  It returns
-#: one entry per spec: ``(values, maximum)``, where ``values[t]`` equals
-#: ``scaled_frobenius_sq(T_t - fit, eta_t)`` up to rounding and ``maximum``
-#: is ``np.max(np.abs(fit))`` exactly (``None`` unless ``fold.want_max``),
-#: or ``None`` to leave that spec to the direct path, which fits, scores
-#: and drops it.  Families sharing one scorer are scored in one call per
-#: fold, so they share its pass over the covariance.  Families without a
-#: scorer, user-registered ones included, take the direct path.
+#: as ``fold.ctx`` and the ``(T, eta)`` pairs to score against as
+#: ``fold.targets`` (exactly symmetric).  It returns one entry per spec:
+#: ``values``, where ``values[t]`` equals ``scaled_frobenius_sq(T_t - fit,
+#: eta_t)`` up to rounding, or ``None`` to leave that spec to the direct
+#: path, which fits, scores and drops it.  No fit of a family with a
+#: scorer has an entry larger in magnitude than the fold's ``max|S|``
+#: (but for POET's rounding), so the scorers report no maxima.  Families
+#: sharing one scorer are scored in one call per fold, so they share its
+#: pass over the covariance.  Families without a scorer, user-registered
+#: ones included, take the direct path.
 _SCORERS: dict[str, Callable] = {
     "sample_covariance": _grid.score_identity,
     "hard_threshold": _grid.score_thresholds,
@@ -664,7 +665,7 @@ class _FoldScores(NamedTuple):
     """What :func:`_score_fits` returns for one fold."""
 
     values: np.ndarray
-    maxima: np.ndarray | None
+    peak: float
     failures: dict[int, str]
     base: np.ndarray
 
@@ -675,10 +676,11 @@ def _score_fits(library: CandidateLibrary, fold: _grid.Fold, *, grid: bool = Tru
     ``fold`` is a :class:`covsel._grid.Fold`: the training data's
     :class:`FitContext` and the targets.  ``values[k, t]`` is
     ``scaled_frobenius_sq(T_t - fit_k, eta_t)``, NaN for a failed
-    candidate; ``maxima[k]`` is ``np.max(np.abs(fit_k))`` (``None``
-    unless ``fold.want_max``); ``failures`` maps a failed candidate's
-    index to its reason, in library order; ``base[t]`` is the sample
-    covariance's value, the scale of the grid values' rounding.  Every
+    candidate; ``peak`` is the largest finite ``np.max(np.abs(fit_k))``
+    of the candidates fitted on the direct path, 0.0 if none; ``failures``
+    maps a failed candidate's index to its reason, in library order;
+    ``base[t]`` is the sample covariance's value, the scale of the grid
+    values' rounding.  Every
     ``T_t``, and every matrix ``eta_t``, must be exactly symmetric, as
     validation covariances, weights and checked true covariances are.
 
@@ -689,9 +691,7 @@ def _score_fits(library: CandidateLibrary, fold: _grid.Fold, *, grid: bool = Tru
     scored and dropped before the next.  The direct path is the
     reference the scorers are tested against.
     """
-    ctx, want_max = fold.ctx, fold.want_max
     values = np.full((len(library), len(fold.targets)), np.nan)
-    maxima = np.full(len(library), np.nan) if want_max else None
     groups: dict[Callable, list[int]] = {}
     direct: list[int] = []
     for idx, spec in enumerate(library):
@@ -702,22 +702,23 @@ def _score_fits(library: CandidateLibrary, fold: _grid.Fold, *, grid: bool = Tru
             groups.setdefault(score, []).append(idx)
     for score, indices in groups.items():
         for idx, scored in zip(indices, score(fold, [library[i] for i in indices])):
-            if scored is None or not np.all(np.isfinite(scored[0])):
+            if scored is None or not np.all(np.isfinite(scored)):
                 direct.append(idx)
                 continue
-            values[idx], maximum = scored
-            if want_max:
-                maxima[idx] = maximum
+            values[idx] = scored
     failures: dict[int, str] = {}
+    peak = 0.0
     for idx in sorted(direct):
-        estimate, failure = _try_fit(library[idx], ctx)
+        estimate, failure = _try_fit(library[idx], fold.ctx)
         if failure is not None:
             failures[idx] = failure
             continue
         values[idx] = [scaled_frobenius_sq(target - estimate, eta) for target, eta in fold.targets]
-        if want_max:
-            maxima[idx] = float(np.max(np.abs(estimate)))
-    return _FoldScores(values, maxima, failures, fold.value(0.0))
+        # Two passes over the estimate instead of a J x J |estimate|.
+        top = max(float(np.max(estimate)), -float(np.min(estimate)))
+        if np.isfinite(top):
+            peak = max(peak, top)
+    return _FoldScores(values, peak, failures, fold.value(0.0))
 
 
 def _try_fit(spec: EstimatorSpec, ctx: FitContext):

@@ -193,8 +193,11 @@ class BoundParams:
 
     ``m1`` bounds the squared entries of an observation vector and ``m2``
     the absolute entries of any candidate covariance matrix.  In practice
-    both are empirical plug-ins (maxima over the observed data and the
-    computed estimates), not almost-sure bounds.
+    both are empirical plug-ins, not almost-sure bounds: ``simulate``
+    takes ``m1`` from the observed data and ``m2`` from ``max|psi0|``,
+    each training fold's ``max|S|``, which bounds every grid-scored
+    estimate, and the estimates it fits one by one (see
+    :class:`~covsel.simulation.CellStats`).
     """
 
     delta: float

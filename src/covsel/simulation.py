@@ -41,6 +41,7 @@ from .estimators import (  # noqa: F401
     iter_fits,
     wide_library,
 )
+from .loss_risk import resolve_constant_scaling
 from .matrix_core import as_square_matrix, spectral_norm, symmetrize
 
 __all__ = [
@@ -303,8 +304,11 @@ class ResultRow:
 class CellStats:
     """Per-cell side information needed for the finite-sample bound.
 
-    ``max_abs_estimate`` is ``None`` unless ``cv_ratio`` was run, the only
-    metric whose bound reads it.
+    ``max_abs_estimate``, the bound's ``m2``, is the largest of
+    ``max|psi0|``, the absolute entries of the full-data estimates and
+    :attr:`~covsel.cv_engine.CandidateEvaluation.max_abs_estimate` of
+    each replication.  It is ``None`` unless ``cv_ratio`` was run, the
+    only metric whose bound reads it.
     """
 
     model: int
@@ -380,6 +384,8 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
     want_frob = "frobenius" in config.metrics
     want_spec = "spectral" in config.metrics
     need_full_fits = want_full or want_frob or want_spec
+    # full_risk_diff is in the oracle's eta units, as cv_risk_diff is.
+    eta = resolve_constant_scaling(config.scaling, dim)
 
     for rep, psi0, data, data_seed, splits in _replications(config, model, n, ratio_idx, dim):
         ev = evaluate_candidates(
@@ -390,7 +396,6 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
             center=config.center,
             risk=config.selector_risk,
             psi0=psi0 if want_cv else None,
-            max_abs=want_cv,
         )
         selector = ev.mean_risks()
         cv_diffs = ev.mean_oracle_diffs() if want_cv else None
@@ -407,9 +412,10 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
                 if want_cv:
                     max_abs_est = max(max_abs_est, float(np.max(np.abs(estimate))))
                 residual = estimate - psi0
-                full_diffs[idx] = float(np.sum(residual * residual))
+                squares = float(np.sum(residual * residual))
+                full_diffs[idx] = eta * squares
                 if want_frob:
-                    frob[idx] = math.sqrt(max(full_diffs[idx], 0.0))
+                    frob[idx] = math.sqrt(max(squares, 0.0))
                 if want_spec:
                     spec_norm[idx] = spectral_norm(residual)
         if failures:

@@ -334,6 +334,20 @@ class TestOracles:
         with pytest.raises(ConfigError):
             oracle_select_full(library, data, bad, scaling="weighted")
 
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_full_oracle_rejects_a_true_covariance_of_another_dimension(self, dim):
+        data = sample_gaussian(np.eye(4), 15, seed=5)
+        with pytest.raises(ValueError, match="does not match data dimension"):
+            oracle_select_full(small_library(), data, np.eye(dim))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+    def test_full_oracle_leaves_out_a_non_finite_estimate(self):
+        # Adaptive LASSO at threshold 0 is NaN at S's exact zeros.
+        data = np.random.default_rng(0).integers(-1, 2, size=(4, 6)).astype(float)
+        nan_fit = EstimatorSpec("adaptive_lasso", {"threshold": 0.0, "exponent": 0.5})
+        report = oracle_select_full(CandidateLibrary((EstimatorSpec("sample_covariance"), nan_fit)), data, np.eye(6))
+        assert report.full_oracle_id == "sample_covariance" and report.full_risk_diffs[1] is None
+
     def test_singleton_oracle(self):
         psi0 = np.eye(3)
         data = sample_gaussian(psi0, 15, seed=5)

@@ -7,8 +7,11 @@ and builds no estimate for them.  The oracle here is the direct path,
 larger of the value and the fold's base, the sample covariance's value:
 each grid value is the base plus a sum over the changed entries, so a
 candidate that lands much closer to the target than ``S`` does (seen at
-J=1) carries the base's rounding.  Largest absolute entries and failure
-reasons agree exactly.  Candidates with equal estimates get equal values,
+J=1) carries the base's rounding.  Failure reasons agree exactly, and no
+fit has an entry larger in magnitude than the fold's reported peak, the
+larger of ``max|S|`` and the direct-path fits' largest entry, but for
+POET's rounding; with ``sample_covariance`` in the library that peak is
+``S``'s own.  Candidates with equal estimates get equal values,
 bit for bit, when one scorer sums both or when the estimate is ``S``;
 selections score the candidates near the smallest mean risk again on the
 direct path, so their winners and tie sets equal the direct path's.
@@ -35,9 +38,15 @@ RTOL = 1e-12
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
 
 
-def score_fits(library, data, targets, want_max=False):
+def score_fits(library, data, targets):
     """``_score_fits`` on a fold that trains on ``data`` and scores against ``targets``."""
-    return _score_fits(library, _grid.Fold(FitContext(data), targets, want_max))
+    return _score_fits(library, _grid.Fold(FitContext(data), targets))
+
+
+def reported_peak(scores, data):
+    """The fold's peak as ``evaluate_candidates`` takes it: ``max|S|`` or the direct-path peak."""
+    cov = sample_covariance(data)
+    return max(float(cov.max()), -float(cov.min()), scores.peak)
 
 
 def preset_specs():
@@ -102,7 +111,7 @@ def direct_scores(library, data, targets):
     """The oracle: each candidate fitted, scored against every target and kept for comparison."""
     ctx = FitContext(data)
     values = np.full((len(library), len(targets)), np.nan)
-    maxima = np.full(len(library), np.nan)
+    maxima = np.full(len(library), np.nan)  # NaN where the fit failed or is not finite
     failures, estimates = {}, []
     for idx, spec in enumerate(library):
         estimate, failure = estimators._try_fit(spec, ctx)
@@ -111,13 +120,31 @@ def direct_scores(library, data, targets):
             failures[idx] = failure
             continue
         values[idx] = [scaled_frobenius_sq(target - estimate, eta) for target, eta in targets]
-        maxima[idx] = float(np.max(np.abs(estimate)))
+        if np.all(np.isfinite(estimate)):
+            maxima[idx] = float(np.max(np.abs(estimate)))
     return values, maxima, failures, estimates
 
 
+def assert_peak_bounds_every_fit(scores, maxima, library, data):
+    """No finite fit exceeds the fold's peak, which is ``S``'s own when ``S`` is a candidate.
+
+    POET's low-rank part comes from an eigendecomposition, whose rounding
+    can carry an entry a few units in the last place past ``max|S|`` (on
+    ternary folds of lower rank than the factor count), so POET is held
+    to ``RTOL``; every other family to the peak itself.
+    """
+    peak = reported_peak(scores, data)
+    limit = np.where([spec.family == "poet" for spec in library], peak * (1.0 + RTOL), peak)
+    over = np.flatnonzero(maxima > limit)  # NaN, a failed or non-finite fit, compares False
+    assert over.size == 0, [(library[i].id, maxima[i], peak) for i in over]
+    if "sample_covariance" in library.ids:
+        assert maxima[library.ids.index("sample_covariance")] == peak
+
+
 def assert_matches_direct_path(library, data, targets):
-    got, got_max, got_failures, _ = score_fits(library, data, targets, want_max=True)
-    want, want_max, want_failures, estimates = direct_scores(library, data, targets)
+    scores = score_fits(library, data, targets)
+    got, got_failures = scores.values, scores.failures
+    want, maxima, want_failures, estimates = direct_scores(library, data, targets)
     assert got_failures == want_failures
     assert np.array_equal(np.isfinite(got), np.isfinite(want))
     base = want[library.ids.index("sample_covariance")]
@@ -125,7 +152,7 @@ def assert_matches_direct_path(library, data, targets):
         if np.all(np.isfinite(want[idx])):
             bound = RTOL * np.maximum(np.abs(want[idx]), np.abs(base))
             assert np.all(np.abs(got[idx] - want[idx]) <= bound), (spec.id, got[idx], want[idx])
-    assert np.array_equal(got_max, want_max, equal_nan=True)
+    assert_peak_bounds_every_fit(scores, maxima, library, data)
     # Equal estimates get equal values when one scorer sums both, or when
     # they equal S.  Otherwise their sums differ in order and they are held
     # to the bound above: POET without factors is hard thresholding binned
@@ -150,6 +177,21 @@ def test_grid_matches_the_direct_path(kind, dim, scaling):
         return
     train, targets = fold_targets(data, psi0, scaling)
     assert_matches_direct_path(LIBRARY, train, targets)
+
+
+@pytest.mark.parametrize("without_s", [False, True])
+@pytest.mark.parametrize("preset", ["default", "wide", "light"])
+@pytest.mark.parametrize("kind", ["ar1", "factor", "ternary"])
+def test_the_fold_peak_bounds_every_preset_fit(kind, preset, without_s):
+    # The shrinkages take the direct path; without S the peak still bounds every fit.
+    train, targets = fold_targets(*make_data(kind, 40), "one")
+    library = library_preset(preset)
+    if without_s:
+        library = CandidateLibrary(tuple(spec for spec in library if spec.family != "sample_covariance"))
+    scores = score_fits(library, train, targets)
+    maxima = direct_scores(library, train, targets)[1]
+    assert_peak_bounds_every_fit(scores, maxima, library, train)
+    assert scores.peak == np.nanmax(maxima[[spec.family not in estimators._SCORERS for spec in library]])
 
 
 @pytest.mark.parametrize("scaling", ["one", "weighted"])
@@ -223,7 +265,7 @@ def test_poet_on_data_of_lower_rank_than_its_factor_count(scaling):
     weights = FitContext(train).factor_basis[1]
     assert train.shape[0] >= train.shape[1] and np.any(weights[:8] < 0.0)
     library = poet_library(range(1, 9), [0.0, 0.1, 0.5])
-    values = score_fits(library, train, targets, want_max=True).values
+    values = score_fits(library, train, targets).values
     assert np.all(np.isfinite(values))
     assert_matches_direct_path(library, train, targets)
 
@@ -250,10 +292,10 @@ def test_selections_and_ties_match_the_direct_path(kind, dim, direct_path):
     if all(np.all(np.var(data[~mask], axis=0) > 0.0) for mask in splits):
         settings.append(("observation", "weighted"))
     grid = [select(library, data, scheme, risk=r, scaling=s) for r, s in settings]
-    grid_oracle = evaluate_candidates(library, data, splits, risk=None, psi0=psi0, max_abs=True)
+    grid_oracle = evaluate_candidates(library, data, splits, risk=None, psi0=psi0)
     direct_path()
     direct = [select(library, data, scheme, risk=r, scaling=s) for r, s in settings]
-    direct_oracle = evaluate_candidates(library, data, splits, risk=None, psi0=psi0, max_abs=True)
+    direct_oracle = evaluate_candidates(library, data, splits, risk=None, psi0=psi0)
     for a, b in zip(grid, direct):
         # Near-minimum candidates are scored again on the direct path, so
         # ties match exactly, also between estimates equal only to rounding.
@@ -308,7 +350,7 @@ def test_nonfinite_grid_values_fall_back(monkeypatch):
     library = CandidateLibrary((EstimatorSpec("sample_covariance"), EstimatorSpec("banding", {"bands": 1})))
 
     def broken(fold, specs):
-        return [(np.full(len(fold.targets), np.nan), None) for _ in specs]
+        return [np.full(len(fold.targets), np.nan) for _ in specs]
 
     monkeypatch.setitem(estimators._SCORERS, "banding", broken)
     targets = [(np.eye(4), 0.25)]
@@ -321,21 +363,13 @@ def test_monte_carlo_splits_score_like_the_direct_path(direct_path):
     data, psi0 = make_data("factor", 40, seed=4)
     library = CandidateLibrary(tuple(PRESETS))
     splits = make_splits(MonteCarloSplit(3, 0.3, seed=2), data.shape[0])
-    grid = evaluate_candidates(library, data, splits, risk="observation", psi0=psi0, max_abs=True)
+    grid = evaluate_candidates(library, data, splits, risk="observation", psi0=psi0)
     direct_path()
-    direct = evaluate_candidates(library, data, splits, risk="observation", psi0=psi0, max_abs=True)
+    direct = evaluate_candidates(library, data, splits, risk="observation", psi0=psi0)
     assert np.allclose(grid.risks, direct.risks, rtol=RTOL, atol=0.0)
     assert np.allclose(grid.oracle_diffs, direct.oracle_diffs, rtol=RTOL, atol=0.0)
     assert grid.max_abs_estimate == direct.max_abs_estimate
     assert grid.failures == direct.failures
-
-
-def test_max_abs_is_computed_only_when_asked():
-    data, _ = make_data("ar1", 6)
-    splits = make_splits(VFold(3, seed=0), data.shape[0])
-    library = CandidateLibrary(tuple(PRESETS))
-    assert evaluate_candidates(library, data, splits).max_abs_estimate is None
-    assert evaluate_candidates(library, data, splits, max_abs=True).max_abs_estimate > 0.0
 
 
 try:

@@ -220,6 +220,20 @@ class TestRunner:
             for key in picked:
                 assert picked[key] >= oracle[key] * (1.0 - 1e-12)
 
+    @pytest.mark.parametrize("scaling", ["inv_J", "one"])
+    def test_full_oracle_rows_are_those_of_oracle_select_full(self, scaling):
+        # full_risk_diff is in the oracle's eta units, as cv_risk_diff is.
+        config = tiny_config(metrics=("full_ratio",), scaling=scaling)
+        rows = run_experiment(config).rows
+        library = config.resolve_library()
+        [(model, n, ratio_idx, _, dim)] = config.cells()
+        for rep, psi0, data, _, _ in simulation._replications(config, model, n, ratio_idx, dim):
+            report = cv_engine.oracle_select_full(library, data, psi0, scaling=scaling)
+            want = dict(zip(library.ids, report.full_risk_diffs))
+            want[FULL_ORACLE_SUBJECT] = want[report.full_oracle_id]
+            found = {r.subject: r.value for r in rows if r.replication == rep and r.subject != SELECTED_SUBJECT}
+            assert found == want
+
     def test_selector_risk_modes_agree(self):
         base = tiny_config(metrics=("cv_ratio",), replications=3)
         by_matrix = run_experiment(base).rows
