@@ -27,13 +27,21 @@ from .estimators import (  # noqa: F401
     _ranked_refits,
     _score_fits,
     apply_library,
+    iter_fits,
 )
 from .loss_risk import (
     _inverse_variance_weights,
     estimate_weight_matrix,
     resolve_constant_scaling,
 )
-from .matrix_core import as_data_matrix, as_square_matrix, is_psd, sample_covariance, scaled_frobenius_sq
+from .matrix_core import (
+    as_data_matrix,
+    as_square_matrix,
+    is_psd,
+    sample_covariance,
+    scaled_frobenius_sq,
+    spectral_norm,
+)
 
 __all__ = [
     "VFold",
@@ -579,6 +587,37 @@ def oracle_select_cv(
     )
 
 
+def _residual_norms(residual: np.ndarray, spectral: bool) -> tuple[float, float]:
+    """``(sum(residual**2), spectral_norm(residual))``; the norm is NaN unless ``spectral``."""
+    return float(np.sum(residual * residual)), spectral_norm(residual) if spectral else math.nan
+
+
+def _full_data_errors(library: CandidateLibrary, data, psi0, eta, *, spectral: bool):
+    """Fit every candidate on ``data`` and measure its error against ``psi0``.
+
+    Returns ``(risk_diffs, frobenius, spectral_norms, peak, failures)``:
+    per candidate, ``scaled_frobenius_sq(fit - psi0, eta)`` and the two
+    norms of ``fit - psi0`` (NaN where the fit failed, and every spectral
+    norm NaN unless ``spectral``); the largest ``|entry|`` of any fit; and
+    each failed candidate's reason by index.  Each fit from
+    :func:`~covsel.estimators.iter_fits` is dropped once measured, so
+    memory stays bounded in ``J²``.
+    """
+    risk_diffs, frobenius, spectral_norms = (np.full(len(library), np.nan) for _ in range(3))
+    failures: dict[int, str] = {}
+    peak = 0.0
+    for idx, (estimate, failure) in enumerate(iter_fits(library, data)):
+        if failure is not None:
+            failures[idx] = failure
+            continue
+        peak = max(peak, float(np.max(estimate)), -float(np.min(estimate)))
+        residual = estimate - psi0
+        squares, spectral_norms[idx] = _residual_norms(residual, spectral)
+        frobenius[idx] = math.sqrt(squares)
+        risk_diffs[idx] = eta * squares if isinstance(eta, float) else scaled_frobenius_sq(residual, eta)
+    return risk_diffs, frobenius, spectral_norms, peak, failures
+
+
 def oracle_select_full(
     library: CandidateLibrary,
     data,
@@ -595,8 +634,7 @@ def oracle_select_full(
     eta = _oracle_scaling(scaling, psi0)
     if center:
         data = data - data.mean(axis=0, keepdims=True)
-    fold = _grid.Fold(FitContext(data), [(psi0, eta)])
-    diffs = _score_fits(library, fold, grid=False).values[:, 0]
+    diffs = _full_data_errors(library, data, psi0, eta, spectral=False)[0]
     index, _ = _argmin_with_ties(diffs)
     return OracleReport(
         ids=library.ids,

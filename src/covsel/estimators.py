@@ -112,7 +112,9 @@ def _inverse_power(magnitude: np.ndarray, exponent: float) -> np.ndarray:
 
 def _adaptive_lasso(magnitude, sign, inverse_power, threshold: float, exponent: float) -> np.ndarray:
     u, e = float(threshold), float(exponent)
-    borrowed = u ** (e + 1.0) * inverse_power
+    # At threshold 0 an exact zero of S gives 0 * inf; _try_fit fails the NaN estimate.
+    with np.errstate(invalid="ignore"):
+        borrowed = u ** (e + 1.0) * inverse_power
     return sign * np.maximum(magnitude - borrowed, 0.0)
 
 
@@ -676,13 +678,14 @@ def _score_fits(library: CandidateLibrary, fold: _grid.Fold, *, grid: bool = Tru
     ``fold`` is a :class:`covsel._grid.Fold`: the training data's
     :class:`FitContext` and the targets.  ``values[k, t]`` is
     ``scaled_frobenius_sq(T_t - fit_k, eta_t)``, NaN for a failed
-    candidate; ``peak`` is the largest finite ``np.max(np.abs(fit_k))``
-    of the candidates fitted on the direct path, 0.0 if none; ``failures``
-    maps a failed candidate's index to its reason, in library order;
-    ``base[t]`` is the sample covariance's value, the scale of the grid
-    values' rounding.  Every
-    ``T_t``, and every matrix ``eta_t``, must be exactly symmetric, as
-    validation covariances, weights and checked true covariances are.
+    candidate; ``peak`` is the largest ``np.max(np.abs(fit_k))`` of the
+    candidates fitted on the direct path, 0.0 if none; ``failures`` maps a
+    failed candidate's index to its reason, in library order, a fit with a
+    non-finite entry among them (see :func:`_try_fit`); ``base[t]`` is
+    the sample covariance's value, the scale of the grid values'
+    rounding.  Every ``T_t``, and every matrix ``eta_t``, must be exactly
+    symmetric, as validation covariances, weights and checked true
+    covariances are.
 
     With ``grid``, families with a scorer (see :data:`_SCORERS`) are
     scored from shared sums over the data's covariance and build no
@@ -715,20 +718,21 @@ def _score_fits(library: CandidateLibrary, fold: _grid.Fold, *, grid: bool = Tru
             continue
         values[idx] = [scaled_frobenius_sq(target - estimate, eta) for target, eta in fold.targets]
         # Two passes over the estimate instead of a J x J |estimate|.
-        top = max(float(np.max(estimate)), -float(np.min(estimate)))
-        if np.isfinite(top):
-            peak = max(peak, top)
+        peak = max(peak, float(np.max(estimate)), -float(np.min(estimate)))
     return _FoldScores(values, peak, failures, fold.value(0.0))
 
 
 def _try_fit(spec: EstimatorSpec, ctx: FitContext):
-    """``(estimate, None)``, or ``(None, reason)`` when the fit fails."""
+    """``(estimate, None)``, or ``(None, reason)`` when the fit fails or has a non-finite entry."""
     try:
-        return apply_with_context(spec, ctx), None
+        estimate = apply_with_context(spec, ctx)
     except (ConfigError, EstimationError, FloatingPointError, ValueError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
     except np.linalg.LinAlgError as exc:
         return None, f"LinAlgError: {exc}"
+    # The max and min are NaN when an entry is: two passes and no J x J temporary.
+    finite = np.isfinite(np.max(estimate)) and np.isfinite(np.min(estimate))
+    return (estimate, None) if finite else (None, "non-finite estimate")
 
 
 def _ranked_refits(library: CandidateLibrary, ctx: FitContext, risks, indices, cache=None):

@@ -7,8 +7,10 @@ The central object is the observation-level scaled Frobenius loss
 whose risk minimizer (for mean-zero data) is the true covariance matrix.
 The module also provides the matrix-level cross-validated risk term (the
 scaled squared Frobenius distance to a validation-set sample covariance),
-the analytic risk-difference identity used as the simulation oracle, the
-diagonal-based weighting matrix, and the finite-sample selection bound.
+the analytic risk-difference identity, the diagonal-based weighting
+matrix, and the finite-sample selection bound.  :func:`true_risk_difference`
+states the identity by its definition; the oracles compute the same
+distance inside :mod:`covsel.cv_engine`'s scoring passes and do not call it.
 
 :func:`row_losses`, :func:`observation_loss` and :func:`validation_risk`
 evaluate the loss by its definition, row by row.  They are reference

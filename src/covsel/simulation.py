@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .cv_engine import (
     SingleSplit,
     VFold,
     _argmin_with_ties,
+    _full_data_errors,
+    _residual_norms,
     evaluate_candidates,
     make_splits,
     validation_fraction,
@@ -38,11 +41,10 @@ from .estimators import (  # noqa: F401
     _ranked_refits,
     apply_library,
     default_library,
-    iter_fits,
     wide_library,
 )
 from .loss_risk import resolve_constant_scaling
-from .matrix_core import as_square_matrix, spectral_norm, symmetrize
+from .matrix_core import as_square_matrix, symmetrize
 
 __all__ = [
     "CovModelSpec",
@@ -70,7 +72,14 @@ SELECTED_SUBJECT = "cvCovEst"
 CV_ORACLE_SUBJECT = "cv-oracle"
 FULL_ORACLE_SUBJECT = "full-oracle"
 
-_METRICS = ("cv_ratio", "full_ratio", "frobenius", "spectral")
+#: Each metric's result-row name and, for a risk difference, the subject of its oracle.
+_METRIC_ROWS = {
+    "cv_ratio": ("cv_risk_diff", CV_ORACLE_SUBJECT),
+    "full_ratio": ("full_risk_diff", FULL_ORACLE_SUBJECT),
+    "frobenius": ("frobenius", None),
+    "spectral": ("spectral", None),
+}
+_METRICS = tuple(_METRIC_ROWS)
 
 
 @dataclass(frozen=True)
@@ -305,10 +314,12 @@ class CellStats:
     """Per-cell side information needed for the finite-sample bound.
 
     ``max_abs_estimate``, the bound's ``m2``, is the largest of
-    ``max|psi0|``, the absolute entries of the full-data estimates and
+    ``max|psi0|``, the absolute entries of the full-data estimates (fitted
+    when any metric but ``cv_ratio`` is run) and
     :attr:`~covsel.cv_engine.CandidateEvaluation.max_abs_estimate` of
-    each replication.  It is ``None`` unless ``cv_ratio`` was run, the
-    only metric whose bound reads it.
+    each replication; a fit with a non-finite entry has failed and counts
+    nowhere.  It is ``None`` unless ``cv_ratio`` was run, the only metric
+    whose bound reads it.
     """
 
     model: int
@@ -329,23 +340,11 @@ class ExperimentResult:
     config: ExperimentConfig
 
 
-def _rows_per_replication(metrics, n_candidates: int) -> int:
-    count = 0
-    if "cv_ratio" in metrics:
-        count += n_candidates + 2
-    if "full_ratio" in metrics:
-        count += n_candidates + 2
-    if "frobenius" in metrics:
-        count += n_candidates + 1
-    if "spectral" in metrics:
-        count += n_candidates + 1
-    return count
-
-
 def expected_row_count(config: ExperimentConfig) -> int:
     """Exact number of result rows a clean run will produce."""
     n_candidates = len(config.resolve_library())
-    per_rep = _rows_per_replication(config.metrics, n_candidates)
+    # Per metric: every candidate, the selection and, for a risk difference, its oracle.
+    per_rep = sum(n_candidates + 1 + (_METRIC_ROWS[m][1] is not None) for m in config.metrics)
     return len(config.cells()) * config.replications * per_rep
 
 
@@ -375,15 +374,11 @@ def _replications(config: ExperimentConfig, model: int, n: int, ratio_idx: int, 
 
 
 def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n: int,
-              ratio_idx: int, ratio: float, dim: int) -> tuple[list[ResultRow], CellStats]:
-    rows: list[ResultRow] = []
+              ratio_idx: int, ratio: float, dim: int) -> tuple[list[tuple], CellStats]:
+    rows: list[tuple] = []
     max_sq_obs = 0.0
     max_abs_est = 0.0
     want_cv = "cv_ratio" in config.metrics
-    want_full = "full_ratio" in config.metrics
-    want_frob = "frobenius" in config.metrics
-    want_spec = "spectral" in config.metrics
-    need_full_fits = want_full or want_frob or want_spec
     # full_risk_diff is in the oracle's eta units, as cv_risk_diff is.
     eta = resolve_constant_scaling(config.scaling, dim)
 
@@ -397,78 +392,40 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
             risk=config.selector_risk,
             psi0=psi0 if want_cv else None,
         )
-        selector = ev.mean_risks()
-        cv_diffs = ev.mean_oracle_diffs() if want_cv else None
-
-        full_diffs = np.full(len(library), np.nan)
-        frob = np.full(len(library), np.nan)
-        spec_norm = np.full(len(library), np.nan)
         failures = dict(ev.failures)
-        if need_full_fits:
-            for idx, (estimate, failure) in enumerate(iter_fits(library, data)):
-                if failure is not None:
-                    failures.setdefault(idx, f"full-data fit: {failure}")
-                    continue
-                if want_cv:
-                    max_abs_est = max(max_abs_est, float(np.max(np.abs(estimate))))
-                residual = estimate - psi0
-                squares = float(np.sum(residual * residual))
-                full_diffs[idx] = eta * squares
-                if want_frob:
-                    frob[idx] = math.sqrt(max(squares, 0.0))
-                if want_spec:
-                    spec_norm[idx] = spectral_norm(residual)
-        if failures:
-            excluded = list(failures)
-            selector[excluded] = np.nan
-            if want_cv:
-                cv_diffs[excluded] = np.nan
-            full_diffs[excluded] = np.nan
-            frob[excluded] = np.nan
-            spec_norm[excluded] = np.nan
-            for idx in excluded:
-                logger.warning(
-                    "model %d n=%d J=%d rep %d: excluded %s (%s)",
-                    model, n, dim, rep, library[idx].id, failures[idx],
-                )
+        # Per result-row metric, each candidate's value.
+        values = {"cv_risk_diff": ev.mean_oracle_diffs()} if want_cv else {}
+        if set(config.metrics) != {"cv_ratio"}:
+            full_diffs, frobenius, spectral, peak, full_failures = _full_data_errors(
+                library, data, psi0, eta, spectral="spectral" in config.metrics
+            )
+            for idx, failure in full_failures.items():
+                failures.setdefault(idx, f"full-data fit: {failure}")
+            values.update(full_risk_diff=full_diffs, frobenius=frobenius, spectral=spectral)
+            max_abs_est = max(max_abs_est, peak)
+        excluded = list(failures)
+        for idx in excluded:
+            logger.warning(
+                "model %d n=%d J=%d rep %d: excluded %s (%s)",
+                model, n, dim, rep, library[idx].id, failures[idx],
+            )
 
+        selector = ev.mean_risks()
+        selector[excluded] = np.nan
         k_hat = _argmin_with_ties(selector)[0]
-        k_tilde = _argmin_with_ties(cv_diffs)[0] if want_cv else None
-        k_full = _argmin_with_ties(full_diffs)[0] if want_full else None
-
         max_sq_obs = max(max_sq_obs, float(np.max(data * data)))
         if want_cv:
             max_abs_est = max(max_abs_est, ev.max_abs_estimate, float(np.max(np.abs(psi0))))
 
-        def emit(subject: str, metric: str, value: float) -> None:
-            rows.append(
-                ResultRow(
-                    model=model, n=n, dim=dim, ratio=ratio, replication=rep,
-                    subject=subject, metric=metric, value=float(value), seed=data_seed,
-                )
-            )
-
-        for idx, spec in enumerate(library):
-            if idx in failures:
-                continue
-            if want_cv:
-                emit(spec.id, "cv_risk_diff", cv_diffs[idx])
-            if want_full:
-                emit(spec.id, "full_risk_diff", full_diffs[idx])
-            if want_frob:
-                emit(spec.id, "frobenius", frob[idx])
-            if want_spec:
-                emit(spec.id, "spectral", spec_norm[idx])
-        if want_cv:
-            emit(SELECTED_SUBJECT, "cv_risk_diff", cv_diffs[k_hat])
-            emit(CV_ORACLE_SUBJECT, "cv_risk_diff", cv_diffs[k_tilde])
-        if want_full:
-            emit(SELECTED_SUBJECT, "full_risk_diff", full_diffs[k_hat])
-            emit(FULL_ORACLE_SUBJECT, "full_risk_diff", full_diffs[k_full])
-        if want_frob:
-            emit(SELECTED_SUBJECT, "frobenius", frob[k_hat])
-        if want_spec:
-            emit(SELECTED_SUBJECT, "spectral", spec_norm[k_hat])
+        kept = [(spec.id, idx) for idx, spec in enumerate(library) if idx not in failures]
+        for metric in config.metrics:
+            name, oracle = _METRIC_ROWS[metric]
+            per_candidate = values[name]
+            per_candidate[excluded] = np.nan
+            picks = [*kept, (SELECTED_SUBJECT, k_hat)]
+            if oracle is not None:
+                picks.append((oracle, _argmin_with_ties(per_candidate)[0]))
+            rows.extend((rep, subject, name, float(per_candidate[idx]), data_seed) for subject, idx in picks)
 
     stats = CellStats(
         model=model, n=n, dim=dim, ratio=ratio, replications=config.replications,
@@ -478,24 +435,35 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
     return rows, stats
 
 
+def _run_grid(config: ExperimentConfig, run_cell) -> tuple[list[ResultRow], list]:
+    """Each cell's rows, sorted, and its stats, from ``run_cell(model, n, ratio_idx, ratio, dim)``.
+
+    ``run_cell`` returns the cell's rows as ``(replication, subject,
+    metric, value, seed)`` tuples, and its stats.  A cell that raises one
+    of the package's errors or ``LinAlgError`` is logged and skipped; any
+    other exception ends the run.
+    """
+    rows: list[ResultRow] = []
+    cells = []
+    for model, n, ratio_idx, ratio, dim in config.cells():
+        try:
+            cell_rows, stats = run_cell(model, n, ratio_idx, ratio, dim)
+        except (ConfigError, EstimationError, SelectionError, DegenerateFeatureError, np.linalg.LinAlgError):
+            logger.exception("cell model=%d n=%d ratio=%s failed; skipping", model, n, ratio)
+            continue
+        rows.extend(ResultRow(model, n, dim, ratio, *row) for row in cell_rows)
+        cells.append(stats)
+    rows.sort(key=lambda r: (r.model, r.n, r.ratio, r.replication, r.subject, r.metric))
+    return rows, cells
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full grid; a cell that fails on its data skips that cell, not the run.
 
     Only the package's errors and ``LinAlgError`` skip a cell; any other
     exception is a fault in the program and ends the run.
     """
-    library = config.resolve_library()
-    rows: list[ResultRow] = []
-    cells: list[CellStats] = []
-    for model, n, ratio_idx, ratio, dim in config.cells():
-        try:
-            cell_rows, stats = _run_cell(config, library, model, n, ratio_idx, ratio, dim)
-        except (ConfigError, EstimationError, SelectionError, DegenerateFeatureError, np.linalg.LinAlgError):
-            logger.exception("cell model=%d n=%d ratio=%s failed; skipping", model, n, ratio)
-            continue
-        rows.extend(cell_rows)
-        cells.append(stats)
-    rows.sort(key=lambda r: (r.model, r.n, r.ratio, r.replication, r.subject, r.metric))
+    rows, cells = _run_grid(config, partial(_run_cell, config, config.resolve_library()))
     return ExperimentResult(rows=rows, cells=cells, config=config)
 
 
@@ -527,15 +495,7 @@ def summarize_ratios(rows, metrics=None) -> dict:
         by_cell.setdefault(_cell_key(row), []).append(row)
     present = {row.metric for row in rows}
     if metrics is not None:
-        requested = set()
-        for metric in metrics:
-            if metric == "cv_ratio":
-                requested.add("cv_risk_diff")
-            elif metric == "full_ratio":
-                requested.add("full_risk_diff")
-            else:
-                requested.add(metric)
-        missing = requested - present
+        missing = {_METRIC_ROWS.get(metric, (metric, None))[0] for metric in metrics} - present
         if missing:
             raise ConfigError(f"rows are missing requested metrics: {sorted(missing)}")
 
@@ -546,10 +506,17 @@ def summarize_ratios(rows, metrics=None) -> dict:
         summary: dict = {"model": model, "n": n, "J": dim, "ratio": ratio}
         summary["replications"] = len({r.replication for r in cell_rows})
 
-        for metric, selected_label, oracle_subject, oracle_label in (
-            ("cv_risk_diff", "cv", CV_ORACLE_SUBJECT, "cv"),
-            ("full_risk_diff", "full", FULL_ORACLE_SUBJECT, "full"),
-        ):
+        for metric, oracle_subject in _METRIC_ROWS.values():
+            if oracle_subject is None:
+                by_subject: dict[str, list[float]] = {}
+                for row in cell_rows:
+                    if row.metric == metric:
+                        by_subject.setdefault(row.subject, []).append(row.value)
+                if by_subject:
+                    summary[f"mean_{metric}"] = {
+                        subject: float(np.mean(values)) for subject, values in sorted(by_subject.items())
+                    }
+                continue
             picked = {r.replication: r.value for r in cell_rows
                       if r.metric == metric and r.subject == SELECTED_SUBJECT}
             oracle = {r.replication: r.value for r in cell_rows
@@ -560,22 +527,12 @@ def summarize_ratios(rows, metrics=None) -> dict:
             picked_mean = float(np.mean([picked[r] for r in reps]))
             oracle_mean = float(np.mean([oracle[r] for r in reps]))
             per_rep = [_safe_ratio(picked[r], oracle[r]) for r in reps]
-            summary[f"{oracle_label}_ratio_of_means"] = _safe_ratio(picked_mean, oracle_mean)
-            summary[f"{oracle_label}_ratio_per_replication_mean"] = float(np.mean(per_rep))
-            summary[f"{oracle_label}_ratio_per_replication_max"] = float(np.max(per_rep))
-            summary[f"{oracle_label}_risk_diff_mean_selected"] = picked_mean
-            summary[f"{oracle_label}_risk_diff_mean_oracle"] = oracle_mean
-
-        for metric in ("frobenius", "spectral"):
-            metric_rows = [r for r in cell_rows if r.metric == metric]
-            if not metric_rows:
-                continue
-            by_subject: dict[str, list[float]] = {}
-            for row in metric_rows:
-                by_subject.setdefault(row.subject, []).append(row.value)
-            summary[f"mean_{metric}"] = {
-                subject: float(np.mean(values)) for subject, values in sorted(by_subject.items())
-            }
+            label = metric.removesuffix("_risk_diff")
+            summary[f"{label}_ratio_of_means"] = _safe_ratio(picked_mean, oracle_mean)
+            summary[f"{label}_ratio_per_replication_mean"] = float(np.mean(per_rep))
+            summary[f"{label}_ratio_per_replication_max"] = float(np.max(per_rep))
+            summary[f"{label}_risk_diff_mean_selected"] = picked_mean
+            summary[f"{label}_risk_diff_mean_oracle"] = oracle_mean
         cells.append(summary)
     return {"cells": cells}
 
@@ -630,7 +587,8 @@ def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) ->
     refitted on the full dataset and its error norms against the true
     covariance matrix are recorded under the procedure's name.  Only
     winners are refitted; when a winner's full-data fit fails, the
-    procedure falls back to its next-ranked candidate.
+    procedure falls back to its next-ranked candidate.  A cell that fails
+    on its data is skipped, as in :func:`run_experiment`.
     """
     for metric in config.metrics:
         if metric not in ("frobenius", "spectral"):
@@ -652,8 +610,8 @@ def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) ->
         groups[family] = [index_of[s.id] for s in specs]
     procedures = tuple(groups)
 
-    rows: list[ResultRow] = []
-    for model, n, ratio_idx, ratio, dim in config.cells():
+    def run_cell(model: int, n: int, ratio_idx: int, ratio: float, dim: int) -> tuple[list[tuple], None]:
+        rows: list[tuple] = []
         for rep, psi0, data, data_seed, splits in _replications(config, model, n, ratio_idx, dim):
             ev = evaluate_candidates(
                 union, data, splits,
@@ -671,19 +629,12 @@ def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) ->
                         model, n, dim, rep, procedure,
                     )
                     continue
-                residual = estimate - psi0
-                for metric in config.metrics:
-                    if metric == "frobenius":
-                        value = math.sqrt(float(np.sum(residual * residual)))
-                    else:
-                        value = spectral_norm(residual)
-                    rows.append(
-                        ResultRow(
-                            model=model, n=n, dim=dim, ratio=ratio, replication=rep,
-                            subject=procedure, metric=metric, value=value, seed=data_seed,
-                        )
-                    )
-    rows.sort(key=lambda r: (r.model, r.n, r.ratio, r.replication, r.subject, r.metric))
+                squares, norm = _residual_norms(estimate - psi0, "spectral" in config.metrics)
+                errors = {"frobenius": math.sqrt(squares), "spectral": norm}
+                rows.extend((rep, procedure, metric, errors[metric], data_seed) for metric in config.metrics)
+        return rows, None
+
+    rows, _ = _run_grid(config, run_cell)
     return BenchmarkResult(
         rows=rows, table=benchmark_table(rows, procedures), config=config, procedures=procedures
     )

@@ -185,6 +185,32 @@ class TestSelectCommand:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "selection_failed"
 
+    def test_a_non_finite_fit_is_a_failed_candidate(self, tmp_path):
+        # Adaptive LASSO at threshold 0 is NaN where S is exactly 0, as it is on ternary data.
+        path = tmp_path / "ternary.csv"
+        write_csv(path, np.random.default_rng(0).integers(-1, 2, size=(40, 6)))
+        config = tmp_path / "library.ini"
+        config.write_text(
+            "[candidate.adaptive_lasso]\nthreshold = 0 0.1\nexponent = 0.5\n\n[candidate.sample_covariance]\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        argv = ["select", "--input", str(path), "--config", str(config), "--no-center", "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert [str(w.message) for w in caught] == []
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((out / "selection_report.json").read_text(), parse_constant=reject)
+        nan_fit = report["candidates"][0]
+        assert nan_fit["id"] == "adaptive_lasso(threshold=0.0, exponent=0.5)"
+        assert (nan_fit["cv_risk"], nan_fit["failure"]) == (None, "non-finite estimate")
+        table = read_risk_table(out / "risk_table.csv")
+        assert [(r["index"], r["failure"]) for r in table] == [(1, None), (2, None), (0, "non-finite estimate")]
+
     @pytest.mark.parametrize("risk", ["matrix", "observation"])
     def test_data_whose_risk_overflows_exits_2(self, tmp_path, toy_csv, capsys, risk):
         _, data = toy_csv

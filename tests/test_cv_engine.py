@@ -340,7 +340,6 @@ class TestOracles:
         with pytest.raises(ValueError, match="does not match data dimension"):
             oracle_select_full(small_library(), data, np.eye(dim))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
     def test_full_oracle_leaves_out_a_non_finite_estimate(self):
         # Adaptive LASSO at threshold 0 is NaN at S's exact zeros.
         data = np.random.default_rng(0).integers(-1, 2, size=(4, 6)).astype(float)

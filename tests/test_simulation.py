@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import covsel.cv_engine as cv_engine
 import covsel.estimators as estimators
 import covsel.simulation as simulation
 from covsel.cv_engine import MonteCarloSplit, SingleSplit, VFold, make_splits
-from covsel.errors import ConfigError
+from covsel.errors import ConfigError, EstimationError
 from covsel.estimators import CandidateLibrary, EstimatorSpec, build_library
 from covsel.simulation import (
     CV_ORACLE_SUBJECT,
@@ -408,6 +410,48 @@ def test_cell_failure_skips_cell_not_run(caplog):
     dims = {stats.dim for stats in result.cells}
     assert dims == {30}
     assert all(row.dim == 30 for row in result.rows)
+
+
+def test_a_programming_error_in_a_bench_cell_ends_the_run(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a fault in the program, not in its inputs")
+
+    monkeypatch.setattr(simulation, "evaluate_candidates", broken)
+    with pytest.raises(TypeError, match="a fault in the program"):
+        run_benchmark(tiny_config())
+
+
+def test_bench_cell_failure_skips_cell_not_run(monkeypatch):
+    real = simulation.evaluate_candidates
+
+    def fails_at_dimension_15(library, data, splits, **kwargs):
+        if data.shape[1] == 15:
+            raise EstimationError("a failure on this cell's data")
+        return real(library, data, splits, **kwargs)
+
+    monkeypatch.setattr(simulation, "evaluate_candidates", fails_at_dimension_15)
+    result = run_benchmark(tiny_config(ratios=(0.5, 1.0), replications=1))  # dimensions 15 and 30
+    assert result.rows and {row.dim for row in result.rows} == {30}
+    assert {entry["J"] for entry in result.table} == {30}
+
+
+def test_a_non_finite_full_data_fit_is_left_out_and_logged(monkeypatch, caplog):
+    real = estimators.apply_with_context
+
+    def nan_on_the_full_data(spec, ctx):
+        estimate = real(spec, ctx)
+        if spec.family == "linear_shrinkage" and ctx.data.shape[0] == 30:  # training folds have 24 rows
+            estimate[0, 0] = np.nan
+        return estimate
+
+    monkeypatch.setattr(estimators, "apply_with_context", nan_on_the_full_data)
+    config = tiny_config(metrics=("cv_ratio", "full_ratio", "frobenius", "spectral"))
+    with caplog.at_level(logging.WARNING, logger="covsel.simulation"):
+        rows = run_experiment(config).rows
+    # linear_shrinkage loses its own row of each metric in each replication.
+    assert len(rows) == expected_row_count(config) - 4 * config.replications
+    assert all(row.subject != "linear_shrinkage" and np.isfinite(row.value) for row in rows)
+    assert caplog.text.count("excluded linear_shrinkage (full-data fit: non-finite estimate)") == 2
 
 
 class TestSkippedWork:
