@@ -15,7 +15,6 @@ from .cv_engine import (
     SelectionReport,
     SingleSplit,
     VFold,
-    cv_risk_estimate,
     make_splits,
     oracle_select_cv,
     oracle_select_full,
@@ -88,7 +87,6 @@ __all__ = [
     "build_library",
     "build_model_covariance",
     "center_columns",
-    "cv_risk_estimate",
     "default_library",
     "eigendecompose",
     "estimate_weight_matrix",

@@ -34,7 +34,10 @@ in the kernels.  The scorers return values only: every family scored
 here maps ``S`` entrywise to values no larger in magnitude, or keeps
 ``diag(S)`` and POET's low-rank part ``L``, which ``S`` dominates, so no
 estimate's largest absolute entry exceeds ``max|S|``, but for the
-rounding of POET's eigendecomposition.
+rounding of POET's eigendecomposition.  A scorer leaves a candidate to
+the direct path only when it is a POET factor count the fold cannot
+decompose; :func:`~covsel.estimators._score_fits` also sends there any
+value that is not finite.
 
 Sums are taken over row blocks of at most :data:`_BLOCK_ENTRIES` entries,
 so a fold holds no ``J x J`` temporary besides the cached covariance (and
@@ -65,12 +68,6 @@ from .matrix_core import _nonnegative_scale
 
 #: Entries per row block of the passes over ``S``.
 _BLOCK_ENTRIES = 16_384
-
-#: Relative half-width of the window around an adaptive-LASSO threshold in
-#: which the kernel's zero test is checked entry by entry.  Its rounding
-#: error is a few units of 2**-52, so outside the window ``|s| <= u``
-#: decides.
-_GUARD = 2.0**-40
 
 
 class Layout:
@@ -273,11 +270,9 @@ def score_thresholds(fold: Fold, specs) -> list:
     ``eta S**2``, ``eta |S|`` and ``eta``.  Adaptive-LASSO keeps
     ``S - c sign(S) |S|**-e`` with ``c = u**(e + 1)`` and adds
     ``2 c * eta d sign(S) |S|**-e + c**2 * eta |S|**-2e``, summed per
-    exponent over the entries above the smallest threshold.
-
-    Adaptive-LASSO candidates at threshold 0, whose kernel is NaN at
-    exact zeros, and those whose kernel zero test disagrees with
-    ``|s| <= u`` on an entry near ``u`` are left to the direct path.
+    exponent over the entries above the smallest threshold.  Every
+    kernel zeroes exactly the entries with ``|s| <= u``, so each
+    candidate's support is a suffix of the bins.
     """
     cuts: set[float] = set()
     floor = None
@@ -285,36 +280,24 @@ def score_thresholds(fold: Fold, specs) -> list:
         u = spec.params["threshold"]
         if spec.family == "scad_threshold":
             cuts.update((u, 2.0 * u, spec.params["shape"] * u))
-        elif spec.family == "adaptive_lasso":
-            if u > 0.0:
-                cuts.update((u * (1.0 - _GUARD), u, u * (1.0 + _GUARD)))
-                floor = u if floor is None else min(floor, u)
         else:
             cuts.add(u)
+            if spec.family == "adaptive_lasso":
+                floor = u if floor is None else min(floor, u)
     cuts = np.array(sorted(cuts))
     pos = {float(c): i for i, c in enumerate(cuts)}
     n_bins = cuts.size + 1
     n_targets = len(fold.targets)
     exponents = sorted({s.params["exponent"] for s in specs if s.family == "adaptive_lasso"})
-    guarded = np.zeros(n_bins, dtype=bool)
-    for spec in specs:
-        u = spec.params["threshold"]
-        if spec.family == "adaptive_lasso" and u > 0.0:
-            guarded[pos[u * (1.0 - _GUARD)] + 1 : pos[u * (1.0 + _GUARD)] + 1] = True
 
     # Per target and bin: eta d S, eta d sign(S), eta S**2, eta |S|, eta,
     # and eta (T**2 - d**2).
     sums = np.zeros((6, n_targets, n_bins))
     # Per exponent, target and bin: eta d sign(S) |S|**-e and eta |S|**-2e.
     lasso = np.zeros((len(exponents), 2, n_targets, n_bins))
-    near: list[np.ndarray] = []
     for block in fold.blocks:
         s = block.entries(fold.cov)
-        idx = np.searchsorted(cuts, np.abs(s))
-        hits = guarded[idx]
-        if hits.any():
-            near.append(np.abs(s[hits]))
-        bins = _Bins(idx, n_bins, block.diagonal)
+        bins = _Bins(np.searchsorted(cuts, np.abs(s)), n_bins, block.diagonal)
         s = s[bins.order]
         mag = np.abs(s)
         sign = np.sign(s)
@@ -337,7 +320,6 @@ def score_thresholds(fold: Fold, specs) -> list:
     cum = _prefix(sums)
     zeroed = cum[5]
     lasso_kept = _suffix(lasso)
-    near = np.concatenate(near) if near else np.zeros(0)
 
     def between(lo: int, hi: int) -> np.ndarray:
         """The first five sums over bins ``lo+1..hi``, per target."""
@@ -358,15 +340,8 @@ def score_thresholds(fold: Fold, specs) -> list:
             middle = 2.0 / k * (au * mid_dg - mid_ds) + (au * au * mid_n - 2.0 * au * mid_sa + mid_ss) / (k * k)
             delta = zeroed[:, j0] + soft + middle
         else:
-            if u <= 0.0:
-                out.append(None)
-                continue
             e = spec.params["exponent"]
-            x = near[(near > u * (1.0 - _GUARD)) & (near <= u * (1.0 + _GUARD))]
             c = u ** (e + 1.0)
-            if x.size and not np.array_equal(np.maximum(x - c * x**-e, 0.0) > 0.0, x > u):
-                out.append(None)
-                continue
             j = pos[u]
             k = exponents.index(e)
             delta = zeroed[:, j] + (2.0 * c * lasso_kept[k, 0, :, j + 1] + c * c * lasso_kept[k, 1, :, j + 1])

@@ -31,8 +31,8 @@ import numpy as np
 from .cv_engine import MonteCarloSplit, SingleSplit, VFold, select
 from .errors import ConfigError, DegenerateFeatureError, EstimationError, SelectionError
 from .estimators import CandidateLibrary, expand_grid, library_preset
-from .loss_risk import BoundParams, finite_sample_bound
-from .matrix_core import eigendecompose
+from .loss_risk import SCALING_POLICIES, BoundParams, finite_sample_bound
+from .matrix_core import center_columns, eigendecompose
 from .simulation import (
     ExperimentConfig,
     ResultRow,
@@ -563,7 +563,7 @@ def cmd_select(args) -> int:
         comment=f"J={report.dim} selected={report.selected_id}",
     )
     if pca > 0:
-        centered = data - data.mean(axis=0, keepdims=True) if center else data
+        centered = center_columns(data) if center else data
         eig = eigendecompose(report.estimate)
         scores = centered @ eig.eigenvectors[:, :pca]
         _write_matrix(
@@ -731,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--input", help="input CSV (rows = observations)")
     p_select.add_argument("--delimiter", help="field delimiter (default ',')")
     p_select.add_argument("--header", choices=("auto", "yes", "no"), help="header handling")
-    p_select.add_argument("--scaling", choices=("one", "inv_J", "inv_J2", "weighted"))
+    p_select.add_argument("--scaling", choices=SCALING_POLICIES)
     p_select.add_argument("--risk", choices=("observation", "matrix"))
     p_select.add_argument("--pca", type=int, help="export this many PCA score columns")
     p_select.add_argument("--no-center", action="store_true", help="skip column centering")

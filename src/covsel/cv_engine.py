@@ -18,11 +18,10 @@ from typing import Union
 import numpy as np
 
 from . import _grid
-from .errors import ConfigError, EstimationError, SelectionError
+from .errors import ConfigError, SelectionError
 # apply_library stays bound here for code that patches or traces it by this name.
 from .estimators import (  # noqa: F401
     CandidateLibrary,
-    EstimatorSpec,
     FitContext,
     _ranked_refits,
     _score_fits,
@@ -37,6 +36,7 @@ from .loss_risk import (
 from .matrix_core import (
     as_data_matrix,
     as_square_matrix,
+    center_columns,
     is_psd,
     sample_covariance,
     scaled_frobenius_sq,
@@ -53,7 +53,6 @@ __all__ = [
     "make_splits",
     "CandidateEvaluation",
     "evaluate_candidates",
-    "cv_risk_estimate",
     "CandidateResult",
     "SelectionReport",
     "select",
@@ -407,15 +406,6 @@ def _near_minimum(values: np.ndarray, bases: np.ndarray, failed: list[int]) -> l
     return sorted(near)
 
 
-def cv_risk_estimate(spec: EstimatorSpec, data, splits, *, scaling: str = "one", center: bool = True) -> float:
-    """Cross-validated observation-level risk of a single candidate."""
-    library = CandidateLibrary((spec,))
-    ev = evaluate_candidates(library, data, splits, scaling=scaling, center=center)
-    if 0 in ev.failures:
-        raise EstimationError(f"estimator {spec.id} failed: {ev.failures[0]}")
-    return float(ev.mean_risks()[0])
-
-
 def _argmin_with_ties(values: np.ndarray) -> tuple[int, list[int]]:
     valid = np.flatnonzero(np.isfinite(values))
     if valid.size == 0:
@@ -493,7 +483,7 @@ def select(
     )
     risks = ev.mean_risks()
 
-    full = data - data.mean(axis=0, keepdims=True) if center else data
+    full = center_columns(data) if center else data
     refits = _ranked_refits(library, FitContext(full), risks, range(len(library)))
     failures = dict(ev.failures)
     psd_flags: dict[int, bool] = {}
@@ -633,7 +623,7 @@ def oracle_select_full(
         raise ValueError(f"psi0 dimension {psi0.shape[0]} does not match data dimension {data.shape[1]}")
     eta = _oracle_scaling(scaling, psi0)
     if center:
-        data = data - data.mean(axis=0, keepdims=True)
+        data = center_columns(data)
     diffs = _full_data_errors(library, data, psi0, eta, spectral=False)[0]
     index, _ = _argmin_with_ties(diffs)
     return OracleReport(

@@ -93,6 +93,8 @@ def _scad(m, magnitude, sign, threshold: float, shape: float) -> np.ndarray:
 def adaptive_lasso_threshold(matrix, threshold: float, exponent: float) -> np.ndarray:
     """Adaptive-LASSO thresholding ``sign(s) * (|s| - u**(e+1) * |s|**-e)_+``.
 
+    Like every generalized thresholding rule it is exactly zero wherever
+    ``|s| <= u``, so at ``threshold = 0`` it is the matrix itself.
     With ``exponent = 0`` this is exactly soft thresholding; larger
     exponents shrink small entries harder while leaving large entries
     nearly intact.
@@ -112,10 +114,15 @@ def _inverse_power(magnitude: np.ndarray, exponent: float) -> np.ndarray:
 
 def _adaptive_lasso(magnitude, sign, inverse_power, threshold: float, exponent: float) -> np.ndarray:
     u, e = float(threshold), float(exponent)
-    # At threshold 0 an exact zero of S gives 0 * inf; _try_fit fails the NaN estimate.
+    # At threshold 0 an exact zero of S gives 0 * inf = NaN here; the mask below zeroes it.
     with np.errstate(invalid="ignore"):
-        borrowed = u ** (e + 1.0) * inverse_power
-    return sign * np.maximum(magnitude - borrowed, 0.0)
+        out = u ** (e + 1.0) * inverse_power
+        np.subtract(magnitude, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    # The rule of generalized thresholding, exact where the subtraction rounds.
+    out[magnitude <= u] = 0.0
+    out *= sign
+    return out
 
 
 def _band_distance(dim: int) -> np.ndarray:
@@ -474,12 +481,13 @@ _FAMILIES: dict[str, _Family] = {}
 #: ``fold.targets`` (exactly symmetric).  It returns one entry per spec:
 #: ``values``, where ``values[t]`` equals ``scaled_frobenius_sq(T_t - fit,
 #: eta_t)`` up to rounding, or ``None`` to leave that spec to the direct
-#: path, which fits, scores and drops it.  No fit of a family with a
-#: scorer has an entry larger in magnitude than the fold's ``max|S|``
-#: (but for POET's rounding), so the scorers report no maxima.  Families
-#: sharing one scorer are scored in one call per fold, so they share its
-#: pass over the covariance.  Families without a scorer, user-registered
-#: ones included, take the direct path.
+#: path, which fits, scores and drops it; only :func:`_grid.score_poet`
+#: does, for factor counts the fold cannot decompose.  No fit of a family
+#: with a scorer has an entry larger in magnitude than the fold's
+#: ``max|S|`` (but for POET's rounding), so the scorers report no
+#: maxima.  Families sharing one scorer are scored in one call per fold,
+#: so they share its pass over the covariance.  Families without a
+#: scorer, user-registered ones included, take the direct path.
 _SCORERS: dict[str, Callable] = {
     "sample_covariance": _grid.score_identity,
     "hard_threshold": _grid.score_thresholds,
@@ -689,8 +697,9 @@ def _score_fits(library: CandidateLibrary, fold: _grid.Fold, *, grid: bool = Tru
 
     With ``grid``, families with a scorer (see :data:`_SCORERS`) are
     scored from shared sums over the data's covariance and build no
-    ``J x J`` estimate.  The rest, and any candidate a scorer leaves or
-    scores as non-finite, take the direct path: one fit at a time,
+    ``J x J`` estimate.  The rest (families without a scorer, POET
+    factor counts the fold cannot decompose) and any candidate scored
+    as non-finite take the direct path: one fit at a time,
     scored and dropped before the next.  The direct path is the
     reference the scorers are tested against.
     """

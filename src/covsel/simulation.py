@@ -44,7 +44,7 @@ from .estimators import (  # noqa: F401
     wide_library,
 )
 from .loss_risk import resolve_constant_scaling
-from .matrix_core import as_square_matrix, symmetrize
+from .matrix_core import as_square_matrix, center_columns, symmetrize
 
 __all__ = [
     "CovModelSpec",
@@ -396,8 +396,9 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
         # Per result-row metric, each candidate's value.
         values = {"cv_risk_diff": ev.mean_oracle_diffs()} if want_cv else {}
         if set(config.metrics) != {"cv_ratio"}:
+            full_data = center_columns(data) if config.center else data
             full_diffs, frobenius, spectral, peak, full_failures = _full_data_errors(
-                library, data, psi0, eta, spectral="spectral" in config.metrics
+                library, full_data, psi0, eta, spectral="spectral" in config.metrics
             )
             for idx, failure in full_failures.items():
                 failures.setdefault(idx, f"full-data fit: {failure}")
@@ -618,7 +619,7 @@ def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) ->
                 scaling=config.scaling, center=config.center, risk=config.selector_risk,
             )
             selector = ev.mean_risks()
-            ctx = FitContext(data)
+            ctx = FitContext(center_columns(data) if config.center else data)
             full_fits: dict[int, tuple] = {}
             for procedure, indices in groups.items():
                 refits = _ranked_refits(union, ctx, selector, indices, cache=full_fits)

@@ -18,7 +18,7 @@ from covsel.cli import (
 )
 from covsel.errors import ConfigError
 from covsel.simulation import ExperimentConfig, expected_row_count
-from covsel.estimators import default_library
+from covsel.estimators import _FAMILIES, default_library, register_family
 
 
 def write_csv(path, matrix, header=None, delimiter=","):
@@ -185,15 +185,12 @@ class TestSelectCommand:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "selection_failed"
 
-    def test_a_non_finite_fit_is_a_failed_candidate(self, tmp_path):
-        # Adaptive LASSO at threshold 0 is NaN where S is exactly 0, as it is on ternary data.
+    def select_ternary(self, tmp_path, library):
+        """``(report, risk table)`` of a ``select`` on ternary data, without warnings or non-JSON constants."""
         path = tmp_path / "ternary.csv"
         write_csv(path, np.random.default_rng(0).integers(-1, 2, size=(40, 6)))
         config = tmp_path / "library.ini"
-        config.write_text(
-            "[candidate.adaptive_lasso]\nthreshold = 0 0.1\nexponent = 0.5\n\n[candidate.sample_covariance]\n",
-            encoding="utf-8",
-        )
+        config.write_text(library, encoding="utf-8")
         out = tmp_path / "out"
         argv = ["select", "--input", str(path), "--config", str(config), "--no-center", "--out", str(out)]
         with warnings.catch_warnings(record=True) as caught:
@@ -205,11 +202,33 @@ class TestSelectCommand:
             raise ValueError(f"{constant} is not JSON")
 
         report = json.loads((out / "selection_report.json").read_text(), parse_constant=reject)
+        return report, read_risk_table(out / "risk_table.csv")
+
+    def test_a_non_finite_fit_is_a_failed_candidate(self, tmp_path):
+        register_family("nan_fit", lambda ctx, params: np.full_like(ctx.cov, np.nan))
+        try:
+            report, table = self.select_ternary(
+                tmp_path,
+                "[candidate.nan_fit]\n\n[candidate.adaptive_lasso]\nthreshold = 0.1\nexponent = 0.5\n\n"
+                "[candidate.sample_covariance]\n",
+            )
+        finally:
+            _FAMILIES.pop("nan_fit", None)
         nan_fit = report["candidates"][0]
-        assert nan_fit["id"] == "adaptive_lasso(threshold=0.0, exponent=0.5)"
+        assert nan_fit["id"] == "nan_fit"
         assert (nan_fit["cv_risk"], nan_fit["failure"]) == (None, "non-finite estimate")
-        table = read_risk_table(out / "risk_table.csv")
         assert [(r["index"], r["failure"]) for r in table] == [(1, None), (2, None), (0, "non-finite estimate")]
+
+    def test_adaptive_lasso_at_threshold_zero_ties_the_sample_covariance(self, tmp_path):
+        # Ternary data has exact zeros in S, where |s|**-e is infinite.
+        report, _ = self.select_ternary(
+            tmp_path,
+            "[candidate.adaptive_lasso]\nthreshold = 0 0.1\nexponent = 0.5\n\n[candidate.sample_covariance]\n",
+        )
+        zero, _, sample = report["candidates"]
+        assert zero["id"] == "adaptive_lasso(threshold=0.0, exponent=0.5)" and zero["failure"] is None
+        assert zero["cv_risk"] == sample["cv_risk"] == 15.813671875
+        assert report["selected_id"] == "adaptive_lasso(threshold=0.1, exponent=0.5)"
 
     @pytest.mark.parametrize("risk", ["matrix", "observation"])
     def test_data_whose_risk_overflows_exits_2(self, tmp_path, toy_csv, capsys, risk):

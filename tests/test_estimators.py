@@ -118,6 +118,18 @@ class TestAdaptiveLasso:
         # borrowed penalty is u**3 / z**2 = 1e-5
         assert out[0, 0] == pytest.approx(10.0, abs=1e-4)
 
+    def test_entries_at_the_threshold_are_zeroed(self):
+        # 0.1 - 0.1**1.1 * 0.1**-0.1 rounds above zero; |s| <= u decides.
+        m = np.array([[1.0, 0.1], [0.1, 1.0]])
+        assert np.array_equal(adaptive_lasso_threshold(m, 0.1, 0.1), np.diag(np.diag(m) - 0.1**1.1))
+
+    @pytest.mark.parametrize("exponent", [0.0, 0.1, 0.5, 2.0])
+    def test_threshold_zero_is_the_sample_covariance(self, exponent):
+        data = ternary_data()
+        assert np.any(sample_covariance(data) == 0.0)
+        got = fit("adaptive_lasso", data, threshold=0.0, exponent=exponent)
+        assert np.array_equal(got, fit("sample_covariance", data))
+
 
 class TestBanding:
     def test_zero_bands_keeps_diagonal(self, random_cov):

@@ -311,8 +311,8 @@ def test_deferred_candidates_take_the_direct_path(monkeypatch):
         return real(spec, ctx)
 
     monkeypatch.setattr(estimators, "apply_with_context", tracked)
-    # S[0, 1] is exactly 0.1, where the adaptive-LASSO kernel keeps
-    # u - u**1.1 * u**-0.1 > 0 although |s| <= u.
+    # S[0, 1] is exactly 0.1, where u - u**1.1 * u**-0.1 rounds above 0
+    # although |s| <= u: the kernel zeroes it, and the grid scores it.
     data = np.zeros((10, 3))
     data[0, :2] = 1.0
     data[1:, 2] = np.linspace(-1.0, 1.0, 9)
@@ -330,15 +330,20 @@ def test_deferred_candidates_take_the_direct_path(monkeypatch):
     )
     targets = [(np.eye(3), 1.0)]
     failures = score_fits(library, data, targets).failures
-    assert fitted == [
-        "adaptive_lasso(threshold=0.1, exponent=0.1)",
-        "adaptive_lasso(threshold=0.0, exponent=0.3)",
-        "poet(factors=4, threshold=0.1)",
-        "linear_shrinkage",
-    ]
-    # At threshold 0 the kernel is NaN at S's exact zeros, a failed fit.
-    assert failures == {2: "non-finite estimate", 3: "ConfigError: factor count 4 outside [0, 3]"}
+    # Only a factor count the fold cannot decompose and a family without a scorer are fitted.
+    assert fitted == ["poet(factors=4, threshold=0.1)", "linear_shrinkage"]
+    assert failures == {3: "ConfigError: factor count 4 outside [0, 3]"}
     assert_matches_direct_path(library, data, targets)
+
+
+@pytest.mark.parametrize("kind", ["ar1", "factor", "ternary"])
+def test_every_thresholding_spec_is_grid_scored(kind):
+    train, targets = fold_targets(*make_data(kind, 40), "one")
+    thresholding = ("hard_threshold", "scad_threshold", "adaptive_lasso")
+    specs = [spec for spec in LIBRARY if spec.family in thresholding]
+    assert {spec.params["threshold"] for spec in specs if spec.family == "adaptive_lasso"} >= {0.0}
+    values = _grid.score_thresholds(_grid.Fold(FitContext(train), targets), specs)
+    assert all(value is not None and np.all(np.isfinite(value)) for value in values)
 
 
 def test_nonfinite_grid_values_fall_back(monkeypatch):

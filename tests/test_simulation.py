@@ -9,6 +9,7 @@ import covsel.simulation as simulation
 from covsel.cv_engine import MonteCarloSplit, SingleSplit, VFold, make_splits
 from covsel.errors import ConfigError, EstimationError
 from covsel.estimators import CandidateLibrary, EstimatorSpec, build_library
+from covsel.matrix_core import center_columns, sample_covariance
 from covsel.simulation import (
     CV_ORACLE_SUBJECT,
     FULL_ORACLE_SUBJECT,
@@ -231,6 +232,29 @@ class TestRunner:
         [(model, n, ratio_idx, _, dim)] = config.cells()
         for rep, psi0, data, _, _ in simulation._replications(config, model, n, ratio_idx, dim):
             report = cv_engine.oracle_select_full(library, data, psi0, scaling=scaling)
+            want = dict(zip(library.ids, report.full_risk_diffs))
+            want[FULL_ORACLE_SUBJECT] = want[report.full_oracle_id]
+            found = {r.subject: r.value for r in rows if r.replication == rep and r.subject != SELECTED_SUBJECT}
+            assert found == want
+
+    def test_center_applies_to_the_full_data(self):
+        # The folds and the full-data fits both see centred data, as select's refit does.
+        library = build_library({"sample_covariance": {}})
+        config = tiny_config(replications=1, seed=0, center=True, library=library)
+        [(model, n, ratio_idx, _, dim)] = config.cells()
+        [(_, psi0, data, _, _)] = simulation._replications(config, model, n, ratio_idx, dim)
+        want = float(np.sqrt(np.sum((sample_covariance(center_columns(data)) - psi0) ** 2)))
+        assert want == 3.0709154519208517
+        simulated = {r.subject: r.value for r in run_experiment(config).rows}
+        assert simulated == {SELECTED_SUBJECT: want, "sample_covariance": want}
+        benched = {r.subject: r.value for r in run_benchmark(config, tuning_grids={}).rows}
+        assert benched == {SELECTED_SUBJECT: want}
+
+        config = tiny_config(metrics=("full_ratio",), center=True)
+        rows = run_experiment(config).rows
+        library = config.resolve_library()
+        for rep, psi0, data, _, _ in simulation._replications(config, model, n, ratio_idx, dim):
+            report = cv_engine.oracle_select_full(library, data, psi0, center=True)
             want = dict(zip(library.ids, report.full_risk_diffs))
             want[FULL_ORACLE_SUBJECT] = want[report.full_oracle_id]
             found = {r.subject: r.value for r in rows if r.replication == rep and r.subject != SELECTED_SUBJECT}
