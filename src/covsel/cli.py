@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cv_engine import MonteCarloSplit, SingleSplit, VFold, select
+from .cv_engine import select, split_scheme
 from .errors import ConfigError, DegenerateFeatureError, EstimationError, SelectionError
 from .estimators import CandidateLibrary, expand_grid, library_preset
 from .loss_risk import SCALING_POLICIES, BoundParams, finite_sample_bound
@@ -111,7 +111,8 @@ def read_numeric_csv(path, delimiter: str = ",", header: str = "auto"):
     if header not in ("auto", "yes", "no"):
         raise ConfigError(f"header must be auto/yes/no, got {header!r}")
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
+    with path.open("r", encoding="utf-8-sig", newline="") as handle:
         text = handle.read()
     return _parse_rows(path, _split_rows(text, delimiter), header)
 
@@ -247,7 +248,7 @@ def _write_mirrored(handle, matrix: np.ndarray) -> None:
 def read_estimate_csv(path):
     """Read an ``estimate.csv`` back into ``(matrix, dim, selected_id)``."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with path.open("r", encoding="utf-8-sig", newline="") as handle:
         first = handle.readline().rstrip("\n")
         if not first.startswith("# J="):
             raise ConfigError(f"{path}: missing estimate header line")
@@ -279,7 +280,7 @@ def write_results_csv(path, rows) -> None:
 def _read_rows(path, columns: tuple[str, ...], kind: str) -> list[list[str]]:
     """The non-blank rows of a CSV whose header must be ``columns``."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with path.open("r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or tuple(header) != columns:
@@ -381,7 +382,7 @@ def load_config(path) -> dict:
     """Load an INI-style or JSON config into ``{section: {key: value}}``."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     stripped = text.lstrip()
@@ -479,18 +480,14 @@ def library_from_config(config: dict) -> CandidateLibrary | None:
 
 
 def _scheme_from_settings(args, section: dict):
-    seed = int(_setting(args.seed, section, "seed", 0))
-    pn = _setting(getattr(args, "pn", None), section, "pn", None)
-    splits = _setting(getattr(args, "splits", None), section, "splits", None)
-    folds = _setting(getattr(args, "folds", None), section, "folds", None)
-    if pn is not None:
-        fraction = float(pn)
-        if splits is not None:
-            return MonteCarloSplit(count=int(splits), validation_fraction=fraction, seed=seed)
-        return SingleSplit(validation_fraction=fraction, seed=seed)
-    if splits is not None:
-        raise ConfigError("--splits requires --pn")
-    return VFold(folds=int(folds) if folds is not None else 5, seed=seed)
+    pn = _setting(args.pn, section, "pn", None)
+    splits = _setting(args.splits, section, "splits", None)
+    return split_scheme(
+        int(_setting(args.folds, section, "folds", 5)),
+        None if pn is None else float(pn),
+        None if splits is None else int(splits),
+        seed=int(_setting(args.seed, section, "seed", 0)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +601,7 @@ def _experiment_from_settings(args, config: dict, profiles: dict, default_metric
     center = _as_bool(section.get("center", False))
     fix_model = _as_bool(section.get("fix_model", False))
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         models=models,
         sample_sizes=sizes,
         ratios=ratios,
@@ -620,6 +617,8 @@ def _experiment_from_settings(args, config: dict, profiles: dict, default_metric
         fix_model=fix_model,
         library=library_from_config(config),
     )
+    _warn_if_large(config, profile_name)
+    return config
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -643,7 +642,6 @@ def cmd_simulate(args) -> int:
         args, config_file, _PROFILES,
         default_metrics=("cv_ratio", "full_ratio", "frobenius", "spectral"),
     )
-    _warn_if_large(config, args.profile)
     out_dir = Path(args.out or config_file.get("run", {}).get("out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -694,7 +692,6 @@ def cmd_bench(args) -> int:
     config = _experiment_from_settings(
         args, config_file, _BENCH_PROFILES, default_metrics=("frobenius", "spectral")
     )
-    _warn_if_large(config, args.profile)
     out_dir = Path(args.out or config_file.get("run", {}).get("out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -48,6 +48,7 @@ __all__ = [
     "MonteCarloSplit",
     "SingleSplit",
     "SplitScheme",
+    "split_scheme",
     "validation_fraction",
     "scheme_description",
     "make_splits",
@@ -88,6 +89,15 @@ class SingleSplit:
 
 
 SplitScheme = Union[VFold, MonteCarloSplit, SingleSplit]
+
+
+def split_scheme(folds: int = 5, fraction=None, count=None, seed: int = 0) -> SplitScheme:
+    """The CV design: V-fold, or with a validation ``fraction`` one random split, or ``count`` of them."""
+    if fraction is None and count is not None:
+        raise ConfigError("a split count (--splits) needs a validation fraction (--pn)")
+    if fraction is None:
+        return VFold(folds, seed=seed)
+    return SingleSplit(fraction, seed=seed) if count is None else MonteCarloSplit(count, fraction, seed=seed)
 
 
 def validation_fraction(scheme: SplitScheme) -> float:

@@ -47,63 +47,31 @@ __all__ = [
     "wide_library",
     "light_library",
     "library_preset",
-    "hard_threshold",
-    "scad_threshold",
-    "adaptive_lasso_threshold",
-    "band_matrix",
-    "taper_weights",
     "ShrinkageComponents",
-    "dense_target",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Entrywise transforms of a sample covariance matrix
+# Estimator kernels (fitted through the registry)
 # ---------------------------------------------------------------------------
 
 
-def hard_threshold(matrix, threshold: float) -> np.ndarray:
-    """Keep entries with ``|s| > threshold``, zero the rest."""
-    m = as_square_matrix(matrix)
-    return _hard(m, np.abs(m), threshold)
-
-
 def _hard(m: np.ndarray, magnitude: np.ndarray, threshold: float) -> np.ndarray:
+    """Hard thresholding: keep entries of ``m`` whose ``magnitude`` ``|m|`` exceeds ``threshold``."""
     return np.where(magnitude > threshold, m, 0.0)
 
 
-def scad_threshold(matrix, threshold: float, shape: float = 3.7) -> np.ndarray:
-    """Smoothly clipped absolute deviation thresholding.
+def _scad(m, magnitude, sign, threshold: float, shape: float) -> np.ndarray:
+    """Smoothly clipped absolute deviation thresholding of ``m``, given ``|m|`` and ``sign(m)``.
 
     Soft-thresholds entries up to ``2 * threshold``, interpolates linearly
     up to ``shape * threshold``, and leaves larger entries untouched.
     ``shape`` must exceed 2 (3.7 is the customary default).
     """
-    m = as_square_matrix(matrix)
-    return _scad(m, np.abs(m), np.sign(m), threshold, shape)
-
-
-def _scad(m, magnitude, sign, threshold: float, shape: float) -> np.ndarray:
     u, a = float(threshold), float(shape)
     soft = sign * np.maximum(magnitude - u, 0.0)
     middle = ((a - 1.0) * m - sign * a * u) / (a - 2.0)
     return np.where(magnitude <= 2.0 * u, soft, np.where(magnitude <= a * u, middle, m))
-
-
-def adaptive_lasso_threshold(matrix, threshold: float, exponent: float) -> np.ndarray:
-    """Adaptive-LASSO thresholding ``sign(s) * (|s| - u**(e+1) * |s|**-e)_+``.
-
-    Like every generalized thresholding rule it is exactly zero wherever
-    ``|s| <= u``, so at ``threshold = 0`` it is the matrix itself.
-    With ``exponent = 0`` this is exactly soft thresholding; larger
-    exponents shrink small entries harder while leaving large entries
-    nearly intact.
-    """
-    m = as_square_matrix(matrix)
-    magnitude = np.abs(m)
-    return _adaptive_lasso(
-        magnitude, np.sign(m), _inverse_power(magnitude, exponent), threshold, exponent
-    )
 
 
 def _inverse_power(magnitude: np.ndarray, exponent: float) -> np.ndarray:
@@ -113,6 +81,15 @@ def _inverse_power(magnitude: np.ndarray, exponent: float) -> np.ndarray:
 
 
 def _adaptive_lasso(magnitude, sign, inverse_power, threshold: float, exponent: float) -> np.ndarray:
+    """Adaptive-LASSO thresholding ``sign(s) * (|s| - u**(e+1) * |s|**-e)_+``.
+
+    Takes ``|s|``, ``sign(s)`` and ``|s| ** -e`` (see :func:`_inverse_power`).
+    Like every generalized thresholding rule it is exactly zero wherever
+    ``|s| <= u``, so at ``threshold = 0`` it is the matrix itself.
+    With ``exponent = 0`` this is exactly soft thresholding; larger
+    exponents shrink small entries harder while leaving large entries
+    nearly intact.
+    """
     u, e = float(threshold), float(exponent)
     # At threshold 0 an exact zero of S gives 0 * inf = NaN here; the mask below zeroes it.
     with np.errstate(invalid="ignore"):
@@ -131,52 +108,35 @@ def _band_distance(dim: int) -> np.ndarray:
     return np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
 
 
-def band_matrix(matrix, bands: int) -> np.ndarray:
-    """Zero all entries more than ``bands`` positions from the diagonal."""
-    m = as_square_matrix(matrix)
-    return _band(m, _band_distance(m.shape[0]), bands)
-
-
 def _band(m: np.ndarray, distance: np.ndarray, bands: int) -> np.ndarray:
+    """Zero all entries of ``m`` more than ``bands`` positions from the diagonal, by ``distance``."""
     return np.where(distance <= bands, m, 0.0)
 
 
-def taper_weights(dim: int, bands: int) -> np.ndarray:
-    """Tapering weight matrix for an even bandwidth ``bands``.
+def _taper_weights(distance: np.ndarray, bands: int) -> np.ndarray:
+    """Tapering weights for an even bandwidth ``bands``, by :func:`_band_distance`.
 
     Weights are 1 within ``bands / 2`` of the diagonal, decay linearly as
     ``2 - 2*|j - l| / bands`` out to ``bands`` (where they reach 0), and
     are 0 beyond.  The decay is continuous at ``bands / 2`` and the
     ``bands = 2`` case reproduces the bandwidth-1 banding indicator.
     """
-    if bands < 2 or bands % 2 != 0:
-        raise ConfigError(f"tapering bandwidth must be a positive even integer, got {bands}")
-    return _taper_weights(_band_distance(dim), bands)
-
-
-def _taper_weights(distance: np.ndarray, bands: int) -> np.ndarray:
     decay = 2.0 - 2.0 * distance / bands
     return np.where(distance <= bands // 2, 1.0, np.where(distance <= bands, decay, 0.0))
 
 
-# ---------------------------------------------------------------------------
-# Shrinkage and factor estimators (fitted through the registry)
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class ShrinkageComponents:
-    """Plug-in quantities behind the identity-target shrinkage intensity.
+    """Plug-in quantities behind a linear shrinkage intensity.
 
     ``target_distance_sq`` is the scaled squared distance between the
-    sample covariance and its identity target; ``dispersion_sq`` is the
-    (clipped) sampling dispersion of the per-observation outer products;
+    sample covariance and its target; ``dispersion_sq`` is the (clipped)
+    sampling dispersion of the per-observation outer products;
     ``signal_sq`` is their difference, and ``intensity`` the weight put on
     the target.  By construction ``dispersion_sq + signal_sq`` equals
     ``target_distance_sq`` and the two combination weights sum to one.
     """
 
-    mean_variance: float
     target_distance_sq: float
     dispersion_sq: float
     signal_sq: float
@@ -190,38 +150,40 @@ def _outer_dispersion(data: np.ndarray, cov: np.ndarray) -> float:
     return (float(np.sum(row_sq**2)) - n * float(np.sum(cov * cov))) / (dim * n**2)
 
 
-def _shrinkage_components(data: np.ndarray, cov: np.ndarray) -> ShrinkageComponents:
-    dim = cov.shape[0]
-    mean_variance = float(np.trace(cov)) / dim
-    d2 = scaled_frobenius_sq(cov - mean_variance * np.eye(dim), 1.0 / dim)
+def _shrinkage_components(data: np.ndarray, cov: np.ndarray, target: np.ndarray) -> ShrinkageComponents:
+    d2 = scaled_frobenius_sq(cov - target, 1.0 / cov.shape[0])
     if d2 <= 0.0:
-        # cov is already a multiple of the identity; the intensity is
-        # defined as 1 and any combination returns cov unchanged.
-        return ShrinkageComponents(mean_variance, 0.0, 0.0, 0.0, 1.0)
+        # cov is at zero distance from its target: intensity 1, and cov is returned unchanged.
+        return ShrinkageComponents(0.0, 0.0, 0.0, 1.0)
     b2 = min(max(_outer_dispersion(data, cov), 0.0), d2)
-    return ShrinkageComponents(mean_variance, d2, b2, d2 - b2, b2 / d2)
+    return ShrinkageComponents(d2, b2, d2 - b2, b2 / d2)
 
 
-def _identity_shrinkage(data: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Linear shrinkage of ``cov`` towards a scaled identity.
+def _shrink(data: np.ndarray, cov: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Linear shrinkage of ``cov`` towards ``target``.
 
     The intensity is the ratio of the (clipped) sampling dispersion of the
     per-observation outer products to the distance between ``cov`` and
-    its identity target, the standard plug-in recipe for this estimator.
+    its target, the standard plug-in recipe for this estimator, so it
+    lies in [0, 1].
     """
-    parts = _shrinkage_components(data, cov)
+    parts = _shrinkage_components(data, cov, target)
     if parts.target_distance_sq <= 0.0:
         return cov.copy()
+    # Summed in place, so no J x J temporary outlives its term; the sum is the same either way.
+    out = (1.0 - parts.intensity) * cov
+    out += parts.intensity * target
+    return out
+
+
+def _identity_target(cov: np.ndarray) -> np.ndarray:
+    """The scaled identity ``trace(cov) / J * I``."""
     dim = cov.shape[0]
-    return parts.intensity * parts.mean_variance * np.eye(dim) + (1.0 - parts.intensity) * cov
-
-
-def dense_target(cov) -> np.ndarray:
-    """Dense shrinkage target: averaged diagonal and averaged off-diagonal."""
-    return _dense_target(as_square_matrix(cov))
+    return float(np.trace(cov)) / dim * np.eye(dim)
 
 
 def _dense_target(cov: np.ndarray) -> np.ndarray:
+    """Dense shrinkage target: averaged diagonal and averaged off-diagonal."""
     dim = cov.shape[0]
     if dim < 2:
         raise ConfigError("the dense target needs at least two features")
@@ -230,17 +192,6 @@ def _dense_target(cov: np.ndarray) -> np.ndarray:
     target = np.full((dim, dim), off_avg)
     np.fill_diagonal(target, diag_avg)
     return target
-
-
-def _dense_shrinkage(data: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Linear shrinkage towards :func:`dense_target`, intensity clamped to [0, 1]."""
-    dim = cov.shape[0]
-    target = _dense_target(cov)
-    d2 = scaled_frobenius_sq(cov - target, 1.0 / dim)
-    if d2 <= 0.0:
-        return target
-    rho = min(max(_outer_dispersion(data, cov) / d2, 0.0), 1.0)
-    return rho * target + (1.0 - rho) * cov
 
 
 def _poet_low_rank(cov: np.ndarray, basis, factors: int) -> np.ndarray:
@@ -367,81 +318,52 @@ class FitContext:
         return cached
 
 
-def _require_number(params: dict, key: str, minimum=None, strict=False) -> float:
-    if key not in params:
-        raise ConfigError(f"missing hyperparameter {key!r}")
-    value = params[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigError(f"hyperparameter {key!r} must be a number, got {value!r}")
-    value = float(value)
-    if not np.isfinite(value):
-        raise ConfigError(f"hyperparameter {key!r} must be finite")
-    if minimum is not None and (value < minimum or (strict and value == minimum)):
-        bound = ">" if strict else ">="
-        raise ConfigError(f"hyperparameter {key!r} must be {bound} {minimum}, got {value}")
-    return value
+class _Rule(NamedTuple):
+    """One numeric hyperparameter: its lower bound (excluded when ``strict``) and default."""
+
+    minimum: float
+    strict: bool = False
+    integer: bool = False
+    default: float | None = None
 
 
-def _require_int(params: dict, key: str, minimum: int = 0) -> int:
-    value = _require_number(params, key, minimum=minimum)
-    if value != int(value):
-        raise ConfigError(f"hyperparameter {key!r} must be an integer, got {value}")
-    return int(value)
+def _validator(*checks: Callable[[dict], None], **rules: _Rule) -> Callable[[dict], dict]:
+    """A family's ``validate``, from one :class:`_Rule` per hyperparameter.
+
+    Checks each key's presence, type, finiteness, bound and integrality in
+    that order, then runs ``checks`` on the normalized values, then rejects any other key.
+    """
+
+    def validate(params: dict) -> dict:
+        out = {}
+        for key, rule in rules.items():
+            if key not in params and rule.default is None:
+                raise ConfigError(f"missing hyperparameter {key!r}")
+            value = params.get(key, rule.default)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ConfigError(f"hyperparameter {key!r} must be a number, got {value!r}")
+            value = float(value)
+            if not np.isfinite(value):
+                raise ConfigError(f"hyperparameter {key!r} must be finite")
+            if value < rule.minimum or (rule.strict and value == rule.minimum):
+                bound = ">" if rule.strict else ">="
+                raise ConfigError(f"hyperparameter {key!r} must be {bound} {rule.minimum}, got {value}")
+            if rule.integer and value != int(value):
+                raise ConfigError(f"hyperparameter {key!r} must be an integer, got {value}")
+            out[key] = int(value) if rule.integer else value
+        for check in checks:
+            check(out)
+        unexpected = sorted(set(params) - set(out))
+        if unexpected:
+            raise ConfigError(f"unexpected hyperparameters: {unexpected}")
+        return out
+
+    return validate
 
 
-def _validate_no_params(params: dict) -> dict:
-    if params:
-        raise ConfigError(f"unexpected hyperparameters: {sorted(params)}")
-    return {}
-
-
-def _validate_hard(params: dict) -> dict:
-    out = {"threshold": _require_number(params, "threshold", minimum=0.0)}
-    _validate_no_params({k: v for k, v in params.items() if k not in out})
-    return out
-
-
-def _validate_scad(params: dict) -> dict:
-    params = {"shape": 3.7, **params}
-    out = {
-        "threshold": _require_number(params, "threshold", minimum=0.0),
-        "shape": _require_number(params, "shape", minimum=2.0, strict=True),
-    }
-    _validate_no_params({k: v for k, v in params.items() if k not in out})
-    return out
-
-
-def _validate_adaptive(params: dict) -> dict:
-    out = {
-        "threshold": _require_number(params, "threshold", minimum=0.0),
-        "exponent": _require_number(params, "exponent", minimum=0.0),
-    }
-    _validate_no_params({k: v for k, v in params.items() if k not in out})
-    return out
-
-
-def _validate_banding(params: dict) -> dict:
-    out = {"bands": _require_int(params, "bands", minimum=0)}
-    _validate_no_params({k: v for k, v in params.items() if k not in out})
-    return out
-
-
-def _validate_tapering(params: dict) -> dict:
-    bands = _require_int(params, "bands", minimum=2)
-    if bands % 2 != 0:
-        raise ConfigError(f"tapering bandwidth must be even, got {bands}")
-    out = {"bands": bands}
-    _validate_no_params({k: v for k, v in params.items() if k not in out})
-    return out
-
-
-def _validate_poet(params: dict) -> dict:
-    out = {
-        "factors": _require_int(params, "factors", minimum=0),
-        "threshold": _require_number(params, "threshold", minimum=0.0),
-    }
-    _validate_no_params({k: v for k, v in params.items() if k not in out})
-    return out
+def _even_bands(params: dict) -> None:
+    if params["bands"] % 2 != 0:
+        raise ConfigError(f"tapering bandwidth must be even, got {params['bands']}")
 
 
 def _validate_fixed(params: dict) -> dict:
@@ -512,7 +434,7 @@ def register_family(name, fit, validate=None, param_order=()) -> None:
     _FAMILIES[name] = _Family(
         name=name,
         fit=fit,
-        validate=validate if validate is not None else _validate_no_params,
+        validate=validate if validate is not None else _validator(),
         param_order=tuple(param_order),
     )
 
@@ -521,13 +443,13 @@ register_family("sample_covariance", lambda ctx, p: ctx.cov.copy())
 register_family(
     "hard_threshold",
     lambda ctx, p: _hard(ctx.cov, ctx.magnitude, p["threshold"]),
-    _validate_hard,
+    _validator(threshold=_Rule(0.0)),
     ("threshold",),
 )
 register_family(
     "scad_threshold",
     lambda ctx, p: _scad(ctx.cov, ctx.magnitude, ctx.sign, p["threshold"], p["shape"]),
-    _validate_scad,
+    _validator(threshold=_Rule(0.0), shape=_Rule(2.0, strict=True, default=3.7)),
     ("threshold", "shape"),
 )
 register_family(
@@ -535,13 +457,13 @@ register_family(
     lambda ctx, p: _adaptive_lasso(
         ctx.magnitude, ctx.sign, ctx.inverse_power(p["exponent"]), p["threshold"], p["exponent"]
     ),
-    _validate_adaptive,
+    _validator(threshold=_Rule(0.0), exponent=_Rule(0.0)),
     ("threshold", "exponent"),
 )
 register_family(
     "banding",
     lambda ctx, p: _band(ctx.cov, ctx.distance, p["bands"]),
-    _validate_banding,
+    _validator(bands=_Rule(0, integer=True)),
     ("bands",),
 )
 
@@ -553,13 +475,13 @@ def _fit_tapering(ctx: FitContext, params: dict) -> np.ndarray:
     return out
 
 
-register_family("tapering", _fit_tapering, _validate_tapering, ("bands",))
-register_family("linear_shrinkage", lambda ctx, p: _identity_shrinkage(ctx.data, ctx.cov))
-register_family("dense_linear_shrinkage", lambda ctx, p: _dense_shrinkage(ctx.data, ctx.cov))
+register_family("tapering", _fit_tapering, _validator(_even_bands, bands=_Rule(2, integer=True)), ("bands",))
+register_family("linear_shrinkage", lambda ctx, p: _shrink(ctx.data, ctx.cov, _identity_target(ctx.cov)))
+register_family("dense_linear_shrinkage", lambda ctx, p: _shrink(ctx.data, ctx.cov, _dense_target(ctx.cov)))
 register_family(
     "poet",
     lambda ctx, p: _poet(ctx.cov, *ctx.poet_parts(p["factors"]), p["threshold"]),
-    _validate_poet,
+    _validator(factors=_Rule(0, integer=True), threshold=_Rule(0.0)),
     ("factors", "threshold"),
 )
 register_family("fixed", _fit_fixed, _validate_fixed, ())

@@ -23,14 +23,12 @@ from functools import partial
 import numpy as np
 
 from .cv_engine import (
-    MonteCarloSplit,
-    SingleSplit,
-    VFold,
     _argmin_with_ties,
     _full_data_errors,
     _residual_norms,
     evaluate_candidates,
     make_splits,
+    split_scheme,
     validation_fraction,
 )
 from .errors import ConfigError, DegenerateFeatureError, EstimationError, SelectionError
@@ -246,16 +244,16 @@ class ExperimentConfig:
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
         object.__setattr__(self, "metrics", tuple(self.metrics))
-        if not self.models or any(not 1 <= m <= 8 for m in self.models):
-            raise ConfigError(f"models must be a nonempty subset of 1..8, got {self.models}")
+        if not self.models:
+            raise ConfigError("need at least one model")
+        for model in self.models:
+            CovModelSpec(model, 1)
         if not self.sample_sizes:
             raise ConfigError("need at least one sample size")
         if not self.ratios or any(r <= 0 for r in self.ratios):
             raise ConfigError("dimension ratios must be positive")
         if self.replications < 1:
             raise ConfigError("need at least one replication")
-        if self.split_count is not None and self.validation_fraction is None:
-            raise ConfigError("split_count requires validation_fraction")
         unknown = [m for m in self.metrics if m not in _METRICS]
         if unknown:
             raise ConfigError(f"unknown metrics {unknown}; known: {list(_METRICS)}")
@@ -287,11 +285,7 @@ class ExperimentConfig:
 
     def scheme(self, seed: int):
         """The CV scheme for one replication, seeded."""
-        if self.validation_fraction is None:
-            return VFold(self.folds, seed=seed)
-        if self.split_count is None:
-            return SingleSplit(self.validation_fraction, seed=seed)
-        return MonteCarloSplit(self.split_count, self.validation_fraction, seed=seed)
+        return split_scheme(self.folds, self.validation_fraction, self.split_count, seed)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,16 @@ from covsel.cli import main, read_estimate_csv, read_results_csv, read_risk_tabl
 from covsel.cv_engine import VFold, select
 from covsel.estimators import (
     EstimatorSpec,
+    _adaptive_lasso,
+    _band,
+    _band_distance,
+    _hard,
+    _identity_target,
+    _inverse_power,
+    _scad,
     _shrinkage_components,
-    adaptive_lasso_threshold,
     apply,
-    band_matrix,
     build_library,
-    hard_threshold,
-    scad_threshold,
 )
 from covsel.loss_risk import BoundParams, finite_sample_bound, true_risk_difference
 from covsel.matrix_core import sample_covariance
@@ -101,7 +104,7 @@ def test_criterion_1_selector_equivalence():
 def test_criterion_2_analytic_risk_difference_identity():
     pairs = []
     psi_ar = build_model_covariance(CovModelSpec(2, 4))
-    pairs.append((hard_threshold(psi_ar, 0.4), psi_ar))
+    pairs.append((_hard(psi_ar, np.abs(psi_ar), 0.4), psi_ar))
     psi_ma = build_model_covariance(CovModelSpec(4, 4))
     bump = np.full((4, 4), 0.15)
     pairs.append((psi_ma + 0.5 * (bump + bump.T), psi_ma))
@@ -226,18 +229,19 @@ def test_criterion_7_estimator_identities():
     dim = cov.shape[0]
     failures = []
 
-    parts = _shrinkage_components(data, cov)
+    parts = _shrinkage_components(data, cov, _identity_target(cov))
     if abs(parts.dispersion_sq + parts.signal_sq - parts.target_distance_sq) > 1e-12 * parts.target_distance_sq:
         failures.append("shrinkage component sum")
     weights = parts.intensity + parts.signal_sq / parts.target_distance_sq
     if abs(weights - 1.0) > 1e-12:
         failures.append("shrinkage weights")
 
-    if not np.array_equal(band_matrix(cov, 0), np.diag(np.diag(cov))):
+    distance = _band_distance(dim)
+    if not np.array_equal(_band(cov, distance, 0), np.diag(np.diag(cov))):
         failures.append("banding b=0")
-    if not np.array_equal(band_matrix(cov, dim - 1), cov):
+    if not np.array_equal(_band(cov, distance, dim - 1), cov):
         failures.append("banding b=J-1")
-    if not np.array_equal(apply(EstimatorSpec("tapering", {"bands": 2}), data), band_matrix(cov, 1)):
+    if not np.array_equal(apply(EstimatorSpec("tapering", {"bands": 2}), data), _band(cov, distance, 1)):
         failures.append("taper(2) == band(1)")
 
     poet_full = apply(EstimatorSpec("poet", {"factors": dim, "threshold": 0.2}), data)
@@ -245,14 +249,15 @@ def test_criterion_7_estimator_identities():
         failures.append("poet L=J")
 
     soft = np.sign(cov) * np.maximum(np.abs(cov) - 0.25, 0.0)
-    if not np.array_equal(adaptive_lasso_threshold(cov, 0.25, 0.0), soft):
+    magnitude = np.abs(cov)
+    if not np.array_equal(_adaptive_lasso(magnitude, np.sign(cov), _inverse_power(magnitude, 0.0), 0.25, 0.0), soft):
         failures.append("adaptive lasso exponent 0")
 
     big = np.array([[5.0, -4.0], [-4.0, 5.0]])
-    if not np.array_equal(scad_threshold(big, 0.5), big):
+    if not np.array_equal(_scad(big, np.abs(big), np.sign(big), 0.5, 3.7), big):
         failures.append("scad identity region")
 
-    if not np.all(np.abs(hard_threshold(cov, 0.1)) <= np.abs(cov)):
+    if not np.all(np.abs(_hard(cov, magnitude, 0.1)) <= magnitude):
         failures.append("hard threshold dominance")
 
     _check(

@@ -9,6 +9,7 @@ import pytest
 from covsel.cli import (
     _is_dense_bit_symmetric,
     _write_matrix,
+    load_config,
     main,
     read_benchmark_table,
     read_estimate_csv,
@@ -83,6 +84,28 @@ class TestReadNumericCsv:
         path.write_text("1.0;2.0\n3.0;4.0\n", encoding="utf-8")
         values, _ = read_numeric_csv(path, delimiter=";")
         assert np.array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_byte_order_mark_is_not_part_of_the_first_field(self, tmp_path, toy_csv):
+        path, data = toy_csv
+        for header in (["a", "b", "c"], None):
+            plain = tmp_path / "plain.csv"
+            write_csv(plain, data, header=header)
+            marked = tmp_path / "marked.csv"
+            marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+            for mode in ("auto", "no") if header is None else ("auto", "yes"):
+                values, names = read_numeric_csv(marked, header=mode)
+                expected, expected_names = read_numeric_csv(plain, header=mode)
+                assert values.tobytes() == expected.tobytes() and values.shape == data.shape
+                assert names == expected_names == header
+
+    @pytest.mark.parametrize("suffix, text", [
+        (".ini", "[run]\nfolds = 4\n"),
+        (".json", '{"run": {"folds": 4}}'),
+    ])
+    def test_byte_order_mark_config_loads(self, tmp_path, suffix, text):
+        path = tmp_path / f"config{suffix}"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_config(path) == {"run": {"folds": "4" if suffix == ".ini" else 4}}
 
 
 class TestSelectCommand:
@@ -268,6 +291,11 @@ class TestSelectCommand:
             "kind": "monte_carlo", "count": 4, "validation_fraction": 0.2, "seed": 5,
         }
 
+    def test_splits_without_pn_exits_2(self, tmp_path, toy_csv, capsys):
+        path, _ = toy_csv
+        assert main(["select", "--input", str(path), "--out", str(tmp_path), "--splits", "3"]) == 2
+        assert "split count (--splits) needs a validation fraction (--pn)" in capsys.readouterr().err
+
     def test_single_split_flag(self, tmp_path, toy_csv):
         path, _ = toy_csv
         out = tmp_path / "out_single"
@@ -320,6 +348,8 @@ class TestSimulateCommand:
         write_results_csv(copy, rows)
         assert copy.read_bytes() == (out / "results.csv").read_bytes()
         assert read_results_csv(copy) == rows
+        copy.write_bytes(b"\xef\xbb\xbf" + copy.read_bytes())  # as a spreadsheet re-saves it
+        assert read_results_csv(copy) == rows
 
     def test_summary_bound_section(self, tmp_path):
         out = tmp_path / "run2"
@@ -362,6 +392,29 @@ def test_full_profile_warns_about_runtime(caplog):
     )
     with caplog.at_level(logging.WARNING, logger="covsel.cli"):
         _warn_if_large(config, "full")
+    assert any("runtime" in record.message for record in caplog.records)
+
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command, runner", [("simulate", "run_experiment"), ("bench", "run_benchmark")])
+def test_full_profile_from_a_config_file_warns(tmp_path, monkeypatch, caplog, command, runner):
+    import logging
+
+    import covsel.cli as cli
+
+    def stop(config):
+        raise _Stop
+
+    monkeypatch.setattr(cli, runner, stop)
+    config = tmp_path / "full.ini"
+    config.write_text("[experiment]\nprofile = full\n", encoding="utf-8")
+    args = cli.build_parser().parse_args([command, "--config", str(config), "--out", str(tmp_path)])
+    with caplog.at_level(logging.WARNING, logger="covsel.cli"), pytest.raises(_Stop):
+        args.func(args)
     assert any("runtime" in record.message for record in caplog.records)
 
 
@@ -470,6 +523,15 @@ def test_estimate_csv_round_trips_bit_for_bit(tmp_path, matrix):
     got, dim, selected = read_estimate_csv(path)
     assert (dim, selected) == (matrix.shape[0], "x")
     assert got.tobytes() == matrix.tobytes()
+
+
+def test_estimate_csv_with_a_byte_order_mark_reads_the_same(tmp_path):
+    matrix = dense_symmetric(3)
+    path = tmp_path / "estimate.csv"
+    _write_matrix(path, matrix, comment="J=3 selected=x")
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    got, dim, selected = read_estimate_csv(path)
+    assert (dim, selected) == (3, "x") and got.tobytes() == matrix.tobytes()
 
 
 def reference_read_numeric_csv(path, delimiter=",", header="auto"):

@@ -13,6 +13,7 @@ from covsel.cv_engine import (
     oracle_select_cv,
     oracle_select_full,
     select,
+    split_scheme,
 )
 from covsel.errors import ConfigError, DegenerateFeatureError, SelectionError
 from covsel.estimators import (
@@ -95,6 +96,18 @@ class TestMakeSplits:
             make_splits(SingleSplit(0.999, seed=0), 3)  # no training rows
         with pytest.raises(ConfigError):
             make_splits(VFold(1, seed=0), 10)
+
+
+class TestSplitScheme:
+    def test_settings_map_to_one_design(self):
+        assert split_scheme() == VFold(5)
+        assert split_scheme(3, seed=4) == VFold(3, seed=4)
+        assert split_scheme(3, 0.2, seed=4) == SingleSplit(0.2, seed=4)
+        assert split_scheme(3, 0.2, 6, seed=4) == MonteCarloSplit(6, 0.2, seed=4)
+
+    def test_count_without_fraction_rejected(self):
+        with pytest.raises(ConfigError, match=r"split count \(--splits\) needs a validation fraction"):
+            split_scheme(5, None, 3)
 
 
 class TestCvRiskEstimate:

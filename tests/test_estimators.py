@@ -6,20 +6,23 @@ from covsel.estimators import (
     CandidateLibrary,
     EstimatorSpec,
     FitContext,
-    adaptive_lasso_threshold,
-    apply,
+    _adaptive_lasso,
+    _band,
+    _band_distance,
+    _dense_target,
+    _hard,
+    _identity_target,
+    _inverse_power,
+    _scad,
     _shrinkage_components,
+    _taper_weights,
+    apply,
     apply_library,
-    band_matrix,
     build_library,
     default_library,
-    dense_target,
     expand_grid,
-    hard_threshold,
     library_preset,
     light_library,
-    scad_threshold,
-    taper_weights,
     wide_library,
 )
 from covsel.matrix_core import eigendecompose, sample_covariance
@@ -32,6 +35,27 @@ def soft_threshold(matrix, cut):
 def fit(family, data, **params):
     """Fit one registry candidate, the package's only fit path."""
     return apply(EstimatorSpec(family, params), data)
+
+
+def hard_threshold(m, threshold):
+    return _hard(m, np.abs(m), threshold)
+
+
+def scad_threshold(m, threshold, shape=3.7):
+    return _scad(m, np.abs(m), np.sign(m), threshold, shape)
+
+
+def adaptive_lasso_threshold(m, threshold, exponent):
+    magnitude = np.abs(m)
+    return _adaptive_lasso(magnitude, np.sign(m), _inverse_power(magnitude, exponent), threshold, exponent)
+
+
+def band_matrix(m, bands):
+    return _band(m, _band_distance(m.shape[0]), bands)
+
+
+def taper_weights(dim, bands):
+    return _taper_weights(_band_distance(dim), bands)
 
 
 @pytest.fixture
@@ -181,7 +205,7 @@ class TestTapering:
 
     def test_odd_bandwidth_rejected(self):
         with pytest.raises(ConfigError):
-            taper_weights(5, 3)
+            EstimatorSpec("tapering", {"bands": 3})
         with pytest.raises(ConfigError):
             EstimatorSpec("tapering", {"bands": 0})
 
@@ -206,7 +230,8 @@ class TestLinearShrinkage:
         assert np.array_equal(fit("linear_shrinkage", data), np.eye(2))
 
     def test_component_identities(self, random_data):
-        parts = _shrinkage_components(random_data, sample_covariance(random_data))
+        cov = sample_covariance(random_data)
+        parts = _shrinkage_components(random_data, cov, _identity_target(cov))
         assert parts.dispersion_sq + parts.signal_sq == pytest.approx(
             parts.target_distance_sq, rel=1e-12
         )
@@ -224,12 +249,12 @@ class TestLinearShrinkage:
 class TestDenseShrinkage:
     def test_target_construction(self):
         cov = np.array([[1.0, 3.0], [3.0, 5.0]])
-        assert np.array_equal(dense_target(cov), np.array([[3.0, 3.0], [3.0, 3.0]]))
+        assert np.array_equal(_dense_target(cov), np.array([[3.0, 3.0], [3.0, 3.0]]))
 
     def test_fixed_point(self):
         data = np.array([[1.0, 1.0], [-1.0, -1.0]])
         cov = sample_covariance(data)
-        assert np.array_equal(dense_target(cov), cov)
+        assert np.array_equal(_dense_target(cov), cov)
         assert np.array_equal(fit("dense_linear_shrinkage", data), cov)
 
     def test_intensity_clamped(self):
@@ -237,7 +262,7 @@ class TestDenseShrinkage:
         for trial in range(5):
             data = rng.normal(size=(4 + trial, 5))
             cov = sample_covariance(data)
-            target = dense_target(cov)
+            target = _dense_target(cov)
             estimate = fit("dense_linear_shrinkage", data)
             # recover the combination weight from the entry farthest from the target
             gap = target - cov
@@ -318,6 +343,69 @@ class TestDispatch:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ConfigError):
             EstimatorSpec("hard_threshold", {"threshold": -0.1})
+
+
+#: A valid hyperparameter set of each built-in family that has hyperparameters.
+VALID_PARAMS = {
+    "hard_threshold": {"threshold": 0.1},
+    "scad_threshold": {"threshold": 0.1, "shape": 3.7},
+    "adaptive_lasso": {"threshold": 0.1, "exponent": 0.5},
+    "banding": {"bands": 2},
+    "tapering": {"bands": 4},
+    "poet": {"factors": 2, "threshold": 0.1},
+}
+
+#: Each family's bounds, integrality and special rules, one defect at a time.
+RULE_CASES = [
+    ("hard_threshold", {"threshold": -0.1}, "hyperparameter 'threshold' must be >= 0.0, got -0.1"),
+    ("scad_threshold", {"threshold": -0.1}, "hyperparameter 'threshold' must be >= 0.0, got -0.1"),
+    ("scad_threshold", {"threshold": 0.1, "shape": 1.5}, "hyperparameter 'shape' must be > 2.0, got 1.5"),
+    ("scad_threshold", {"threshold": 0.1, "shape": 2}, "hyperparameter 'shape' must be > 2.0, got 2.0"),
+    ("adaptive_lasso", {"threshold": -0.1, "exponent": 0.5}, "hyperparameter 'threshold' must be >= 0.0, got -0.1"),
+    ("adaptive_lasso", {"threshold": 0.1, "exponent": -0.1}, "hyperparameter 'exponent' must be >= 0.0, got -0.1"),
+    ("banding", {"bands": -1}, "hyperparameter 'bands' must be >= 0, got -1.0"),
+    ("banding", {"bands": 2.5}, "hyperparameter 'bands' must be an integer, got 2.5"),
+    ("tapering", {"bands": 0}, "hyperparameter 'bands' must be >= 2, got 0.0"),
+    ("tapering", {"bands": 2.5}, "hyperparameter 'bands' must be an integer, got 2.5"),
+    ("tapering", {"bands": 3}, "tapering bandwidth must be even, got 3"),
+    ("tapering", {"bands": 3, "extra": 1}, "tapering bandwidth must be even, got 3"),
+    ("poet", {"factors": -1, "threshold": 0.1}, "hyperparameter 'factors' must be >= 0, got -1.0"),
+    ("poet", {"factors": 2.5, "threshold": 0.1}, "hyperparameter 'factors' must be an integer, got 2.5"),
+    ("poet", {"factors": 2, "threshold": -0.1}, "hyperparameter 'threshold' must be >= 0.0, got -0.1"),
+    ("sample_covariance", {"threshold": 0.1}, "unexpected hyperparameters: ['threshold']"),
+]
+
+
+def shared_rule_cases():
+    """Every family crossed with a missing key, a non-number, a non-finite value and an unexpected key."""
+    bad_values = [
+        (True, "must be a number, got True"),
+        ("0.1", "must be a number, got '0.1'"),
+        (float("nan"), "must be finite"),
+        (float("inf"), "must be finite"),
+    ]
+    for family, valid in VALID_PARAMS.items():
+        for key in valid:
+            if key != "shape":  # SCAD's shape defaults to 3.7
+                yield family, {k: v for k, v in valid.items() if k != key}, f"missing hyperparameter {key!r}"
+            for value, problem in bad_values:
+                yield family, {**valid, key: value}, f"hyperparameter {key!r} {problem}"
+        yield family, {**valid, "extra": 1}, "unexpected hyperparameters: ['extra']"
+
+
+class TestHyperparameterRules:
+    @pytest.mark.parametrize("family, params, message", [*shared_rule_cases(), *RULE_CASES])
+    def test_rejection_message(self, family, params, message):
+        with pytest.raises(ConfigError) as excinfo:
+            EstimatorSpec(family, params)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("family", VALID_PARAMS)
+    def test_valid_params_normalized(self, family):
+        spec = EstimatorSpec(family, {k: np.float64(v) for k, v in VALID_PARAMS[family].items()})
+        assert spec.params == VALID_PARAMS[family]
+        for key, value in spec.params.items():
+            assert type(value) is (int if key in ("bands", "factors") else float)
 
 
 class TestSpecsAndLibraries:
@@ -401,7 +489,7 @@ class TestSpecsAndLibraries:
 
 
 def uncached_fit(spec, data):
-    """One candidate from the public transforms of the data's covariance, sharing nothing."""
+    """One candidate from the kernels applied to the data's covariance, sharing nothing."""
     cov = sample_covariance(data)
     p = spec.params
     if spec.family == "sample_covariance":
@@ -451,7 +539,7 @@ def ternary_data():
 class TestCachedKernels:
     @pytest.mark.parametrize("preset", ["default", "wide", "light"])
     @pytest.mark.parametrize("kind", ["ternary", "gaussian"])
-    def test_shared_context_fits_equal_the_public_transforms(self, preset, kind):
+    def test_shared_context_fits_equal_the_uncached_kernels(self, preset, kind):
         if kind == "ternary":
             data = ternary_data()
         else:

@@ -161,6 +161,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(scaling="weighted")
 
+    def test_split_count_rule_is_split_schemes(self):
+        with pytest.raises(ConfigError) as expected:
+            cv_engine.split_scheme(5, None, 3)
+        with pytest.raises(ConfigError) as got:
+            tiny_config(split_count=3)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("model", [0, 9])
+    def test_model_rule_is_cov_model_specs(self, model):
+        with pytest.raises(ConfigError) as expected:
+            CovModelSpec(model, 1)
+        with pytest.raises(ConfigError) as got:
+            tiny_config(models=(2, model))
+        assert str(got.value) == str(expected.value)
+
+    def test_no_models_rejected(self):
+        with pytest.raises(ConfigError):
+            tiny_config(models=())
+
     @pytest.mark.parametrize(
         "overrides, scheme, n",
         [
