@@ -41,18 +41,16 @@ value that is not finite.
 
 Sums are taken over row blocks of at most :data:`_BLOCK_ENTRIES` entries,
 so a fold holds no ``J x J`` temporary besides the cached covariance (and
-POET's low-rank part, plus the positions of the entries above its
-smallest threshold; its remainder is formed where it is read).  The
+POET's low-rank part; its remainder is formed block by block).  The
 targets and weights must be exactly symmetric, as ``S`` and POET's
 low-rank part are by construction: a block holds only its upper-triangle
 entries and counts each off-diagonal one twice.  Each block is sorted by
 bin and each bin summed pairwise (``np.add.reduceat``), so a sum's
 rounding error does not grow with the number of entries in its bin.
-POET sorts only the entries above its smallest threshold, which some
-candidate keeps, in runs of at most :data:`_BLOCK_ENTRIES` of them; those
-at or below it, zeroed by every candidate, get one pairwise sum per
-block, and its diagonal, ``diag(S)`` for every candidate, is not binned
-at all.  The direct path, a fit scored with
+POET sorts only a block's entries above its smallest threshold, which
+some candidate keeps; those at or below it, zeroed by every candidate,
+get one pairwise sum per block, and its diagonal, ``diag(S)`` for every
+candidate, is not binned at all.  The direct path, a fit scored with
 :func:`~covsel.matrix_core.scaled_frobenius_sq`, is the reference;
 the values agree with it to rounding.
 """
@@ -104,7 +102,7 @@ class Layout:
             end = at + int(np.count_nonzero(upper))
             take[at:end] = np.flatnonzero(upper)
             distance[at:end] = offset[upper]
-            blocks.append(_Block(start, stop, dim, take[at:end], distance[at:end]))
+            blocks.append(_Block(start, stop, take[at:end], distance[at:end]))
             at = end
         return blocks
 
@@ -125,13 +123,9 @@ class Fold:
         # A scalar eta multiplies the finished sum, as scaled_frobenius_sq does.
         self._scale = np.array([1.0 if isinstance(eta, np.ndarray) else eta for _, eta in self.targets])
 
-    @cached_property
+    @property
     def cov(self) -> np.ndarray:
         return self.ctx.cov
-
-    @property
-    def blocks(self) -> list[_Block]:
-        return self.layout.blocks
 
     def rows(self, block: _Block, order):
         """Per target, the block's ``(T, eta)`` entries in ``order``; ``eta`` is None when scalar."""
@@ -162,20 +156,15 @@ class _Block:
     type that holds ``dim``.
     """
 
-    def __init__(self, start: int, stop: int, dim: int, take: np.ndarray, distance: np.ndarray) -> None:
+    def __init__(self, start: int, stop: int, take: np.ndarray, distance: np.ndarray) -> None:
         self.rows = slice(start, stop)
         self.take = take
         self.distance = distance
-        self._start, self._dim = start, dim
 
     @property
     def diagonal(self) -> np.ndarray:
         """Whether each entry is on the diagonal."""
         return self.distance == 0
-
-    def flat(self, indices: np.ndarray) -> np.ndarray:
-        """Flat positions in the whole matrix of the block's entries at ``indices``."""
-        return self.take[indices] + self._start * self._dim
 
     @cached_property
     def diagonal_at(self) -> np.ndarray:
@@ -199,20 +188,19 @@ class _Bins:
     """
 
     def __init__(self, idx: np.ndarray, n_bins: int, diagonal: np.ndarray) -> None:
-        keys, n_keys = 2 * idx.astype(np.intp) + diagonal, 2 * n_bins
+        keys, n_keys = 2 * idx.astype(np.intp, copy=False) + diagonal, 2 * n_bins
         small = np.uint8 if n_keys <= 1 << 8 else np.uint16 if n_keys <= 1 << 16 else np.intp
         self.order = np.argsort(keys.astype(small, copy=False), kind="stable")
-        self.keys = keys[self.order]
         counts = np.bincount(keys, minlength=n_keys)
-        filled = np.flatnonzero(counts)
-        self.counts = counts[filled]
+        self.filled = np.flatnonzero(counts)  # the keys that hold entries, ascending
+        self.counts = counts[self.filled]
         self.starts = np.cumsum(self.counts) - self.counts
-        self.bins = filled >> 1
-        self.times = np.where(filled & 1, 1.0, 2.0)
+        self.bins = self.filled >> 1
+        self.times = np.where(self.filled & 1, 1.0, 2.0)
 
     def above(self, j: int) -> int:
         """Position of the first entry in a bin after ``j``."""
-        return int(np.searchsorted(self.keys, 2 * j + 1, side="right"))
+        return int(self.counts[: np.searchsorted(self.filled, 2 * j + 1, side="right")].sum())
 
     def add(self, acc: np.ndarray, values, weights=None, first: int = 0) -> None:
         """``acc[b] +=`` the sum of ``values * weights`` over bin ``b``.
@@ -223,25 +211,20 @@ class _Bins:
         """
         if weights is not None:
             values = weights if values is None else values * weights
-        keep = self.starts >= first
-        if not keep.any():
+        k = int(np.searchsorted(self.starts, first))  # the first bin from position ``first`` on
+        if k == self.starts.size:
             return
         if values is None:
-            sums = self.counts[keep].astype(float)
+            sums = self.counts[k:].astype(float)
         else:
-            sums = np.add.reduceat(values, self.starts[keep] - first)
-        sums *= self.times[keep]
-        acc += np.bincount(self.bins[keep], weights=sums, minlength=acc.size)
+            sums = np.add.reduceat(values, self.starts[k:] - first)
+        sums *= self.times[k:]
+        acc += np.bincount(self.bins[k:], weights=sums, minlength=acc.size)
 
 
 def _square(values: np.ndarray, eta) -> np.ndarray:
     """``eta * values**2`` rounded as :func:`~covsel.matrix_core.scaled_frobenius_sq` rounds it."""
     return values * values if eta is None else eta * values * values
-
-
-def _prefix(sums: np.ndarray) -> np.ndarray:
-    """``out[..., b]`` is the sum over bins ``0..b``."""
-    return np.cumsum(sums, axis=-1)
 
 
 def _suffix(sums: np.ndarray) -> np.ndarray:
@@ -295,7 +278,7 @@ def score_thresholds(fold: Fold, specs) -> list:
     sums = np.zeros((6, n_targets, n_bins))
     # Per exponent, target and bin: eta d sign(S) |S|**-e and eta |S|**-2e.
     lasso = np.zeros((len(exponents), 2, n_targets, n_bins))
-    for block in fold.blocks:
+    for block in fold.layout.blocks:
         s = block.entries(fold.cov)
         bins = _Bins(np.searchsorted(cuts, np.abs(s)), n_bins, block.diagonal)
         s = s[bins.order]
@@ -317,7 +300,7 @@ def score_thresholds(fold: Fold, specs) -> list:
                     bins.add(lasso[k, 0, t], dg * p, eta, first)
                     bins.add(lasso[k, 1, t], p * p, eta, first)
 
-    cum = _prefix(sums)
+    cum = np.cumsum(sums, axis=-1)
     zeroed = cum[5]
     lasso_kept = _suffix(lasso)
 
@@ -370,7 +353,7 @@ def score_bands(fold: Fold, specs) -> list:
     ds = np.zeros((n_targets, n_bins))
     ss = np.zeros((n_targets, n_bins))
     zs = np.zeros((n_targets, n_bins))
-    for block in fold.blocks:
+    for block in fold.layout.blocks:
         # No distance reaches dim, so capping there keeps the cap in the distance's type.
         bins = _Bins(np.minimum(block.distance, min(widest + 1, dim)), n_bins, block.diagonal)
         s = block.pick(fold.cov, bins.order)
@@ -410,12 +393,10 @@ def score_poet(fold: Fold, specs) -> list:
     prefix over bins of ``|R|``, and a kept one adds
     ``eta * [(T - (L + R))**2 - (T - S)**2]``, a suffix.  Every candidate
     zeroes the entries in bin 0, at or below the smallest threshold, so
-    they are summed block by block as they come; the entries above it are
-    gathered from all blocks and sorted into bins in runs of at most
-    :data:`_BLOCK_ENTRIES`.  ``R`` is formed as ``S - L``, the expression
-    the direct path's remainder is built with.  Factor counts the context
-    cannot decompose are left to the direct path, which reports the
-    failure.
+    each block sorts into bins only its entries above it and sums the
+    rest at once.  ``R`` is formed as ``S - L``, the expression the direct
+    path's remainder is built with.  Factor counts the context cannot
+    decompose are left to the direct path, which reports the failure.
     """
     out: list = [None] * len(specs)
     by_factors: dict[int, list[int]] = {}
@@ -423,10 +404,6 @@ def score_poet(fold: Fold, specs) -> list:
         by_factors.setdefault(spec.params["factors"], []).append(i)
     dim = fold.cov.shape[0]
     n_targets = len(fold.targets)
-    cov = fold.cov.ravel()
-    flat_targets = [
-        (np.ravel(target), np.ravel(eta) if isinstance(eta, np.ndarray) else None) for target, eta in fold.targets
-    ]
     for factors, members in by_factors.items():
         if factors > dim:
             continue
@@ -438,34 +415,27 @@ def score_poet(fold: Fold, specs) -> list:
         n_bins = cuts.size + 1
         zeroed = np.zeros((n_targets, n_bins))
         kept = np.zeros((n_targets, n_bins))
-        kept_at = []  # flat positions of the entries above the smallest threshold
-        for block in fold.blocks:
+        for block in fold.layout.blocks:
             s = block.entries(fold.cov)
             low = block.entries(low_rank)
             mag = np.abs(s - low)
             mag[block.diagonal_at] = 0.0  # POET keeps diag(S): no bin, no change
             above = np.flatnonzero(mag > cuts[0])
-            kept_at.append(block.flat(above))
+            bins = _Bins(np.searchsorted(cuts, mag[above]), n_bins, False)
+            at = above[bins.order]
+            s_at, low_at = s[at], low[at]
+            both = low_at + (s_at - low_at)
             for t, (target, eta) in enumerate(fold.rows(block, slice(None))):
                 changed = _square(target - low, eta) - _square(target - s, eta)
+                target_at, eta_at = target[at], None if eta is None else eta[at]
+                d2 = _square(target_at - s_at, eta_at)
+                bins.add(zeroed[t], _square(target_at - low_at, eta_at) - d2)
+                bins.add(kept[t], _square(target_at - both, eta_at) - d2)
                 # What is left is bin 0 off the diagonal, zeroed by every candidate.
                 changed[above] = 0.0
                 changed[block.diagonal_at] = 0.0
                 zeroed[t, 0] += 2.0 * float(np.sum(changed))
-        kept_at = np.concatenate(kept_at)
-        low_rank = low_rank.ravel()
-        for first in range(0, kept_at.size, _BLOCK_ENTRIES):
-            at = kept_at[first : first + _BLOCK_ENTRIES]
-            s, low = cov[at], low_rank[at]
-            bins = _Bins(np.searchsorted(cuts, np.abs(s - low)), n_bins, False)
-            at, s, low = at[bins.order], s[bins.order], low[bins.order]
-            both = low + (s - low)
-            for t, (target, eta) in enumerate(flat_targets):
-                target, eta = target[at], None if eta is None else eta[at]
-                d2 = _square(target - s, eta)
-                bins.add(zeroed[t], _square(target - low, eta) - d2)
-                bins.add(kept[t], _square(target - both, eta) - d2)
-        zeroed_upto = _prefix(zeroed)
+        zeroed_upto = np.cumsum(zeroed, axis=-1)
         kept_from = _suffix(kept)
         for i in members:
             j = int(np.searchsorted(cuts, specs[i].params["threshold"]))

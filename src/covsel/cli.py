@@ -77,10 +77,6 @@ _BENCH_PROFILES = {
 }
 
 
-def _fmt_float(value: float) -> str:
-    return repr(float(value))
-
-
 def _error_record(code: str, message: str, **details) -> None:
     record = {"error": code, "message": message}
     record.update(details)
@@ -177,12 +173,6 @@ def _parse_rows(path, rows, header: str):
     return np.frombuffer(values).reshape(-1, width), names
 
 
-def _write_csv_rows(path, rows) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerows(rows)
-
-
 def _write_matrix(path, matrix, column_names=None, comment: str | None = None) -> None:
     """Write ``matrix`` as CSV, each entry its ``repr``, one row per line.
 
@@ -261,50 +251,63 @@ def read_estimate_csv(path):
     return matrix, dim, selected
 
 
-_RESULT_COLUMNS = ("model", "n", "J", "ratio", "replication", "subject", "metric", "value", "seed")
+# Each table is one ``{column: (format, parse)}`` mapping: ``format`` turns
+# a record's value into its field, ``parse`` turns the field back.
+_INT, _FLOAT, _TEXT = (str, int), (lambda v: repr(float(v)), float), (str, str)
+
+_RESULT_TABLE = {
+    "model": _INT, "n": _INT, "J": _INT, "ratio": _FLOAT, "replication": _INT,
+    "subject": _TEXT, "metric": _TEXT, "value": _FLOAT, "seed": _INT,
+}
+
+_RISK_TABLE = {
+    "index": _INT, "id": _TEXT, "family": _TEXT,
+    "hyperparameters": (lambda params: "; ".join(f"{k}={v}" for k, v in params.items()), str),
+    "cv_risk": (lambda v: "" if v is None else repr(float(v)), lambda f: float(f) if f else None),
+    "psd": (lambda v: "" if v is None else str(v).lower(), lambda f: None if not f else f == "true"),
+    "selected": (lambda v: str(v).lower(), lambda f: f == "true"),
+    "failure": (lambda v: v or "", lambda f: f or None),
+}
+
+_BENCH_TABLE = {
+    "model": _INT, "n": _INT, "J": _INT, "ratio": _FLOAT, "procedure": _TEXT,
+    "metric": _TEXT, "mean": _FLOAT, "replications": _INT,
+}
 
 
-def write_results_csv(path, rows) -> None:
-    out = [list(_RESULT_COLUMNS)]
-    for row in rows:
-        out.append(
-            [
-                str(row.model), str(row.n), str(row.dim), _fmt_float(row.ratio),
-                str(row.replication), row.subject, row.metric,
-                _fmt_float(row.value), str(row.seed),
-            ]
-        )
-    _write_csv_rows(path, out)
+def _write_table(path, table: dict, records) -> None:
+    """Write ``table``'s header, then each record, a tuple of values in column order."""
+    formats = [fmt for fmt, _ in table.values()]
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(table)
+        writer.writerows([fmt(value) for fmt, value in zip(formats, record)] for record in records)
 
 
-def _read_rows(path, columns: tuple[str, ...], kind: str) -> list[list[str]]:
-    """The non-blank rows of a CSV whose header must be ``columns``."""
+def _read_table(path, table: dict, kind: str) -> list[list]:
+    """The parsed values of each non-blank row of a CSV whose header must be ``table``'s columns."""
     path = Path(path)
+    parsers = [parse for _, parse in table.values()]
     with path.open("r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        if header is None or tuple(header) != columns:
+        if header is None or tuple(header) != tuple(table):
             raise ConfigError(f"{path}: unexpected {kind} header {header}")
-        return [fields for fields in reader if fields]
+        rows = [fields for fields in reader if fields]
+    if any(len(fields) != len(parsers) for fields in rows):
+        raise ConfigError(f"{path}: a {kind} row does not have {len(parsers)} columns")
+    return [[parse(field) for parse, field in zip(parsers, fields)] for fields in rows]
+
+
+def write_results_csv(path, rows) -> None:
+    _write_table(
+        path, _RESULT_TABLE,
+        ((r.model, r.n, r.dim, r.ratio, r.replication, r.subject, r.metric, r.value, r.seed) for r in rows),
+    )
 
 
 def read_results_csv(path) -> list[ResultRow]:
-    return [
-        ResultRow(
-            model=int(fields[0]), n=int(fields[1]), dim=int(fields[2]),
-            ratio=float(fields[3]), replication=int(fields[4]),
-            subject=fields[5], metric=fields[6],
-            value=float(fields[7]), seed=int(fields[8]),
-        )
-        for fields in _read_rows(path, _RESULT_COLUMNS, "results")
-    ]
-
-
-def _params_string(params: dict) -> str:
-    return "; ".join(f"{k}={v}" for k, v in params.items())
-
-
-_RISK_COLUMNS = ("index", "id", "family", "hyperparameters", "cv_risk", "psd", "selected", "failure")
+    return [ResultRow(*values) for values in _read_table(path, _RESULT_TABLE, "results")]
 
 
 def write_risk_table(path, report) -> None:
@@ -312,59 +315,23 @@ def write_risk_table(path, report) -> None:
         report.candidates,
         key=lambda c: (c.cv_risk is None, c.cv_risk if c.cv_risk is not None else 0.0, c.index),
     )
-    out = [list(_RISK_COLUMNS)]
-    for cand in ranked:
-        out.append(
-            [
-                str(cand.index), cand.id, cand.family, _params_string(cand.params),
-                "" if cand.cv_risk is None else _fmt_float(cand.cv_risk),
-                "" if cand.psd is None else str(cand.psd).lower(),
-                str(cand.index == report.selected_index).lower(),
-                cand.failure or "",
-            ]
-        )
-    _write_csv_rows(path, out)
+    _write_table(
+        path, _RISK_TABLE,
+        ((c.index, c.id, c.family, c.params, c.cv_risk, c.psd, c.index == report.selected_index, c.failure)
+         for c in ranked),
+    )
 
 
 def read_risk_table(path) -> list[dict]:
-    return [
-        {
-            "index": int(fields[0]), "id": fields[1], "family": fields[2],
-            "hyperparameters": fields[3],
-            "cv_risk": float(fields[4]) if fields[4] else None,
-            "psd": None if not fields[5] else fields[5] == "true",
-            "selected": fields[6] == "true",
-            "failure": fields[7] or None,
-        }
-        for fields in _read_rows(path, _RISK_COLUMNS, "risk-table")
-    ]
-
-
-_BENCH_COLUMNS = ("model", "n", "J", "ratio", "procedure", "metric", "mean", "replications")
+    return [dict(zip(_RISK_TABLE, values)) for values in _read_table(path, _RISK_TABLE, "risk-table")]
 
 
 def write_benchmark_table(path, table) -> None:
-    out = [list(_BENCH_COLUMNS)]
-    for entry in table:
-        out.append(
-            [
-                str(entry["model"]), str(entry["n"]), str(entry["J"]), _fmt_float(entry["ratio"]),
-                entry["procedure"], entry["metric"], _fmt_float(entry["mean"]),
-                str(entry["replications"]),
-            ]
-        )
-    _write_csv_rows(path, out)
+    _write_table(path, _BENCH_TABLE, (tuple(entry[c] for c in _BENCH_TABLE) for entry in table))
 
 
 def read_benchmark_table(path) -> list[dict]:
-    return [
-        {
-            "model": int(fields[0]), "n": int(fields[1]), "J": int(fields[2]),
-            "ratio": float(fields[3]), "procedure": fields[4], "metric": fields[5],
-            "mean": float(fields[6]), "replications": int(fields[7]),
-        }
-        for fields in _read_rows(path, _BENCH_COLUMNS, "benchmark")
-    ]
+    return [dict(zip(_BENCH_TABLE, values)) for values in _read_table(path, _BENCH_TABLE, "benchmark")]
 
 
 def _write_json(path, payload) -> None:
@@ -378,8 +345,24 @@ def _write_json(path, payload) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: The keys each section accepts.  ``candidate.<family>`` sections and JSON
+#: ``candidates`` hold hyperparameters, which ``EstimatorSpec`` checks.
+_CONFIG_KEYS = {
+    "run": {"input", "delimiter", "header", "scaling", "risk", "center", "pca", "out", "folds", "pn", "splits", "seed"},
+    "experiment": {
+        "profile", "models", "n", "ratio", "replications", "metrics", "folds", "pn", "splits", "seed",
+        "scaling", "risk", "center", "fix_model",
+    },
+    "library": {"preset"},
+}
+
+
 def load_config(path) -> dict:
-    """Load an INI-style or JSON config into ``{section: {key: value}}``."""
+    """Load an INI-style or JSON config into ``{section: {key: value}}``.
+
+    An unknown section, or an unknown key in ``[run]``, ``[experiment]`` or
+    ``[library]``, raises :class:`ConfigError`.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -388,21 +371,32 @@ def load_config(path) -> dict:
     stripped = text.lstrip()
     if path.suffix == ".json" or stripped.startswith("{"):
         try:
-            payload = json.loads(text)
+            config = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
+        if not isinstance(config, dict):
             raise ConfigError(f"{path}: top-level JSON value must be an object")
-        return payload
-    parser = configparser.ConfigParser(allow_no_value=True)
-    try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: invalid config: {exc}") from exc
-    return {
-        section: {key: (value if value is not None else "") for key, value in parser[section].items()}
-        for section in parser.sections()
-    }
+    else:
+        parser = configparser.ConfigParser(allow_no_value=True)
+        try:
+            parser.read_string(text, source=str(path))
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}: invalid config: {exc}") from exc
+        config = {
+            section: {key: (value if value is not None else "") for key, value in parser[section].items()}
+            for section in parser.sections()
+        }
+    for section, body in config.items():
+        if section == "candidates" or section.startswith("candidate."):
+            continue
+        if section not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}: unknown config section [{section}]")
+        if not isinstance(body, dict):
+            raise ConfigError(f"{path}: config section [{section}] must map keys to values")
+        unknown = sorted(set(body) - _CONFIG_KEYS[section])
+        if unknown:
+            raise ConfigError(f"{path}: unknown key(s) in config section [{section}]: {', '.join(unknown)}")
+    return config
 
 
 def _tokens(value) -> list:

@@ -12,7 +12,7 @@ risk differences instead of estimated risks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Union
 
 import numpy as np
@@ -107,23 +107,12 @@ def validation_fraction(scheme: SplitScheme) -> float:
     return scheme.validation_fraction
 
 
+_SCHEME_KINDS = {VFold: "v_fold", MonteCarloSplit: "monte_carlo", SingleSplit: "single"}
+
+
 def scheme_description(scheme: SplitScheme) -> dict:
-    if isinstance(scheme, VFold):
-        return {"kind": "v_fold", "folds": scheme.folds, "seed": scheme.seed}
-    if isinstance(scheme, MonteCarloSplit):
-        return {
-            "kind": "monte_carlo",
-            "count": scheme.count,
-            "validation_fraction": scheme.validation_fraction,
-            "seed": scheme.seed,
-        }
-    if isinstance(scheme, SingleSplit):
-        return {
-            "kind": "single",
-            "validation_fraction": scheme.validation_fraction,
-            "seed": scheme.seed,
-        }
-    raise ConfigError(f"unknown split scheme {scheme!r}")
+    """The scheme's kind and fields, as ``selection_report.json`` records them."""
+    return {"kind": _SCHEME_KINDS[type(scheme)], **asdict(scheme)}
 
 
 def _random_masks(rng, n: int, fraction: float, count: int) -> list[np.ndarray]:

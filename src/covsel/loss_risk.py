@@ -28,7 +28,7 @@ from math import log
 import numpy as np
 
 from .errors import ConfigError, DegenerateFeatureError
-from .matrix_core import as_data_matrix, as_square_matrix, sample_covariance, scaled_frobenius_sq
+from .matrix_core import _nonnegative_scale, as_data_matrix, as_square_matrix, sample_covariance, scaled_frobenius_sq
 
 __all__ = [
     "SCALING_POLICIES",
@@ -70,16 +70,9 @@ def resolve_constant_scaling(policy: str, dim: int) -> float:
 
 def check_scaling(eta, dim: int):
     """Validate a scaling factor (positive scalar or positive (J, J) matrix)."""
-    if np.isscalar(eta) or np.ndim(eta) == 0:
-        value = float(eta)
-        if not np.isfinite(value) or value <= 0.0:
-            raise ValueError("scaling factor must be a finite positive scalar")
-        return value
-    eta = np.asarray(eta, dtype=np.float64)
-    if eta.shape != (dim, dim):
-        raise ValueError(f"scaling matrix shape {eta.shape} does not match dimension {dim}")
-    if not np.all(np.isfinite(eta)) or np.any(eta <= 0.0):
-        raise ValueError("scaling matrix entries must be finite and positive")
+    eta = _nonnegative_scale(eta, (dim, dim))
+    if np.any(eta == 0.0):
+        raise ValueError("scaling factor must be positive")
     return eta
 
 

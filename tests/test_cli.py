@@ -108,6 +108,39 @@ class TestReadNumericCsv:
         assert load_config(path) == {"run": {"folds": "4" if suffix == ".ini" else 4}}
 
 
+class TestConfigKeys:
+    @pytest.mark.parametrize("command", ["select", "simulate"])
+    @pytest.mark.parametrize("suffix, text, section, key", [
+        pytest.param(".ini", "[run]\nfold = 3\nscalling = inv_J\n", "run", "fold, scalling", id="ini-run-keys"),
+        pytest.param(".ini", "[experiment]\nreplicatons = 1\nmodel = 3\n", "experiment", "model, replicatons",
+                     id="ini-experiment-keys"),
+        pytest.param(".ini", "[experiement]\nreplications = 1\n", "experiement", None, id="ini-section"),
+        pytest.param(".ini", "[library]\npresets = light\n", "library", "presets", id="ini-library-key"),
+        pytest.param(".json", '{"experiment": {"replicatons": 1}}', "experiment", "replicatons",
+                     id="json-experiment-key"),
+        pytest.param(".json", '{"run": {"fold": 3}}', "run", "fold", id="json-run-key"),
+        pytest.param(".json", '{"rnu": {"folds": 3}}', "rnu", None, id="json-section"),
+    ])
+    def test_an_unknown_section_or_key_exits_2_naming_it(self, tmp_path, toy_csv, capsys, command, suffix,
+                                                         text, section, key):
+        config = tmp_path / f"config{suffix}"
+        config.write_text(text, encoding="utf-8")
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command == "select":
+            argv += ["--input", str(toy_csv[0])]
+        assert main(argv) == 2
+        message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+        assert f"[{section}]" in message
+        assert ("unknown config section" in message) if key is None else message.endswith(key)
+        assert not (tmp_path / "out").exists()
+
+    def test_a_section_that_is_not_a_mapping_is_rejected(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"run": 5}', encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"\[run\] must map"):
+            load_config(config)
+
+
 class TestSelectCommand:
     def test_singleton_selection_artifacts(self, tmp_path, toy_csv):
         path, data = toy_csv
@@ -337,6 +370,12 @@ class TestSimulateCommand:
         config = ExperimentConfig(models=(2,), sample_sizes=(50,), ratios=(0.5,),
                                   replications=2, seed=11)
         assert len(rows) == expected_row_count(config)
+
+    def test_a_row_of_the_wrong_width_is_rejected(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text("model,n,J,ratio,replication,subject,metric,value,seed\n2,50,25\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="does not have 9 columns"):
+            read_results_csv(path)
 
     def test_results_roundtrip_identical(self, tmp_path):
         out = tmp_path / "run"

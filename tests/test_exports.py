@@ -1,10 +1,20 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export behind."""
+"""Every exported name resolves, so a deletion cannot leave a stale export behind.
+
+README and the top-level namespace name the same calls, and its config
+example passes the key check.
+"""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
+
+import covsel
+from covsel.cli import _experiment_from_settings, _PROFILES, build_parser, library_from_config, load_config
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
 MODULES = [
     "covsel",
@@ -22,6 +32,33 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     missing = [export for export in module.__all__ if not hasattr(module, export)]
     assert not missing
+
+
+def test_every_top_level_name_is_in_readme():
+    assert [name for name in covsel.__all__ if f"covsel.{name}" not in README] == []
+
+
+def test_every_name_readme_gives_resolves():
+    mentioned = set(re.findall(r"\bcovsel(?:\.\w+)+", README))
+    assert "covsel.matrix_core.is_psd" in mentioned and "covsel.estimators.iter_fits" in mentioned
+    missing = []
+    for name in sorted(mentioned):
+        obj = covsel
+        for attr in name.split(".")[1:]:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert missing == []
+
+
+def test_readme_config_example_loads(tmp_path):
+    path = tmp_path / "readme.ini"
+    path.write_text(re.search(r"```ini\n(.*?)```", README, re.S).group(1), encoding="utf-8")
+    config = load_config(path)
+    assert len(library_from_config(config)) == 73 + 3
+    args = build_parser().parse_args(["simulate", "--config", str(path)])
+    experiment = _experiment_from_settings(args, config, _PROFILES, ("cv_ratio",))
+    assert experiment.models == (2, 3) and experiment.replications == 50
 
 
 def load_tracing():

@@ -162,9 +162,15 @@ def assert_matches_direct_path(library, data, targets):
 
 
 @pytest.mark.parametrize("scaling", ["one", "inv_J", "inv_J2", "weighted"])
-@pytest.mark.parametrize("dim", [1, 2, 3, 40])
+@pytest.mark.parametrize(
+    "dim, block_entries",
+    [pytest.param(dim, _grid._BLOCK_ENTRIES, id=str(dim)) for dim in (1, 2, 3, 40)]
+    # J=40's rows in 40 blocks of one row, and in 7 blocks of up to 6 rows.
+    + [pytest.param(40, 64, id="40-blocks64"), pytest.param(40, 256, id="40-blocks256")],
+)
 @pytest.mark.parametrize("kind", ["ar1", "factor", "ternary"])
-def test_grid_matches_the_direct_path(kind, dim, scaling):
+def test_grid_matches_the_direct_path(kind, dim, block_entries, scaling, monkeypatch):
+    monkeypatch.setattr(_grid, "_BLOCK_ENTRIES", block_entries)
     data, psi0 = make_data(kind, dim)
     if scaling == "weighted" and np.any(np.all(data[data.shape[0] // 3 :] == 0.0, axis=0)):
         with pytest.raises(DegenerateFeatureError):
