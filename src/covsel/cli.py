@@ -55,9 +55,9 @@ logger = logging.getLogger(__name__)
 #: Format versions of ``selection_report.json`` (2: ``psd`` is flagged for
 #: the winner and its ties only) and of the ``simulate`` ``summary.json``
 #: (2: ``full_risk_diff`` is scaled by the oracle's eta, as
-#: ``cv_risk_diff`` is).
+#: ``cv_risk_diff`` is; 3: ``skipped`` lists the cells that failed on their data).
 SCHEMA_VERSION = 2
-SUMMARY_SCHEMA_VERSION = 2
+SUMMARY_SCHEMA_VERSION = 3
 
 _PROFILES = {
     "smoke": {"models": (2,), "sample_sizes": (50,), "ratios": (0.5,), "replications": 2},
@@ -310,16 +310,10 @@ def read_results_csv(path) -> list[ResultRow]:
     return [ResultRow(*values) for values in _read_table(path, _RESULT_TABLE, "results")]
 
 
-def write_risk_table(path, report) -> None:
-    ranked = sorted(
-        report.candidates,
-        key=lambda c: (c.cv_risk is None, c.cv_risk if c.cv_risk is not None else 0.0, c.index),
-    )
-    _write_table(
-        path, _RISK_TABLE,
-        ((c.index, c.id, c.family, c.params, c.cv_risk, c.psd, c.index == report.selected_index, c.failure)
-         for c in ranked),
-    )
+def write_risk_table(path, candidates) -> None:
+    """Write ``candidates``, dicts of ``_RISK_TABLE``'s columns, by risk ascending (failed ones last), then index."""
+    ranked = sorted(candidates, key=lambda c: (c["cv_risk"] is None, c["cv_risk"] or 0.0, c["index"]))
+    _write_table(path, _RISK_TABLE, (tuple(c.values()) for c in ranked))
 
 
 def read_risk_table(path) -> list[dict]:
@@ -360,16 +354,16 @@ _CONFIG_KEYS = {
 def load_config(path) -> dict:
     """Load an INI-style or JSON config into ``{section: {key: value}}``.
 
-    An unknown section, or an unknown key in ``[run]``, ``[experiment]`` or
-    ``[library]``, raises :class:`ConfigError`.
+    An unknown section, an unknown key in ``[run]``, ``[experiment]`` or
+    ``[library]``, a section that is not a mapping, or a ``candidates``
+    entry that is neither a mapping nor null raises :class:`ConfigError`.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if path.suffix == ".json" or stripped.startswith("{"):
+    if path.suffix == ".json" or text.lstrip().startswith("{"):
         try:
             config = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -387,16 +381,26 @@ def load_config(path) -> dict:
             for section in parser.sections()
         }
     for section, body in config.items():
-        if section == "candidates" or section.startswith("candidate."):
-            continue
-        if section not in _CONFIG_KEYS:
+        if not (section in _CONFIG_KEYS or section == "candidates" or section.startswith("candidate.")):
             raise ConfigError(f"{path}: unknown config section [{section}]")
         if not isinstance(body, dict):
             raise ConfigError(f"{path}: config section [{section}] must map keys to values")
-        unknown = sorted(set(body) - _CONFIG_KEYS[section])
+        if section == "candidates":
+            for family, params in body.items():
+                if params is not None and not isinstance(params, dict):
+                    raise ConfigError(
+                        f"{path}: candidates entry {family!r} must map its hyperparameters to values, got {params!r}"
+                    )
+        unknown = sorted(set(body) - _CONFIG_KEYS[section]) if section in _CONFIG_KEYS else None
         if unknown:
             raise ConfigError(f"{path}: unknown key(s) in config section [{section}]: {', '.join(unknown)}")
     return config
+
+
+def _settings(args, config: dict, section: str) -> dict:
+    """``config``'s ``section``, with every flag given on the command line in place of its key."""
+    flags = {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS[section] and value is not None}
+    return {**config.get(section, {}), **flags}
 
 
 def _tokens(value) -> list:
@@ -405,83 +409,81 @@ def _tokens(value) -> list:
     return str(value).replace(",", " ").split()
 
 
-def _as_bool(value) -> bool:
-    if isinstance(value, bool):
+# One reader per kind of value.  Each takes the value as the file or flag
+# gave it and the key it came from, which an error names.
+
+
+def _reader(convert, kind: str, *types):
+    """A reader that applies ``convert`` to a value whose type is one of ``types``, and names the key otherwise.
+
+    Types match exactly: ``bool`` is a subclass of ``int``, but a boolean
+    is read only where ``types`` names ``bool``.
+    """
+
+    def read(value, key: str):
+        if type(value) in types:
+            try:
+                return convert(value)
+            except (KeyError, ValueError):
+                pass
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+
+    return read
+
+
+# ``int`` reads integer text exactly, so a seed above 2**53 stays whole,
+# and rejects fractional text; a float never reaches it.
+_as_int = _reader(int, "an integer", int, str)
+_as_float = _reader(float, "a number", int, float, str)
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+_as_bool = _reader(lambda value: _BOOLEANS[str(value).strip().lower()], "a boolean", bool, int, str)
+
+
+def _as_number(value, key: str):
+    """A hyperparameter: integer text becomes an int, other text a float; the family's spec checks any other value."""
+    if not isinstance(value, str):
         return value
-    text = str(value).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"cannot parse {value!r} as a boolean")
-
-
-def _as_number(token):
-    if isinstance(token, (int, float)) and not isinstance(token, bool):
-        return token
-    text = str(token)
     try:
-        if any(c in text for c in ".eE") and not text.lstrip("+-").isdigit():
-            return float(text)
-        return int(text)
+        return int(value)
     except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"cannot parse {token!r} as a number") from None
+        return _as_float(value, key)
 
 
-def _setting(cli_value, section: dict, key: str, default):
-    if cli_value is not None:
-        return cli_value
-    if key in section:
-        return section[key]
-    return default
+def _split_settings(settings: dict) -> tuple:
+    """``(folds, pn, splits, seed)``, the CV design each command reads the same way."""
+    pn, splits = settings.get("pn"), settings.get("splits")
+    return (
+        _as_int(settings.get("folds", 5), "folds"),
+        None if pn is None else _as_float(pn, "pn"),
+        None if splits is None else _as_int(splits, "splits"),
+        _as_int(settings.get("seed", 0), "seed"),
+    )
 
 
 def library_from_config(config: dict) -> CandidateLibrary | None:
     """Build a candidate library from config sections, or None if absent.
 
     A ``[library]`` section may name a ``preset`` (default/wide/light);
-    ``[candidate.<family>]`` sections append grid expansions, e.g.::
+    ``[candidate.<family>]`` sections, then JSON ``candidates`` entries,
+    append grid expansions, e.g.::
 
         [candidate.hard_threshold]
         threshold = 0.1 0.2 0.3
     """
-    preset_name = None
-    library_section = config.get("library", {})
-    if "preset" in library_section:
-        preset_name = str(library_section["preset"]).strip()
-    declarations = []
-    for section, body in config.items():
-        if not section.startswith("candidate."):
-            continue
-        family = section[len("candidate.") :]
-        params = {key: [_as_number(v) for v in _tokens(value)] for key, value in body.items()}
-        declarations.append((family, params))
-    if isinstance(config.get("candidates"), dict):
-        for family, params in config["candidates"].items():
-            declarations.append(
-                (family, {key: [_as_number(v) for v in _tokens(value)] for key, value in (params or {}).items()})
-            )
-
-    if preset_name is None and not declarations:
+    preset = str(config.get("library", {}).get("preset", "")).strip()
+    declarations = [(section[len("candidate.") :], body) for section, body in config.items()
+                    if section.startswith("candidate.")]
+    declarations += config.get("candidates", {}).items()
+    if not preset and not declarations:
         return None
-    specs = list(library_preset(preset_name)) if preset_name else []
+    specs = list(library_preset(preset)) if preset else []
     for family, params in declarations:
-        specs.extend(expand_grid(family, **params))
+        grid = {
+            key: [_as_number(v, f"{family} hyperparameter {key!r}") for v in _tokens(value)]
+            for key, value in (params or {}).items()
+        }
+        specs.extend(expand_grid(family, **grid))
     return CandidateLibrary(tuple(specs))
-
-
-def _scheme_from_settings(args, section: dict):
-    pn = _setting(args.pn, section, "pn", None)
-    splits = _setting(args.splits, section, "splits", None)
-    return split_scheme(
-        int(_setting(args.folds, section, "folds", 5)),
-        None if pn is None else float(pn),
-        None if splits is None else int(splits),
-        seed=int(_setting(args.seed, section, "seed", 0)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -491,33 +493,32 @@ def _scheme_from_settings(args, section: dict):
 
 def cmd_select(args) -> int:
     config = load_config(args.config) if args.config else {}
-    run = config.get("run", {})
+    run = _settings(args, config, "run")
 
-    input_path = _setting(args.input, run, "input", None)
-    if input_path is None:
+    if run.get("input") is None:
         raise ConfigError("an input CSV is required (--input or [run] input)")
-    delimiter = _normalize_delimiter(str(_setting(args.delimiter, run, "delimiter", ",")))
-    header = str(_setting(args.header, run, "header", "auto"))
-    scaling = str(_setting(args.scaling, run, "scaling", "one"))
-    risk = str(_setting(args.risk, run, "risk", "observation"))
-    center = False if args.no_center else _as_bool(run.get("center", True))
-    pca = int(_setting(args.pca, run, "pca", 0))
-    out_dir = Path(_setting(args.out, run, "out", "."))
-    scheme = _scheme_from_settings(args, run)
+    delimiter = _normalize_delimiter(str(run.get("delimiter", ",")))
+    center = _as_bool(run.get("center", True), "center")
+    pca = _as_int(run.get("pca", 0), "pca")
+    scheme = split_scheme(*_split_settings(run))
+    library = library_from_config(config) or library_preset("default")
 
-    library = library_from_config(config)
-    if library is None:
-        library = library_preset("default")
+    data, _ = read_numeric_csv(str(run["input"]), delimiter=delimiter, header=str(run.get("header", "auto")))
+    if not 0 <= pca <= data.shape[1]:
+        raise ConfigError(f"--pca must lie between 0 and the number of features {data.shape[1]}, got {pca}")
 
-    data, _ = read_numeric_csv(input_path, delimiter=delimiter, header=header)
-    if pca < 0:
-        raise ConfigError(f"--pca must be nonnegative, got {pca}")
-    if pca > data.shape[1]:
-        raise ConfigError(f"--pca {pca} exceeds the number of features {data.shape[1]}")
+    report = select(
+        library, data, scheme,
+        scaling=str(run.get("scaling", "one")), risk=str(run.get("risk", "observation")), center=center,
+    )
 
-    report = select(library, data, scheme, scaling=scaling, risk=risk, center=center)
-
+    out_dir = Path(str(run.get("out", ".")))
     out_dir.mkdir(parents=True, exist_ok=True)
+    candidates = [
+        dict(zip(_RISK_TABLE, (c.index, c.id, c.family, c.params, c.cv_risk, c.psd,
+                               c.index == report.selected_index, c.failure)))
+        for c in report.candidates
+    ]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "select",
@@ -532,38 +533,15 @@ def cmd_select(args) -> int:
         "risk": report.risk,
         "centered": report.centered,
         "warnings": list(report.warnings),
-        "candidates": [
-            {
-                "index": c.index,
-                "id": c.id,
-                "family": c.family,
-                "hyperparameters": c.params,
-                "cv_risk": c.cv_risk,
-                "psd": c.psd,
-                "failure": c.failure,
-                "selected": c.index == report.selected_index,
-            }
-            for c in report.candidates
-        ],
+        "candidates": candidates,
     }
     _write_json(out_dir / "selection_report.json", payload)
-    write_risk_table(out_dir / "risk_table.csv", report)
-    _write_matrix(
-        out_dir / "estimate.csv",
-        report.estimate,
-        comment=f"J={report.dim} selected={report.selected_id}",
-    )
+    write_risk_table(out_dir / "risk_table.csv", candidates)
+    _write_matrix(out_dir / "estimate.csv", report.estimate, comment=f"J={report.dim} selected={report.selected_id}")
     if pca > 0:
-        centered = center_columns(data) if center else data
-        eig = eigendecompose(report.estimate)
-        scores = centered @ eig.eigenvectors[:, :pca]
-        _write_matrix(
-            out_dir / "scores.csv",
-            scores,
-            column_names=[f"pc{j + 1}" for j in range(pca)],
-        )
-    logger.info("selected %s (cv risk %s)", report.selected_id,
-                payload["candidates"][report.selected_index]["cv_risk"])
+        scores = (center_columns(data) if center else data) @ eigendecompose(report.estimate).eigenvectors[:, :pca]
+        _write_matrix(out_dir / "scores.csv", scores, column_names=[f"pc{j + 1}" for j in range(pca)])
+    logger.info("selected %s (cv risk %s)", report.selected_id, candidates[report.selected_index]["cv_risk"])
     return 0
 
 
@@ -572,46 +550,34 @@ def cmd_select(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _experiment_from_settings(args, config: dict, profiles: dict, default_metrics) -> ExperimentConfig:
-    section = config.get("experiment", {})
-    profile_name = getattr(args, "profile", None) or section.get("profile")
-    grid = dict(profiles["smoke"])
-    if profile_name:
-        if profile_name not in profiles:
-            raise ConfigError(f"unknown profile {profile_name!r}; known: {sorted(profiles)}")
-        grid = dict(profiles[profile_name])
+def _experiment_from_settings(settings: dict, profiles: dict, default_metrics, library) -> ExperimentConfig:
+    """The experiment ``settings`` describe, on the grid of their profile (``smoke`` if none)."""
+    profile = str(settings.get("profile") or "smoke")
+    if profile not in profiles:
+        raise ConfigError(f"unknown profile {profile!r}; known: {sorted(profiles)}")
+    grid = profiles[profile]
 
-    models = tuple(int(v) for v in _tokens(section["models"])) if "models" in section else grid["models"]
-    sizes = tuple(int(v) for v in _tokens(section["n"])) if "n" in section else grid["sample_sizes"]
-    ratios = tuple(float(v) for v in _tokens(section["ratio"])) if "ratio" in section else grid["ratios"]
-    replications = int(section.get("replications", grid["replications"]))
-    metrics = tuple(_tokens(section["metrics"])) if "metrics" in section else tuple(default_metrics)
-    folds = int(_setting(args.folds, section, "folds", 5))
-    fraction = _setting(args.pn, section, "pn", None)
-    split_count = _setting(args.splits, section, "splits", None)
-    seed = int(_setting(args.seed, section, "seed", 0))
-    scaling = str(section.get("scaling", "one"))
-    risk = str(section.get("risk", "matrix"))
-    center = _as_bool(section.get("center", False))
-    fix_model = _as_bool(section.get("fix_model", False))
+    def listed(key: str, read, default) -> tuple:
+        return tuple(read(v, key) for v in _tokens(settings[key])) if key in settings else tuple(default)
 
+    folds, fraction, split_count, seed = _split_settings(settings)
     config = ExperimentConfig(
-        models=models,
-        sample_sizes=sizes,
-        ratios=ratios,
-        replications=replications,
+        models=listed("models", _as_int, grid["models"]),
+        sample_sizes=listed("n", _as_int, grid["sample_sizes"]),
+        ratios=listed("ratio", _as_float, grid["ratios"]),
+        replications=_as_int(settings.get("replications", grid["replications"]), "replications"),
         folds=folds,
-        validation_fraction=None if fraction is None else float(fraction),
-        split_count=None if split_count is None else int(split_count),
-        metrics=metrics,
+        validation_fraction=fraction,
+        split_count=split_count,
+        metrics=listed("metrics", lambda v, key: str(v), default_metrics),
         seed=seed,
-        scaling=scaling,
-        selector_risk=risk,
-        center=center,
-        fix_model=fix_model,
-        library=library_from_config(config),
+        scaling=str(settings.get("scaling", "one")),
+        selector_risk=str(settings.get("risk", "matrix")),
+        center=_as_bool(settings.get("center", False), "center"),
+        fix_model=_as_bool(settings.get("fix_model", False), "fix_model"),
+        library=library,
     )
-    _warn_if_large(config, profile_name)
+    _warn_if_large(config, profile)
     return config
 
 
@@ -630,18 +596,25 @@ def _warn_if_large(config: ExperimentConfig, profile: str | None) -> None:
         )
 
 
-def cmd_simulate(args) -> int:
+def _grid_command(args, profiles: dict, default_metrics, run, write) -> int:
+    """Run ``simulate`` or ``bench``: ``run`` the configured grid, then write ``results.csv`` and ``write`` the rest.
+
+    The grid comes from ``[experiment]`` and the output directory from
+    ``[run]``, each with the flags given in place of its keys.
+    """
     config_file = load_config(args.config) if args.config else {}
     config = _experiment_from_settings(
-        args, config_file, _PROFILES,
-        default_metrics=("cv_ratio", "full_ratio", "frobenius", "spectral"),
+        _settings(args, config_file, "experiment"), profiles, default_metrics, library_from_config(config_file)
     )
-    out_dir = Path(args.out or config_file.get("run", {}).get("out", "."))
+    out_dir = Path(str(_settings(args, config_file, "run").get("out", ".")))
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    result = run_experiment(config)
+    result = run(config)
     write_results_csv(out_dir / "results.csv", result.rows)
+    write(out_dir, config, result)
+    return 0
 
+
+def _write_summary(out_dir: Path, config: ExperimentConfig, result) -> None:
     summary = summarize_ratios(result.rows, metrics=config.metrics)
     stats_by_cell = {(s.model, s.n, s.dim, s.ratio): s for s in result.cells}
     for cell in summary["cells"]:
@@ -649,23 +622,15 @@ def cmd_simulate(args) -> int:
         if stats is None or "cv_risk_diff_mean_oracle" not in cell:
             continue
         params = BoundParams(
-            delta=1.0,
-            m1=stats.max_sq_observation,
-            m2=stats.max_abs_estimate,
-            dim=stats.dim,
-            n_candidates=stats.n_candidates,
-            n_obs=stats.n,
-            validation_fraction=stats.validation_fraction,
+            delta=1.0, m1=stats.max_sq_observation, m2=stats.max_abs_estimate, dim=stats.dim,
+            n_candidates=stats.n_candidates, n_obs=stats.n, validation_fraction=stats.validation_fraction,
         )
         bound = finite_sample_bound(params, cell["cv_risk_diff_mean_oracle"])
         cell["bound"] = {
-            "delta": 1.0,
-            "m1": stats.max_sq_observation,
-            "m2": stats.max_abs_estimate,
-            "m_bar": bound.m_bar,
-            "c_value": bound.c_value,
-            "bound_term": bound.bound_term,
-            "rhs": bound.rhs,
+            "delta": params.delta,
+            "m1": params.m1,
+            "m2": params.m2,
+            **dataclasses.asdict(bound),
             "mean_selected": cell["cv_risk_diff_mean_selected"],
             "holds": cell["cv_risk_diff_mean_selected"] <= bound.rhs,
             "note": "m1/m2 are empirical plug-ins, not almost-sure bounds",
@@ -675,25 +640,25 @@ def cmd_simulate(args) -> int:
         "command": "simulate",
         "config": _config_echo(config),
         "cells": summary["cells"],
+        "skipped": result.skipped,
     }
     _write_json(out_dir / "summary.json", payload)
     logger.info("wrote %d result rows across %d cells", len(result.rows), len(result.cells))
-    return 0
+
+
+def cmd_simulate(args) -> int:
+    return _grid_command(
+        args, _PROFILES, ("cv_ratio", "full_ratio", "frobenius", "spectral"), run_experiment, _write_summary
+    )
+
+
+def _write_bench(out_dir: Path, config: ExperimentConfig, result) -> None:
+    write_benchmark_table(out_dir / "bench_table.csv", result.table)
+    logger.info("benchmarked %d procedures over %d cells", len(result.procedures), len(config.cells()))
 
 
 def cmd_bench(args) -> int:
-    config_file = load_config(args.config) if args.config else {}
-    config = _experiment_from_settings(
-        args, config_file, _BENCH_PROFILES, default_metrics=("frobenius", "spectral")
-    )
-    out_dir = Path(args.out or config_file.get("run", {}).get("out", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    result = run_benchmark(config)
-    write_results_csv(out_dir / "results.csv", result.rows)
-    write_benchmark_table(out_dir / "bench_table.csv", result.table)
-    logger.info("benchmarked %d procedures over %d cells", len(result.procedures), len(config.cells()))
-    return 0
+    return _grid_command(args, _BENCH_PROFILES, ("frobenius", "spectral"), run_benchmark, _write_bench)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--scaling", choices=SCALING_POLICIES)
     p_select.add_argument("--risk", choices=("observation", "matrix"))
     p_select.add_argument("--pca", type=int, help="export this many PCA score columns")
-    p_select.add_argument("--no-center", action="store_true", help="skip column centering")
+    p_select.add_argument("--no-center", dest="center", action="store_false", default=None,
+                          help="skip column centering")
     p_select.set_defaults(func=cmd_select)
 
     p_sim = sub.add_parser("simulate", help="run the Monte-Carlo experiment grid")
@@ -752,10 +718,7 @@ def main(argv=None) -> int:
     except EstimationError as exc:
         _error_record("estimation_failed", str(exc))
         return 3
-    except (ConfigError, DegenerateFeatureError) as exc:
-        _error_record("invalid_input", str(exc))
-        return 2
-    except (OSError, ValueError) as exc:
+    except (ConfigError, DegenerateFeatureError, OSError, ValueError) as exc:
         _error_record("invalid_input", str(exc))
         return 2
 

@@ -17,6 +17,7 @@ factor estimator.  New families can be added with
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -143,20 +144,30 @@ class ShrinkageComponents:
     intensity: float
 
 
-def _outer_dispersion(data: np.ndarray, cov: np.ndarray) -> float:
-    """Mean scaled squared distance of the row outer products from cov."""
-    n, dim = data.shape
-    row_sq = np.einsum("ij,ij->i", data, data)
-    return (float(np.sum(row_sq**2)) - n * float(np.sum(cov * cov))) / (dim * n**2)
-
-
 def _shrinkage_components(data: np.ndarray, cov: np.ndarray, target: np.ndarray) -> ShrinkageComponents:
-    d2 = scaled_frobenius_sq(cov - target, 1.0 / cov.shape[0])
+    """The plug-in quantities of shrinking ``cov``, the covariance of ``data``'s rows, towards ``target``.
+
+    Both squared distances are summed in units of ``2**e``, with ``e``
+    the binary exponent of ``max|cov|``, so that no square underflows or
+    overflows, and reported in data units.  Scaling by a power of two is
+    exact, so the values are those of summing in data units wherever
+    that neither underflows nor overflows, and the intensity, a ratio,
+    is the same in both units.
+    """
+    n, dim = data.shape
+    e = math.frexp(max(float(np.max(cov)), -float(np.min(cov))))[1]
+    scaled = cov - target
+    np.ldexp(scaled, -e, out=scaled)
+    d2 = scaled_frobenius_sq(scaled, 1.0 / dim)
     if d2 <= 0.0:
-        # cov is at zero distance from its target: intensity 1, and cov is returned unchanged.
+        # cov is at zero distance from its target: intensity 1, which gives the target, that is cov.
         return ShrinkageComponents(0.0, 0.0, 0.0, 1.0)
-    b2 = min(max(_outer_dispersion(data, cov), 0.0), d2)
-    return ShrinkageComponents(d2, b2, d2 - b2, b2 / d2)
+    # The mean squared distance of the row outer products from cov, clipped to [0, d2].
+    row_sq = np.ldexp(np.einsum("ij,ij->i", data, data), -e)
+    np.ldexp(cov, -e, out=scaled)
+    b2 = (float(np.sum(row_sq**2)) - n * float(np.sum(scaled * scaled))) / (dim * n**2)
+    b2 = min(max(b2, 0.0), d2)
+    return ShrinkageComponents(*(math.ldexp(v, 2 * e) for v in (d2, b2, d2 - b2)), b2 / d2)
 
 
 def _shrink(data: np.ndarray, cov: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -167,12 +178,10 @@ def _shrink(data: np.ndarray, cov: np.ndarray, target: np.ndarray) -> np.ndarray
     its target, the standard plug-in recipe for this estimator, so it
     lies in [0, 1].
     """
-    parts = _shrinkage_components(data, cov, target)
-    if parts.target_distance_sq <= 0.0:
-        return cov.copy()
+    rho = _shrinkage_components(data, cov, target).intensity
     # Summed in place, so no J x J temporary outlives its term; the sum is the same either way.
-    out = (1.0 - parts.intensity) * cov
-    out += parts.intensity * target
+    out = (1.0 - rho) * cov
+    out += rho * target
     return out
 
 

@@ -81,12 +81,17 @@ def sample_covariance(data) -> np.ndarray:
     the per-row outer products, which is the form the validation-risk
     identities in :mod:`covsel.loss_risk` rely on.  ``n = 1`` is allowed
     and yields a rank-one matrix.
+
+    ``X.T @ X`` is equal to its transpose bit for bit when ``X`` is C- or
+    F-contiguous (numpy computes it with ``syrk``), but not for every
+    strided view, which is therefore copied first.
     """
     data = as_data_matrix(data, min_rows=1)
-    n = data.shape[0]
+    if not (data.flags.c_contiguous or data.flags.f_contiguous):
+        data = np.ascontiguousarray(data)
     cov = data.T @ data
-    cov /= n
-    return 0.5 * (cov + cov.T)
+    cov /= data.shape[0]
+    return cov
 
 
 def scaled_frobenius_sq(m, scale=1.0) -> float:

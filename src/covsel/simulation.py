@@ -332,6 +332,8 @@ class ExperimentResult:
     rows: list[ResultRow]
     cells: list[CellStats]
     config: ExperimentConfig
+    #: The cells that failed on their data, each ``{model, n, ratio, reason}``.
+    skipped: list[dict]
 
 
 def expected_row_count(config: ExperimentConfig) -> int:
@@ -430,26 +432,29 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
     return rows, stats
 
 
-def _run_grid(config: ExperimentConfig, run_cell) -> tuple[list[ResultRow], list]:
-    """Each cell's rows, sorted, and its stats, from ``run_cell(model, n, ratio_idx, ratio, dim)``.
+def _run_grid(config: ExperimentConfig, run_cell) -> tuple[list[ResultRow], list, list[dict]]:
+    """Each cell's rows, sorted, its stats, and the cells skipped, from ``run_cell(model, n, ratio_idx, ratio, dim)``.
 
     ``run_cell`` returns the cell's rows as ``(replication, subject,
     metric, value, seed)`` tuples, and its stats.  A cell that raises one
-    of the package's errors or ``LinAlgError`` is logged and skipped; any
-    other exception ends the run.
+    of the package's errors or ``LinAlgError`` is logged and skipped, and
+    recorded as ``{model, n, ratio, reason}``; any other exception ends
+    the run.
     """
     rows: list[ResultRow] = []
     cells = []
+    skipped = []
     for model, n, ratio_idx, ratio, dim in config.cells():
         try:
             cell_rows, stats = run_cell(model, n, ratio_idx, ratio, dim)
-        except (ConfigError, EstimationError, SelectionError, DegenerateFeatureError, np.linalg.LinAlgError):
+        except (ConfigError, EstimationError, SelectionError, DegenerateFeatureError, np.linalg.LinAlgError) as exc:
             logger.exception("cell model=%d n=%d ratio=%s failed; skipping", model, n, ratio)
+            skipped.append({"model": model, "n": n, "ratio": ratio, "reason": f"{type(exc).__name__}: {exc}"})
             continue
         rows.extend(ResultRow(model, n, dim, ratio, *row) for row in cell_rows)
         cells.append(stats)
     rows.sort(key=lambda r: (r.model, r.n, r.ratio, r.replication, r.subject, r.metric))
-    return rows, cells
+    return rows, cells, skipped
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -458,8 +463,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Only the package's errors and ``LinAlgError`` skip a cell; any other
     exception is a fault in the program and ends the run.
     """
-    rows, cells = _run_grid(config, partial(_run_cell, config, config.resolve_library()))
-    return ExperimentResult(rows=rows, cells=cells, config=config)
+    rows, cells, skipped = _run_grid(config, partial(_run_cell, config, config.resolve_library()))
+    return ExperimentResult(rows=rows, cells=cells, config=config, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +634,7 @@ def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) ->
                 rows.extend((rep, procedure, metric, errors[metric], data_seed) for metric in config.metrics)
         return rows, None
 
-    rows, _ = _run_grid(config, run_cell)
+    rows, _, _ = _run_grid(config, run_cell)
     return BenchmarkResult(
         rows=rows, table=benchmark_table(rows, procedures), config=config, procedures=procedures
     )

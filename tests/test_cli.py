@@ -134,11 +134,41 @@ class TestConfigKeys:
         assert ("unknown config section" in message) if key is None else message.endswith(key)
         assert not (tmp_path / "out").exists()
 
-    def test_a_section_that_is_not_a_mapping_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("section", ["run", "candidate.banding"])
+    def test_a_section_that_is_not_a_mapping_is_rejected(self, tmp_path, section):
         config = tmp_path / "config.json"
-        config.write_text('{"run": 5}', encoding="utf-8")
-        with pytest.raises(ConfigError, match=r"\[run\] must map"):
+        config.write_text(json.dumps({section: 5}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] must map"):
             load_config(config)
+
+    @pytest.mark.parametrize("command, suffix, text, named", [
+        pytest.param("select", ".ini", "[candidates]\nhard_threshold = 0.05\n", "'hard_threshold'",
+                     id="ini-candidates-entry"),
+        pytest.param("select", ".json", '{"candidates": {"hard_threshold": 5}}', "'hard_threshold'",
+                     id="json-candidates-entry"),
+        pytest.param("select", ".json", '{"candidates": [1, 2]}', "[candidates]", id="json-candidates-list"),
+        pytest.param("select", ".json", '{"run": {"folds": 2.5}}', "folds", id="json-folds-fraction"),
+        pytest.param("select", ".ini", "[run]\nfolds = 2.5\n", "folds", id="ini-folds-fraction"),
+        pytest.param("select", ".json", '{"run": {"seed": 7.9}}', "seed", id="json-seed-fraction"),
+        pytest.param("select", ".json", '{"run": {"seed": true}}', "seed", id="json-seed-boolean"),
+        pytest.param("select", ".json", '{"run": {"pca": 1.5}}', "pca", id="json-pca-fraction"),
+        pytest.param("simulate", ".json", '{"experiment": {"replications": 1.5}}', "replications",
+                     id="json-replications-fraction"),
+        pytest.param("simulate", ".json", '{"experiment": {"models": [2.7]}}', "models", id="json-models-fraction"),
+    ])
+    def test_a_malformed_value_exits_2_naming_its_key(self, tmp_path, toy_csv, capsys, command, suffix, text,
+                                                      named):
+        config = tmp_path / f"config{suffix}"
+        config.write_text(text, encoding="utf-8")
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command == "select":
+            argv += ["--input", str(toy_csv[0])]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "invalid_input" and named in record["message"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSelectCommand:
@@ -340,12 +370,13 @@ class TestSelectCommand:
         report = json.loads((out / "selection_report.json").read_text())
         assert report["scheme"]["kind"] == "single"
 
-    def test_json_config_equivalent(self, tmp_path, toy_csv):
+    @pytest.mark.parametrize("params", [{}, None])
+    def test_json_config_equivalent(self, tmp_path, toy_csv, params):
         path, _ = toy_csv
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "run": {"folds": 5, "seed": 3},
-            "candidates": {"sample_covariance": {}},
+            "candidates": {"sample_covariance": params},
         }), encoding="utf-8")
         out = tmp_path / "out_json"
         assert main(["select", "--input", str(path), "--config", str(config),
@@ -395,9 +426,34 @@ class TestSimulateCommand:
         assert main(["simulate", "--profile", "smoke", "--seed", "2", "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["candidates"] == 73
+        assert (summary["schema_version"], summary["skipped"]) == (3, [])
         cell = summary["cells"][0]
         assert cell["bound"]["holds"] is True
         assert cell["cv_ratio_of_means"] >= 1.0 - 1e-9
+
+    def test_a_cell_that_fails_on_its_data_is_listed_as_skipped(self, tmp_path, monkeypatch):
+        import covsel.simulation as simulation
+
+        run_cell = simulation._run_cell
+
+        def fail_at_n_40(config, library, model, n, *cell):
+            if n == 40:
+                raise np.linalg.LinAlgError("injected")
+            return run_cell(config, library, model, n, *cell)
+
+        monkeypatch.setattr(simulation, "_run_cell", fail_at_n_40)
+        config = tmp_path / "sim.ini"
+        config.write_text(
+            "[experiment]\nmodels = 4\nn = 30 40\nratio = 0.5\nreplications = 1\nmetrics = frobenius\n\n"
+            "[candidate.sample_covariance]\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["skipped"] == [{"model": 4, "n": 40, "ratio": 0.5, "reason": "LinAlgError: injected"}]
+        assert [(cell["model"], cell["n"]) for cell in summary["cells"]] == [(4, 30)]
+        assert {r.n for r in read_results_csv(out / "results.csv")} == {30}
 
     def test_invalid_grid_exits_2(self, tmp_path, capsys):
         config = tmp_path / "sim.ini"

@@ -246,6 +246,16 @@ class TestLinearShrinkage:
         assert eigvals.min() >= -1e-10
 
 
+@pytest.mark.parametrize("family", ["linear_shrinkage", "dense_linear_shrinkage"])
+def test_tiny_data_are_shrunk_as_at_scale_one(family):
+    # At 2**-498 the entries of S are near 2**-996, and their squares underflow
+    # in data units; the plug-in sums them in units of max|S|.
+    rng = np.random.default_rng(7)
+    for shape in [(10, 6), (5, 12), (40, 30), (3, 2), (100, 50), (20, 80)]:
+        data = rng.standard_normal(shape)
+        assert np.array_equal(fit(family, np.ldexp(data, -498)), np.ldexp(fit(family, data), -996)), shape
+
+
 class TestDenseShrinkage:
     def test_target_construction(self):
         cov = np.array([[1.0, 3.0], [3.0, 5.0]])

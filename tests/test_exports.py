@@ -12,7 +12,15 @@ from pathlib import Path
 import pytest
 
 import covsel
-from covsel.cli import _experiment_from_settings, _PROFILES, build_parser, library_from_config, load_config
+from covsel.cli import (
+    _PROFILES,
+    _experiment_from_settings,
+    _settings,
+    _split_settings,
+    build_parser,
+    library_from_config,
+    load_config,
+)
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -51,14 +59,23 @@ def test_every_name_readme_gives_resolves():
     assert missing == []
 
 
-def test_readme_config_example_loads(tmp_path):
-    path = tmp_path / "readme.ini"
-    path.write_text(re.search(r"```ini\n(.*?)```", README, re.S).group(1), encoding="utf-8")
+def readme_config(tmp_path, kind):
+    """The library, the experiment and the ``[run]`` CV design of README's ``kind`` config example."""
+    path = tmp_path / f"readme.{kind}"
+    path.write_text(re.search(rf"```{kind}\n(.*?)```", README, re.S).group(1), encoding="utf-8")
     config = load_config(path)
-    assert len(library_from_config(config)) == 73 + 3
     args = build_parser().parse_args(["simulate", "--config", str(path)])
-    experiment = _experiment_from_settings(args, config, _PROFILES, ("cv_ratio",))
+    library = library_from_config(config)
+    experiment = _experiment_from_settings(_settings(args, config, "experiment"), _PROFILES, ("cv_ratio",), library)
+    return library, experiment, _split_settings(config["run"])
+
+
+def test_readme_config_example_loads(tmp_path):
+    library, experiment, split = readme_config(tmp_path, "ini")
+    assert len(library) == 73 + 3
     assert experiment.models == (2, 3) and experiment.replications == 50
+    assert split == (5, None, None, 7)
+    assert readme_config(tmp_path, "json") == (library, experiment, split)
 
 
 def load_tracing():

@@ -100,6 +100,25 @@ class TestSampleCovariance:
         cov = sample_covariance(rng.normal(size=(20, 8)))
         assert np.array_equal(cov, cov.T)
 
+    @pytest.mark.parametrize("n, dim", [(7, 5), (33, 301), (320, 200)])
+    def test_bit_symmetric_for_every_layout(self, n, dim):
+        base = np.random.default_rng([n, dim]).normal(size=(2 * n, 2 * dim))
+        layouts = {
+            "c-ordered": np.ascontiguousarray(base[:n, :dim]),
+            "f-ordered": np.asfortranarray(base[:n, :dim]),
+            "row-strided": base[::2, :dim],
+            "column-strided": base[:n, ::2],
+            "boolean-masked": base[np.arange(2 * n) % 3 > 0, :dim],
+        }
+        for name, data in layouts.items():
+            bits = sample_covariance(data).view(np.uint64)
+            assert np.array_equal(bits, bits.T), name
+            # The symmetrizing pass it no longer makes, on the layout it multiplies.
+            product = data if data.flags.c_contiguous or data.flags.f_contiguous else np.ascontiguousarray(data)
+            cov = product.T @ product
+            cov /= len(data)
+            assert np.array_equal(bits, (0.5 * (cov + cov.T)).view(np.uint64)), name
+
     def test_psd_on_random_inputs(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
