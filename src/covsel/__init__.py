@@ -12,7 +12,7 @@ The top level holds the calls README documents and the types their
 arguments need; everything else lives in its module.
 """
 
-from .cv_engine import MonteCarloSplit, SingleSplit, VFold, oracle_select_cv, oracle_select_full, select
+from .cv_engine import MonteCarloSplit, VFold, oracle_select_cv, oracle_select_full, select
 from .errors import ConfigError, DegenerateFeatureError, EstimationError, SelectionError
 from .estimators import CandidateLibrary, EstimatorSpec, apply, default_library, library_preset, register_family
 from .simulation import ExperimentConfig, run_benchmark, run_experiment, summarize_ratios
@@ -29,7 +29,6 @@ __all__ = [
     "ExperimentConfig",
     "MonteCarloSplit",
     "SelectionError",
-    "SingleSplit",
     "VFold",
     "apply",
     "default_library",

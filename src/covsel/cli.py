@@ -7,8 +7,9 @@ configuration and seed, and every CSV written here can be read back with
 the readers in this module.
 
 Exit codes: 0 success, 2 invalid input or configuration, 3 total
-estimation failure.  Errors are also emitted as single-line JSON records
-on standard error.
+estimation failure, 4 a ``simulate`` or ``bench`` run that skipped a cell
+which failed on its data (the other cells' outputs are written).  Errors
+are also emitted as single-line JSON records on standard error.
 """
 
 from __future__ import annotations
@@ -53,11 +54,13 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 #: Format versions of ``selection_report.json`` (2: ``psd`` is flagged for
-#: the winner and its ties only) and of the ``simulate`` ``summary.json``
+#: the winner and its ties only; 3: one random split is a ``monte_carlo``
+#: scheme with ``count`` 1) and of the ``simulate`` ``summary.json``
 #: (2: ``full_risk_diff`` is scaled by the oracle's eta, as
-#: ``cv_risk_diff`` is; 3: ``skipped`` lists the cells that failed on their data).
-SCHEMA_VERSION = 2
-SUMMARY_SCHEMA_VERSION = 3
+#: ``cv_risk_diff`` is; 3: ``skipped`` lists the cells that failed on their
+#: data; 4: the config echo has no ``selector_risk``).
+SCHEMA_VERSION = 3
+SUMMARY_SCHEMA_VERSION = 4
 
 _PROFILES = {
     "smoke": {"models": (2,), "sample_sizes": (50,), "ratios": (0.5,), "replications": 2},
@@ -345,7 +348,7 @@ _CONFIG_KEYS = {
     "run": {"input", "delimiter", "header", "scaling", "risk", "center", "pca", "out", "folds", "pn", "splits", "seed"},
     "experiment": {
         "profile", "models", "n", "ratio", "replications", "metrics", "folds", "pn", "splits", "seed",
-        "scaling", "risk", "center", "fix_model",
+        "scaling", "center", "fix_model",
     },
     "library": {"preset"},
 }
@@ -572,7 +575,6 @@ def _experiment_from_settings(settings: dict, profiles: dict, default_metrics, l
         metrics=listed("metrics", lambda v, key: str(v), default_metrics),
         seed=seed,
         scaling=str(settings.get("scaling", "one")),
-        selector_risk=str(settings.get("risk", "matrix")),
         center=_as_bool(settings.get("center", False), "center"),
         fix_model=_as_bool(settings.get("fix_model", False), "fix_model"),
         library=library,
@@ -584,7 +586,7 @@ def _experiment_from_settings(settings: dict, profiles: dict, default_metrics, l
 def _config_echo(config: ExperimentConfig) -> dict:
     """Every config field, with the library as its candidate count."""
     echo = {f.name: getattr(config, f.name) for f in dataclasses.fields(config) if f.name != "library"}
-    echo["candidates"] = len(config.resolve_library())
+    echo["candidates"] = len(config.library)
     return echo
 
 
@@ -600,18 +602,20 @@ def _grid_command(args, profiles: dict, default_metrics, run, write) -> int:
     """Run ``simulate`` or ``bench``: ``run`` the configured grid, then write ``results.csv`` and ``write`` the rest.
 
     The grid comes from ``[experiment]`` and the output directory from
-    ``[run]``, each with the flags given in place of its keys.
+    ``[run]``, each with the flags given in place of its keys.  Returns 4
+    when a cell was skipped, else 0.
     """
     config_file = load_config(args.config) if args.config else {}
     config = _experiment_from_settings(
-        _settings(args, config_file, "experiment"), profiles, default_metrics, library_from_config(config_file)
+        _settings(args, config_file, "experiment"), profiles, default_metrics,
+        library_from_config(config_file) or library_preset("default"),
     )
     out_dir = Path(str(_settings(args, config_file, "run").get("out", ".")))
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run(config)
     write_results_csv(out_dir / "results.csv", result.rows)
     write(out_dir, config, result)
-    return 0
+    return 4 if result.skipped else 0
 
 
 def _write_summary(out_dir: Path, config: ExperimentConfig, result) -> None:

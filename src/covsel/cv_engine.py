@@ -28,11 +28,7 @@ from .estimators import (  # noqa: F401
     apply_library,
     iter_fits,
 )
-from .loss_risk import (
-    _inverse_variance_weights,
-    estimate_weight_matrix,
-    resolve_constant_scaling,
-)
+from .loss_risk import _inverse_variance_weights, _sample_weight_matrix, resolve_constant_scaling
 from .matrix_core import (
     as_data_matrix,
     as_square_matrix,
@@ -46,7 +42,6 @@ from .matrix_core import (
 __all__ = [
     "VFold",
     "MonteCarloSplit",
-    "SingleSplit",
     "SplitScheme",
     "split_scheme",
     "validation_fraction",
@@ -80,24 +75,16 @@ class MonteCarloSplit:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class SingleSplit:
-    """One random train/validation split."""
-
-    validation_fraction: float
-    seed: int = 0
-
-
-SplitScheme = Union[VFold, MonteCarloSplit, SingleSplit]
+SplitScheme = Union[VFold, MonteCarloSplit]
 
 
 def split_scheme(folds: int = 5, fraction=None, count=None, seed: int = 0) -> SplitScheme:
-    """The CV design: V-fold, or with a validation ``fraction`` one random split, or ``count`` of them."""
+    """The CV design: V-fold, or with a validation ``fraction`` ``count`` random splits (one by default)."""
     if fraction is None and count is not None:
         raise ConfigError("a split count (--splits) needs a validation fraction (--pn)")
     if fraction is None:
         return VFold(folds, seed=seed)
-    return SingleSplit(fraction, seed=seed) if count is None else MonteCarloSplit(count, fraction, seed=seed)
+    return MonteCarloSplit(1 if count is None else count, fraction, seed=seed)
 
 
 def validation_fraction(scheme: SplitScheme) -> float:
@@ -107,7 +94,7 @@ def validation_fraction(scheme: SplitScheme) -> float:
     return scheme.validation_fraction
 
 
-_SCHEME_KINDS = {VFold: "v_fold", MonteCarloSplit: "monte_carlo", SingleSplit: "single"}
+_SCHEME_KINDS = {VFold: "v_fold", MonteCarloSplit: "monte_carlo"}
 
 
 def scheme_description(scheme: SplitScheme) -> dict:
@@ -161,14 +148,13 @@ def make_splits(scheme: SplitScheme, n: int) -> list[np.ndarray]:
         if scheme.count < 1:
             raise ConfigError(f"need at least one split, got {scheme.count}")
         return _random_masks(rng, n, scheme.validation_fraction, scheme.count)
-    if isinstance(scheme, SingleSplit):
-        return _random_masks(rng, n, scheme.validation_fraction, 1)
     raise ConfigError(f"unknown split scheme {scheme!r}")
 
 
-def _fold_scaling(policy: str, train: np.ndarray, dim: int):
+def _fold_scaling(policy: str, ctx: FitContext, dim: int):
+    """The fold's scaling; ``weighted`` reads the variances off the training covariance ``ctx.cov``."""
     if policy == "weighted":
-        return estimate_weight_matrix(train)
+        return _sample_weight_matrix(ctx.cov)
     return resolve_constant_scaling(policy, dim)
 
 
@@ -316,14 +302,15 @@ def evaluate_candidates(
             fold_means = train.mean(axis=0, keepdims=True)
             train = train - fold_means
             val = val - fold_means
-        eta = _fold_scaling(scaling, train, dim)
+        ctx = FitContext(train)
+        eta = _fold_scaling(scaling, ctx, dim)
         targets = []
         if risk is not None:
             val_cov = sample_covariance(val)
             targets.append((val_cov, eta))
         if psi0 is not None:
             targets.append((psi0, oracle_eta))
-        fold = _grid.Fold(FitContext(train), targets, layout)
+        fold = _grid.Fold(ctx, targets, layout)
         if risk is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 if risk == "observation":

@@ -216,8 +216,6 @@ def _poet_low_rank(cov: np.ndarray, basis, factors: int) -> np.ndarray:
     dim = cov.shape[0]
     if not 0 <= factors <= dim:
         raise ConfigError(f"factor count {factors} outside [0, {dim}]")
-    if factors == 0:
-        return np.zeros_like(cov)
     vectors, weights = basis
     loadings = vectors[:, :factors] * np.sqrt(np.maximum(weights[:factors], 0.0))
     return loadings @ loadings.T
@@ -715,8 +713,6 @@ def expand_grid(family: str, **param_lists) -> list[EstimatorSpec]:
     """
     if family not in _FAMILIES:
         raise ConfigError(f"unknown estimator family {family!r}")
-    if not param_lists:
-        return [EstimatorSpec(family)]
     order = [k for k in _FAMILIES[family].param_order if k in param_lists]
     order += [k for k in sorted(param_lists) if k not in order]
     specs = [{}]

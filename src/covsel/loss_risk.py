@@ -165,7 +165,12 @@ def estimate_weight_matrix(training) -> np.ndarray:
     feature has no variation.
     """
     training = as_data_matrix(training, min_rows=1)
-    variances = np.diag(sample_covariance(training))
+    return _sample_weight_matrix(sample_covariance(training))
+
+
+def _sample_weight_matrix(cov: np.ndarray) -> np.ndarray:
+    """:func:`estimate_weight_matrix` from the training set's sample covariance ``cov``."""
+    variances = np.diag(cov)
     bad = np.flatnonzero(variances <= 0.0)
     if bad.size:
         cols = ", ".join(str(int(j)) for j in bad[:8])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -163,7 +163,7 @@ def build_model_covariance(spec: CovModelSpec) -> np.ndarray:
         rng = np.random.default_rng(spec.seed)
         loadings = rng.standard_normal((dim, 3))
         psi = loadings @ loadings.T + np.eye(dim)
-    return _repair_psd(symmetrize(psi))
+    return _repair_psd(psi)
 
 
 def sample_gaussian(psi, n: int, seed: int) -> np.ndarray:
@@ -214,14 +214,13 @@ class ExperimentConfig:
 
     One cell is a ``(model, n, ratio)`` triple with dimension
     ``round(ratio * n)``.  ``metrics`` picks which result rows are
-    emitted; ``selector_risk`` picks the score driving the selector
-    (``"matrix"`` and ``"observation"`` select identically under a
-    constant scaling factor).  Model matrices for models 5 and 8 are
-    redrawn each replication unless ``fix_model`` is set.
+    emitted.  The selector scores the matrix risk, which selects as the
+    observation risk does.  Model matrices for models 5 and 8 are
+    redrawn each replication unless ``fix_model`` is set.  ``library``
+    defaults to :func:`~covsel.estimators.default_library`.
 
     The CV design is V-fold by default; setting ``validation_fraction``
-    switches to a single random split, or to ``split_count`` repeated
-    random splits when that is also given.
+    switches to ``split_count`` random splits, one if that is not given.
     """
 
     models: tuple[int, ...]
@@ -234,10 +233,9 @@ class ExperimentConfig:
     metrics: tuple[str, ...] = _METRICS
     seed: int = 0
     scaling: str = "one"
-    selector_risk: str = "matrix"
     center: bool = False
     fix_model: bool = False
-    library: CandidateLibrary | None = None
+    library: CandidateLibrary = field(default_factory=default_library)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "models", tuple(int(m) for m in self.models))
@@ -261,8 +259,6 @@ class ExperimentConfig:
             raise ConfigError("at least one metric is required")
         if self.scaling not in ("one", "inv_J", "inv_J2"):
             raise ConfigError("simulation runs use a constant scaling factor (one, inv_J, inv_J2)")
-        if self.selector_risk not in ("observation", "matrix"):
-            raise ConfigError(f"selector_risk must be 'observation' or 'matrix', got {self.selector_risk!r}")
         for n in self.sample_sizes:
             # make_splits holds the CV design's rules; a design it rejects fails here, not mid-run.
             make_splits(self.scheme(0), n)
@@ -279,9 +275,6 @@ class ExperimentConfig:
                 for ratio_idx, ratio in enumerate(self.ratios):
                     out.append((model, n, ratio_idx, ratio, _dim_for(n, ratio)))
         return out
-
-    def resolve_library(self) -> CandidateLibrary:
-        return self.library if self.library is not None else default_library()
 
     def scheme(self, seed: int):
         """The CV scheme for one replication, seeded."""
@@ -338,7 +331,7 @@ class ExperimentResult:
 
 def expected_row_count(config: ExperimentConfig) -> int:
     """Exact number of result rows a clean run will produce."""
-    n_candidates = len(config.resolve_library())
+    n_candidates = len(config.library)
     # Per metric: every candidate, the selection and, for a risk difference, its oracle.
     per_rep = sum(n_candidates + 1 + (_METRIC_ROWS[m][1] is not None) for m in config.metrics)
     return len(config.cells()) * config.replications * per_rep
@@ -385,7 +378,7 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
             splits,
             scaling=config.scaling,
             center=config.center,
-            risk=config.selector_risk,
+            risk="matrix",
             psi0=psi0 if want_cv else None,
         )
         failures = dict(ev.failures)
@@ -463,7 +456,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Only the package's errors and ``LinAlgError`` skip a cell; any other
     exception is a fault in the program and ends the run.
     """
-    rows, cells, skipped = _run_grid(config, partial(_run_cell, config, config.resolve_library()))
+    rows, cells, skipped = _run_grid(config, partial(_run_cell, config, config.library))
     return ExperimentResult(rows=rows, cells=cells, config=config, skipped=skipped)
 
 
@@ -548,6 +541,8 @@ class BenchmarkResult:
     table: list[dict]
     config: ExperimentConfig
     procedures: tuple[str, ...]
+    #: The cells that failed on their data, as in :class:`ExperimentResult`.
+    skipped: list[dict]
 
 
 def _family_grids(library: CandidateLibrary) -> dict[str, list]:
@@ -557,15 +552,13 @@ def _family_grids(library: CandidateLibrary) -> dict[str, list]:
     return grids
 
 
-def benchmark_table(rows, procedures=None) -> list[dict]:
+def benchmark_table(rows) -> list[dict]:
     """Mean value per (cell, procedure, metric) from benchmark rows."""
     groups: dict[tuple, list[float]] = {}
     for row in rows:
         groups.setdefault((_cell_key(row), row.subject, row.metric), []).append(row.value)
     table = []
     for (cell, subject, metric) in sorted(groups, key=lambda k: (k[0], str(k[1]), k[2])):
-        if procedures is not None and subject not in procedures:
-            continue
         model, n, dim, ratio = cell
         values = groups[(cell, subject, metric)]
         table.append(
@@ -593,11 +586,10 @@ def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) ->
     for metric in config.metrics:
         if metric not in ("frobenius", "spectral"):
             raise ConfigError(f"benchmark metrics must be frobenius/spectral, got {metric!r}")
-    selection_library = config.resolve_library()
     if tuning_grids is None:
         tuning_grids = _family_grids(wide_library())
 
-    union_specs = list(selection_library)
+    union_specs = list(config.library)
     index_of = {spec.id: i for i, spec in enumerate(union_specs)}
     for specs in tuning_grids.values():
         for spec in specs:
@@ -605,7 +597,7 @@ def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) ->
                 index_of[spec.id] = len(union_specs)
                 union_specs.append(spec)
     union = CandidateLibrary(tuple(union_specs))
-    groups: dict[str, list[int]] = {SELECTED_SUBJECT: [index_of[s.id] for s in selection_library]}
+    groups: dict[str, list[int]] = {SELECTED_SUBJECT: [index_of[s.id] for s in config.library]}
     for family, specs in tuning_grids.items():
         groups[family] = [index_of[s.id] for s in specs]
     procedures = tuple(groups)
@@ -615,7 +607,7 @@ def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) ->
         for rep, psi0, data, data_seed, splits in _replications(config, model, n, ratio_idx, dim):
             ev = evaluate_candidates(
                 union, data, splits,
-                scaling=config.scaling, center=config.center, risk=config.selector_risk,
+                scaling=config.scaling, center=config.center, risk="matrix",
             )
             selector = ev.mean_risks()
             ctx = FitContext(center_columns(data) if config.center else data)
@@ -634,7 +626,7 @@ def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) ->
                 rows.extend((rep, procedure, metric, errors[metric], data_seed) for metric in config.metrics)
         return rows, None
 
-    rows, _, _ = _run_grid(config, run_cell)
+    rows, _, skipped = _run_grid(config, run_cell)
     return BenchmarkResult(
-        rows=rows, table=benchmark_table(rows, procedures), config=config, procedures=procedures
+        rows=rows, table=benchmark_table(rows), config=config, procedures=procedures, skipped=skipped
     )

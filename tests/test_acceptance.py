@@ -152,24 +152,60 @@ def test_criterion_3_selected_vs_oracle_ratio(desk_experiment):
     )
 
 
-def test_criterion_4_per_replication_dominance(desk_experiment):
-    result, _ = desk_experiment
+def _dominance_ratios(rows) -> list[float]:
+    """Per replication, the ratio of the selection's cv risk difference to the oracle's."""
     picked = {}
     oracle = {}
-    for row in result.rows:
+    for row in rows:
         if row.metric != "cv_risk_diff":
             continue
-        key = (row.n, row.replication)
+        key = (row.model, row.n, row.ratio, row.replication)
         if row.subject == SELECTED_SUBJECT:
             picked[key] = row.value
         elif row.subject == CV_ORACLE_SUBJECT:
             oracle[key] = row.value
     assert picked and set(picked) == set(oracle)
-    worst = min(picked[k] / oracle[k] for k in picked)
+    return [picked[k] / oracle[k] for k in picked]
+
+
+def _bound_sides(result) -> dict:
+    """Per ``(model, n, J)`` cell, the selection's mean cv risk difference and the finite-sample bound's ``rhs``."""
+    summary = summarize_ratios(result.rows, metrics=("cv_ratio",))
+    stats_by_cell = {(s.model, s.n, s.dim): s for s in result.cells}
+    sides = {}
+    for cell in summary["cells"]:
+        key = (cell["model"], cell["n"], cell["J"])
+        stats = stats_by_cell[key]
+        params = BoundParams(
+            delta=1.0,
+            m1=stats.max_sq_observation,
+            m2=stats.max_abs_estimate,
+            dim=stats.dim,
+            n_candidates=stats.n_candidates,
+            n_obs=stats.n,
+            validation_fraction=stats.validation_fraction,
+        )
+        sides[key] = (cell["cv_risk_diff_mean_selected"], finite_sample_bound(params, cell["cv_risk_diff_mean_oracle"]).rhs)
+    return sides
+
+
+def _bound_holds(sides: dict) -> bool:
+    """``lhs <= rhs`` in every cell; a NaN on either side fails."""
+    return all(lhs <= rhs for lhs, rhs in sides.values())
+
+
+def _slack(lhs: float, rhs: float) -> float:
+    """The bound's slack ``rhs / lhs`` for printing (NaN stays NaN)."""
+    return math.inf if lhs <= 0.0 else rhs / lhs
+
+
+def test_criterion_4_per_replication_dominance(desk_experiment):
+    result, _ = desk_experiment
+    ratios = _dominance_ratios(result.rows)
     _check(
         "criterion 4 (per-replication oracle dominance)",
-        worst >= 1.0 - 1e-12,
-        f"minimum per-replication ratio {worst:.15f} over {len(picked)} replications",
+        all(ratio >= 1.0 - 1e-12 for ratio in ratios),
+        f"minimum per-replication ratio {min(ratios):.15f} over {len(ratios)} replications",
     )
 
 
@@ -199,27 +235,41 @@ def test_criterion_5_benchmark_no_worse_than_best_family():
 
 def test_criterion_6_finite_sample_bound(desk_experiment):
     result, _ = desk_experiment
-    summary = summarize_ratios(result.rows, metrics=("cv_ratio",))
-    stats_by_cell = {(s.n, s.dim): s for s in result.cells}
-    details = []
-    holds = True
-    for cell in summary["cells"]:
-        stats = stats_by_cell[(cell["n"], cell["J"])]
-        params = BoundParams(
-            delta=1.0,
-            m1=stats.max_sq_observation,
-            m2=stats.max_abs_estimate,
-            dim=stats.dim,
-            n_candidates=stats.n_candidates,
-            n_obs=stats.n,
-            validation_fraction=stats.validation_fraction,
-        )
-        report = finite_sample_bound(params, cell["cv_risk_diff_mean_oracle"])
-        holds = holds and cell["cv_risk_diff_mean_selected"] <= report.rhs
-        details.append(
-            f"n={cell['n']}: mean {cell['cv_risk_diff_mean_selected']:.3f} <= rhs {report.rhs:.3e}"
-        )
-    _check("criterion 6 (finite-sample bound sanity)", holds, "; ".join(details))
+    sides = _bound_sides(result)
+    _check(
+        "criterion 6 (finite-sample bound sanity)",
+        _bound_holds(sides),
+        "; ".join(f"n={n}: rhs / lhs {_slack(*pair):.3e}" for (_, n, _), pair in sorted(sides.items())),
+    )
+
+
+@pytest.mark.parametrize("scaling", ["one", "inv_J", "inv_J2"])
+def test_criteria_4_and_6_on_every_model(scaling):
+    config = ExperimentConfig(
+        models=tuple(range(1, 9)),
+        sample_sizes=(50,),
+        ratios=(0.5, 2.0),
+        replications=5,
+        metrics=("cv_ratio",),
+        scaling=scaling,
+        seed=20260811,
+    )
+    result = run_experiment(config)
+    assert result.skipped == [] and len(result.cells) == 16
+    ratios = _dominance_ratios(result.rows)
+    _check(
+        f"criterion 4 on models 1-8 ({scaling})",
+        all(ratio >= 1.0 - 1e-12 for ratio in ratios),
+        f"minimum per-replication ratio {min(ratios):.15f} over {len(ratios)} replications",
+    )
+    sides = _bound_sides(result)
+    _check(
+        f"criterion 6 on models 1-8 ({scaling})",
+        len(sides) == 16 and _bound_holds(sides),
+        "; ".join(
+            f"model {model} J={dim}: rhs / lhs {_slack(*pair):.3e}" for (model, _, dim), pair in sorted(sides.items())
+        ),
+    )
 
 
 def test_criterion_7_estimator_identities():

@@ -118,6 +118,7 @@ class TestConfigKeys:
         pytest.param(".ini", "[library]\npresets = light\n", "library", "presets", id="ini-library-key"),
         pytest.param(".json", '{"experiment": {"replicatons": 1}}', "experiment", "replicatons",
                      id="json-experiment-key"),
+        pytest.param(".ini", "[experiment]\nrisk = matrix\n", "experiment", "risk", id="ini-experiment-risk"),
         pytest.param(".json", '{"run": {"fold": 3}}', "run", "fold", id="json-run-key"),
         pytest.param(".json", '{"rnu": {"folds": 3}}', "rnu", None, id="json-section"),
     ])
@@ -181,7 +182,7 @@ class TestSelectCommand:
         ])
         assert code == 0
         report = json.loads((out / "selection_report.json").read_text())
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["selected_id"] == "sample_covariance"
         assert len(report["candidates"]) == 1
         assert report["seed"] == 3
@@ -368,7 +369,7 @@ class TestSelectCommand:
         ])
         assert code == 0
         report = json.loads((out / "selection_report.json").read_text())
-        assert report["scheme"]["kind"] == "single"
+        assert report["scheme"] == {"kind": "monte_carlo", "count": 1, "validation_fraction": 0.25, "seed": 3}
 
     @pytest.mark.parametrize("params", [{}, None])
     def test_json_config_equivalent(self, tmp_path, toy_csv, params):
@@ -426,7 +427,8 @@ class TestSimulateCommand:
         assert main(["simulate", "--profile", "smoke", "--seed", "2", "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["candidates"] == 73
-        assert (summary["schema_version"], summary["skipped"]) == (3, [])
+        assert (summary["schema_version"], summary["skipped"]) == (4, [])
+        assert "selector_risk" not in summary["config"]
         cell = summary["cells"][0]
         assert cell["bound"]["holds"] is True
         assert cell["cv_ratio_of_means"] >= 1.0 - 1e-9
@@ -449,7 +451,7 @@ class TestSimulateCommand:
             encoding="utf-8",
         )
         out = tmp_path / "out"
-        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 4
         summary = json.loads((out / "summary.json").read_text())
         assert summary["skipped"] == [{"model": 4, "n": 40, "ratio": 0.5, "reason": "LinAlgError: injected"}]
         assert [(cell["model"], cell["n"]) for cell in summary["cells"]] == [(4, 30)]
@@ -524,6 +526,28 @@ class TestBenchCommand:
         assert "banding" in procedures
         rows = read_results_csv(out / "results.csv")
         assert {r.metric for r in rows} == {"frobenius", "spectral"}
+
+    def test_a_cell_that_fails_on_its_data_exits_4(self, tmp_path, monkeypatch):
+        import covsel.simulation as simulation
+
+        replications = simulation._replications
+
+        def fail_at_n_40(config, model, n, *cell):
+            if n == 40:
+                raise np.linalg.LinAlgError("injected")
+            return replications(config, model, n, *cell)
+
+        monkeypatch.setattr(simulation, "_replications", fail_at_n_40)
+        config = tmp_path / "bench.ini"
+        config.write_text(
+            "[experiment]\nmodels = 4\nn = 30 40\nratio = 0.5\nreplications = 1\nmetrics = frobenius\n\n"
+            "[candidate.sample_covariance]\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(config), "--out", str(out)]) == 4
+        assert {r.n for r in read_results_csv(out / "results.csv")} == {30}
+        assert {entry["n"] for entry in read_benchmark_table(out / "bench_table.csv")} == {30}
 
     def test_bench_determinism(self, tmp_path):
         out_a = tmp_path / "a"

@@ -6,7 +6,6 @@ import pytest
 import covsel.estimators as estimators
 from covsel.cv_engine import (
     MonteCarloSplit,
-    SingleSplit,
     VFold,
     evaluate_candidates,
     make_splits,
@@ -67,7 +66,7 @@ class TestMakeSplits:
         assert np.array_equal(np.sum(masks, axis=0), np.ones(102, dtype=int))
 
     def test_single_split_proportion(self):
-        masks = make_splits(SingleSplit(0.2, seed=3), 10)
+        masks = make_splits(MonteCarloSplit(1, 0.2, seed=3), 10)
         assert len(masks) == 1
         assert int(masks[0].sum()) == 2
 
@@ -77,7 +76,7 @@ class TestMakeSplits:
         assert all(int(m.sum()) == 5 for m in masks)
 
     def test_determinism(self):
-        for scheme in (VFold(4, seed=9), MonteCarloSplit(3, 0.3, seed=9), SingleSplit(0.5, seed=9)):
+        for scheme in (VFold(4, seed=9), MonteCarloSplit(3, 0.3, seed=9), MonteCarloSplit(1, 0.5, seed=9)):
             first = make_splits(scheme, 23)
             second = make_splits(scheme, 23)
             assert all(np.array_equal(a, b) for a, b in zip(first, second))
@@ -91,9 +90,9 @@ class TestMakeSplits:
         with pytest.raises(ConfigError):
             make_splits(VFold(11, seed=0), 10)
         with pytest.raises(ConfigError):
-            make_splits(SingleSplit(0.05, seed=0), 10)  # n * p < 1
+            make_splits(MonteCarloSplit(1, 0.05, seed=0), 10)  # n * p < 1
         with pytest.raises(ConfigError):
-            make_splits(SingleSplit(0.999, seed=0), 3)  # no training rows
+            make_splits(MonteCarloSplit(1, 0.999, seed=0), 3)  # no training rows
         with pytest.raises(ConfigError):
             make_splits(VFold(1, seed=0), 10)
 
@@ -102,7 +101,7 @@ class TestSplitScheme:
     def test_settings_map_to_one_design(self):
         assert split_scheme() == VFold(5)
         assert split_scheme(3, seed=4) == VFold(3, seed=4)
-        assert split_scheme(3, 0.2, seed=4) == SingleSplit(0.2, seed=4)
+        assert split_scheme(3, 0.2, seed=4) == MonteCarloSplit(1, 0.2, seed=4)
         assert split_scheme(3, 0.2, 6, seed=4) == MonteCarloSplit(6, 0.2, seed=4)
 
     def test_count_without_fraction_rejected(self):
@@ -244,6 +243,26 @@ class TestSelect:
         data[:, 2] = 5.0
         with pytest.raises(DegenerateFeatureError, match=r"column\(s\) 2"):
             select(small_library(), data, VFold(5, seed=0), scaling="weighted")
+
+    @pytest.mark.parametrize("library, n_ties", [
+        (default_library(), 1),
+        (build_library({"sample_covariance": {}, "adaptive_lasso": {"threshold": [0.0], "exponent": [0.5]}}), 2),
+    ], ids=["default", "two-equal-estimates"])
+    def test_weighted_scaling_reads_each_folds_own_covariance(self, monkeypatch, library, n_ties):
+        # The second library's two candidates are equal, so they tie and the near-tie pass runs too.
+        import covsel.loss_risk as loss_risk
+
+        data = np.random.default_rng(16).normal(size=(30, 5))
+        expected = select(library, data, VFold(5, seed=0), scaling="weighted")
+
+        def refuse(_):
+            raise AssertionError("a training covariance was computed again for the weights")
+
+        monkeypatch.setattr(loss_risk, "sample_covariance", refuse)
+        report = select(library, data, VFold(5, seed=0), scaling="weighted")
+        assert report.candidates == expected.candidates and report.tie_ids == expected.tie_ids
+        assert np.array_equal(report.estimate, expected.estimate)
+        assert len(report.tie_ids) == n_ties
 
     @pytest.mark.parametrize(
         "library, data, folds, n_ties",
