@@ -42,7 +42,7 @@ from .estimators import (  # noqa: F401
     wide_library,
 )
 from .loss_risk import resolve_constant_scaling
-from .matrix_core import as_square_matrix, center_columns, symmetrize
+from .matrix_core import _frobenius_norm, _has_cholesky, as_square_matrix, center_columns, symmetrize
 
 __all__ = [
     "CovModelSpec",
@@ -107,7 +107,15 @@ def _repair_psd(matrix: np.ndarray) -> np.ndarray:
     model 3, whose banded construction is indefinite once the dimension
     exceeds 3; the repaired matrix is the covariance actually sampled
     from and benchmarked against.
+
+    A Cholesky factor of ``matrix - (1e-10 + margin) I`` clears a matrix
+    without the ``eigh``.  The margin, ``1e-8 ||matrix||_F``, is orders of
+    magnitude above the rounding of both the factorization and ``eigh``, so
+    every matrix it clears is one whose ``eigh`` spectrum starts at or
+    above 1e-10 too, and the result is the same as from ``eigh`` alone.
     """
+    if _has_cholesky(matrix, -(1e-10 + 1e-8 * _frobenius_norm(matrix))):
+        return matrix
     eigvals, eigvecs = np.linalg.eigh(matrix)
     if float(eigvals[0]) >= 1e-10:
         return matrix

@@ -5,6 +5,7 @@ import pytest
 
 import covsel.cv_engine as cv_engine
 import covsel.estimators as estimators
+import covsel.matrix_core as matrix_core
 import covsel.simulation as simulation
 from covsel.cv_engine import MonteCarloSplit, VFold, make_splits
 from covsel.errors import ConfigError, EstimationError
@@ -113,6 +114,24 @@ class TestModels:
             for seed in (0, 7):
                 psi = build_model_covariance(CovModelSpec(model, dim, seed))
                 assert np.array_equal(psi.view(np.uint64), psi.T.view(np.uint64)), (dim, seed)
+
+    @pytest.mark.parametrize("model", range(1, 9))
+    def test_cholesky_precheck_repairs_as_eigh_alone(self, model, monkeypatch):
+        def eigh_only(matrix):
+            eigvals, eigvecs = np.linalg.eigh(matrix)
+            if float(eigvals[0]) >= 1e-10:
+                return matrix
+            out = (eigvecs * np.maximum(eigvals, 1e-10)) @ eigvecs.T
+            return 0.5 * (out + out.T)
+
+        for dim in (3, 50, 200):
+            spec = CovModelSpec(model, dim, seed=3)
+            repaired = build_model_covariance(spec)
+            with monkeypatch.context() as patched:
+                patched.setattr(simulation, "_repair_psd", lambda matrix: matrix)
+                raw = build_model_covariance(spec)
+            expected = eigh_only(raw)
+            assert np.array_equal(repaired.view(np.uint64), expected.view(np.uint64)), dim
 
 
 class TestSampler:
@@ -330,6 +349,28 @@ class TestCrossPath:
         bench_frob = selected_frobenius(benched)
         assert sim_frob.keys() == bench_frob.keys() and len(sim_frob) == 6
         assert bench_frob == sim_frob
+
+    def test_benchmark_and_experiment_agree_on_lanczos_spectral_norms(self, monkeypatch):
+        config = tiny_config(sample_sizes=(40,), ratios=(5.0,), metrics=("frobenius", "spectral"))
+        lanczos = matrix_core._lanczos_norm
+        converged = []
+
+        def recorded(m):
+            converged.append(lanczos(m))
+            return converged[-1]
+
+        monkeypatch.setattr(matrix_core, "_lanczos_norm", recorded)
+
+        def selected_spectral(rows):
+            return {(r.model, r.n, r.ratio, r.replication): r.value for r in rows
+                    if r.subject == SELECTED_SUBJECT and r.metric == "spectral"}
+
+        simulated = selected_spectral(run_experiment(config).rows)
+        benched = selected_spectral(run_benchmark(config, tuning_grids={}).rows)
+        assert len(simulated) == 2 and all(np.isfinite(v) for v in simulated.values())
+        assert benched == simulated
+        # J = 200: every norm came from Lanczos, none from the eigvalsh fallback.
+        assert converged and None not in converged
 
 
 class TestSummaries:
