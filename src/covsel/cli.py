@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cv_engine import select, split_scheme
+from .cv_engine import scheme_description, select, split_scheme
 from .errors import ConfigError, DegenerateFeatureError, EstimationError, SelectionError
 from .estimators import CandidateLibrary, expand_grid, library_preset
 from .loss_risk import SCALING_POLICIES, BoundParams, finite_sample_bound
@@ -503,6 +503,7 @@ def cmd_select(args) -> int:
     delimiter = _normalize_delimiter(str(run.get("delimiter", ",")))
     center = _as_bool(run.get("center", True), "center")
     pca = _as_int(run.get("pca", 0), "pca")
+    scaling, risk = str(run.get("scaling", "one")), str(run.get("risk", "observation"))
     scheme = split_scheme(*_split_settings(run))
     library = library_from_config(config) or library_preset("default")
 
@@ -510,10 +511,7 @@ def cmd_select(args) -> int:
     if not 0 <= pca <= data.shape[1]:
         raise ConfigError(f"--pca must lie between 0 and the number of features {data.shape[1]}, got {pca}")
 
-    report = select(
-        library, data, scheme,
-        scaling=str(run.get("scaling", "one")), risk=str(run.get("risk", "observation")), center=center,
-    )
+    report = select(library, data, scheme, scaling=scaling, risk=risk, center=center)
 
     out_dir = Path(str(run.get("out", ".")))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -525,22 +523,22 @@ def cmd_select(args) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "select",
-        "n": report.n_obs,
-        "J": report.dim,
+        "n": data.shape[0],
+        "J": data.shape[1],
         "selected_id": report.selected_id,
         "selected_index": report.selected_index,
         "tie_ids": list(report.tie_ids),
-        "scheme": report.scheme,
-        "seed": report.seed,
-        "scaling": report.scaling,
-        "risk": report.risk,
-        "centered": report.centered,
+        "scheme": scheme_description(scheme),
+        "seed": scheme.seed,
+        "scaling": scaling,
+        "risk": risk,
+        "centered": center,
         "warnings": list(report.warnings),
         "candidates": candidates,
     }
     _write_json(out_dir / "selection_report.json", payload)
     write_risk_table(out_dir / "risk_table.csv", candidates)
-    _write_matrix(out_dir / "estimate.csv", report.estimate, comment=f"J={report.dim} selected={report.selected_id}")
+    _write_matrix(out_dir / "estimate.csv", report.estimate, comment=f"J={data.shape[1]} selected={report.selected_id}")
     if pca > 0:
         scores = (center_columns(data) if center else data) @ eigendecompose(report.estimate).eigenvectors[:, :pca]
         _write_matrix(out_dir / "scores.csv", scores, column_names=[f"pc{j + 1}" for j in range(pca)])

@@ -28,7 +28,7 @@ from .estimators import (  # noqa: F401
     apply_library,
     iter_fits,
 )
-from .loss_risk import _inverse_variance_weights, _sample_weight_matrix, resolve_constant_scaling
+from .loss_risk import _scaling
 from .matrix_core import (
     as_data_matrix,
     as_square_matrix,
@@ -127,6 +127,8 @@ def make_splits(scheme: SplitScheme, n: int) -> list[np.ndarray]:
     """
     if n < 2:
         raise ConfigError(f"need at least 2 observations to split, got {n}")
+    if scheme.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {scheme.seed}")
     rng = np.random.default_rng(scheme.seed)
     if isinstance(scheme, VFold):
         if scheme.folds < 2:
@@ -149,22 +151,6 @@ def make_splits(scheme: SplitScheme, n: int) -> list[np.ndarray]:
             raise ConfigError(f"need at least one split, got {scheme.count}")
         return _random_masks(rng, n, scheme.validation_fraction, scheme.count)
     raise ConfigError(f"unknown split scheme {scheme!r}")
-
-
-def _fold_scaling(policy: str, ctx: FitContext, dim: int):
-    """The fold's scaling; ``weighted`` reads the variances off the training covariance ``ctx.cov``."""
-    if policy == "weighted":
-        return _sample_weight_matrix(ctx.cov)
-    return resolve_constant_scaling(policy, dim)
-
-
-def _oracle_scaling(policy: str, psi0: np.ndarray):
-    if policy == "weighted":
-        variances = np.diag(psi0)
-        if np.any(variances <= 0.0):
-            raise ConfigError("weighted scaling needs strictly positive true variances")
-        return _inverse_variance_weights(variances)
-    return resolve_constant_scaling(policy, psi0.shape[0])
 
 
 def _observation_offset(val: np.ndarray, val_cov: np.ndarray, eta) -> float:
@@ -192,15 +178,12 @@ class CandidateEvaluation:
     have shape ``(K, n_splits)`` and hold NaN for failed candidates.  A
     candidate that fails on any split is excluded outright; ``failures``
     maps its library index to the first reason seen.
-    ``max_abs_estimate`` bounds the absolute entries of every
-    training-fold estimate: the largest ``max|S|`` of the folds' sample
-    covariances, or of an estimate fitted on the direct path, if larger.
-    No built-in family's estimate exceeds ``max|S|`` (POET's only by the
-    rounding of its eigendecomposition), so with ``sample_covariance`` in
-    the library it is the largest entry of any estimate.
+    ``max_abs_estimate`` is the largest ``max|S|`` of the folds' sample
+    covariances.  No built-in family's estimate has a larger entry
+    (POET's only by the few ulps of its eigendecomposition's rounding),
+    so it bounds every training-fold estimate of a built-in family.
     """
 
-    library: CandidateLibrary
     risks: np.ndarray | None
     oracle_diffs: np.ndarray | None
     failures: dict[int, str]
@@ -263,7 +246,7 @@ def evaluate_candidates(
             raise ValueError(f"psi0 dimension {psi0.shape[0]} does not match data dimension {dim}")
         if not np.array_equal(psi0, psi0.T):
             raise ValueError("psi0 must be exactly symmetric")
-        oracle_eta = _oracle_scaling(scaling, psi0)
+        oracle_eta = _scaling(scaling, psi0)
 
     n_candidates = len(library)
     n_splits = len(splits)
@@ -303,7 +286,7 @@ def evaluate_candidates(
             train = train - fold_means
             val = val - fold_means
         ctx = FitContext(train)
-        eta = _fold_scaling(scaling, ctx, dim)
+        eta = _scaling(scaling, ctx.cov)
         targets = []
         if risk is not None:
             val_cov = sample_covariance(val)
@@ -331,7 +314,7 @@ def evaluate_candidates(
         scores = _score_fits(library, fold)
         top = max(float(fold.cov.max()), -float(fold.cov.min()))
         del fold
-        peak = max(peak, scores.peak, top if np.isfinite(top) else 0.0)
+        peak = max(peak, top if np.isfinite(top) else 0.0)
         for cand_idx, failure in scores.failures.items():
             failures.setdefault(cand_idx, failure)
         values[:, :, split_idx] = scores.values.T
@@ -359,7 +342,6 @@ def evaluate_candidates(
             "sample-covariance-based candidates are rank-deficient"
         )
     return CandidateEvaluation(
-        library=library,
         risks=risks,
         oracle_diffs=orc,
         failures=failures,
@@ -392,13 +374,12 @@ def _near_minimum(values: np.ndarray, bases: np.ndarray, failed: list[int]) -> l
     return sorted(near)
 
 
-def _argmin_with_ties(values: np.ndarray) -> tuple[int, list[int]]:
+def _argmin(values: np.ndarray) -> int:
+    """The lowest index of the smallest finite value."""
     valid = np.flatnonzero(np.isfinite(values))
     if valid.size == 0:
         raise SelectionError("every candidate failed; nothing to select")
-    best = float(np.min(values[valid]))
-    ties = [int(i) for i in valid if values[i] == best]
-    return ties[0], ties
+    return int(valid[np.argmin(values[valid])])
 
 
 @dataclass
@@ -421,13 +402,6 @@ class SelectionReport:
     selected_id: str
     tie_ids: tuple[str, ...]
     estimate: np.ndarray
-    scheme: dict
-    seed: int
-    scaling: str
-    risk: str
-    centered: bool
-    n_obs: int
-    dim: int
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -504,13 +478,6 @@ def select(
         selected_id=library[selected_index].id,
         tie_ids=tuple(library[i].id for i in tie_indices),
         estimate=best_estimate,
-        scheme=scheme_description(scheme),
-        seed=scheme.seed,
-        scaling=scaling,
-        risk=risk,
-        centered=center,
-        n_obs=data.shape[0],
-        dim=data.shape[1],
         warnings=ev.warnings,
     )
 
@@ -554,7 +521,7 @@ def oracle_select_cv(
         psi0=psi0,
     )
     diffs = ev.mean_oracle_diffs()
-    index, _ = _argmin_with_ties(diffs)
+    index = _argmin(diffs)
     return OracleReport(
         ids=library.ids,
         cv_risk_diffs=tuple(None if np.isnan(v) else float(v) for v in diffs),
@@ -571,27 +538,24 @@ def _residual_norms(residual: np.ndarray, spectral: bool) -> tuple[float, float]
 def _full_data_errors(library: CandidateLibrary, data, psi0, eta, *, spectral: bool):
     """Fit every candidate on ``data`` and measure its error against ``psi0``.
 
-    Returns ``(risk_diffs, frobenius, spectral_norms, peak, failures)``:
-    per candidate, ``scaled_frobenius_sq(fit - psi0, eta)`` and the two
-    norms of ``fit - psi0`` (NaN where the fit failed, and every spectral
-    norm NaN unless ``spectral``); the largest ``|entry|`` of any fit; and
-    each failed candidate's reason by index.  Each fit from
-    :func:`~covsel.estimators.iter_fits` is dropped once measured, so
-    memory stays bounded in ``J²``.
+    Returns ``(risk_diffs, frobenius, spectral_norms, failures)``: per
+    candidate, ``scaled_frobenius_sq(fit - psi0, eta)`` and the two norms
+    of ``fit - psi0`` (NaN where the fit failed, and every spectral norm
+    NaN unless ``spectral``); and each failed candidate's reason by index.
+    Each fit from :func:`~covsel.estimators.iter_fits` is dropped once
+    measured, so memory stays bounded in ``J²``.
     """
     risk_diffs, frobenius, spectral_norms = (np.full(len(library), np.nan) for _ in range(3))
     failures: dict[int, str] = {}
-    peak = 0.0
     for idx, (estimate, failure) in enumerate(iter_fits(library, data)):
         if failure is not None:
             failures[idx] = failure
             continue
-        peak = max(peak, float(np.max(estimate)), -float(np.min(estimate)))
         residual = estimate - psi0
         squares, spectral_norms[idx] = _residual_norms(residual, spectral)
         frobenius[idx] = math.sqrt(squares)
         risk_diffs[idx] = eta * squares if isinstance(eta, float) else scaled_frobenius_sq(residual, eta)
-    return risk_diffs, frobenius, spectral_norms, peak, failures
+    return risk_diffs, frobenius, spectral_norms, failures
 
 
 def oracle_select_full(
@@ -607,11 +571,11 @@ def oracle_select_full(
     psi0 = as_square_matrix(psi0)
     if psi0.shape[0] != data.shape[1]:
         raise ValueError(f"psi0 dimension {psi0.shape[0]} does not match data dimension {data.shape[1]}")
-    eta = _oracle_scaling(scaling, psi0)
+    eta = _scaling(scaling, psi0)
     if center:
         data = center_columns(data)
     diffs = _full_data_errors(library, data, psi0, eta, spectral=False)[0]
-    index, _ = _argmin_with_ties(diffs)
+    index = _argmin(diffs)
     return OracleReport(
         ids=library.ids,
         full_risk_diffs=tuple(None if np.isnan(v) else float(v) for v in diffs),

@@ -10,7 +10,7 @@ class EstimationError(RuntimeError):
 
 
 class DegenerateFeatureError(ValueError):
-    """A feature has zero sample variance where a positive one is required."""
+    """A feature has no positive variance where one is required."""
 
 
 class SelectionError(RuntimeError):

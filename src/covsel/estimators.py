@@ -411,11 +411,13 @@ _FAMILIES: dict[str, _Family] = {}
 #: ``values``, where ``values[t]`` equals ``scaled_frobenius_sq(T_t - fit,
 #: eta_t)`` up to rounding, or ``None`` to leave that spec to the direct
 #: path, which fits, scores and drops it; only :func:`_grid.score_poet`
-#: does, for factor counts the fold cannot decompose.  No fit of a family
-#: with a scorer has an entry larger in magnitude than the fold's
-#: ``max|S|`` (but for POET's rounding), so the scorers report no
-#: maxima.  Families sharing one scorer are scored in one call per fold,
-#: so they share its pass over the covariance.  Families without a
+#: does, for factor counts the fold cannot decompose.  No fit of a built-in
+#: family has an entry larger in magnitude than the fold's ``max|S|`` (but
+#: for POET's few ulps of rounding), so neither path reports maxima: the
+#: bound's ``m2`` is taken from the folds' ``max|S|`` alone (see
+#: :class:`~covsel.cv_engine.CandidateEvaluation`).  Families sharing one
+#: scorer are scored in one call per fold, so they share its pass over the
+#: covariance.  Families without a
 #: scorer, user-registered ones included, take the direct path.
 _SCORERS: dict[str, Callable] = {
     "sample_covariance": _grid.score_identity,
@@ -604,7 +606,6 @@ class _FoldScores(NamedTuple):
     """What :func:`_score_fits` returns for one fold."""
 
     values: np.ndarray
-    peak: float
     failures: dict[int, str]
     base: np.ndarray
 
@@ -615,14 +616,12 @@ def _score_fits(library: CandidateLibrary, fold: _grid.Fold, *, grid: bool = Tru
     ``fold`` is a :class:`covsel._grid.Fold`: the training data's
     :class:`FitContext` and the targets.  ``values[k, t]`` is
     ``scaled_frobenius_sq(T_t - fit_k, eta_t)``, NaN for a failed
-    candidate; ``peak`` is the largest ``np.max(np.abs(fit_k))`` of the
-    candidates fitted on the direct path, 0.0 if none; ``failures`` maps a
-    failed candidate's index to its reason, in library order, a fit with a
-    non-finite entry among them (see :func:`_try_fit`); ``base[t]`` is
-    the sample covariance's value, the scale of the grid values'
-    rounding.  Every ``T_t``, and every matrix ``eta_t``, must be exactly
-    symmetric, as validation covariances, weights and checked true
-    covariances are.
+    candidate; ``failures`` maps a failed candidate's index to its reason,
+    in library order, a fit with a non-finite entry among them (see
+    :func:`_try_fit`); ``base[t]`` is the sample covariance's value, the
+    scale of the grid values' rounding.  Every ``T_t``, and every matrix
+    ``eta_t``, must be exactly symmetric, as validation covariances,
+    weights and checked true covariances are.
 
     With ``grid``, families with a scorer (see :data:`_SCORERS`) are
     scored from shared sums over the data's covariance and build no
@@ -648,16 +647,13 @@ def _score_fits(library: CandidateLibrary, fold: _grid.Fold, *, grid: bool = Tru
                 continue
             values[idx] = scored
     failures: dict[int, str] = {}
-    peak = 0.0
     for idx in sorted(direct):
         estimate, failure = _try_fit(library[idx], fold.ctx)
         if failure is not None:
             failures[idx] = failure
             continue
         values[idx] = [scaled_frobenius_sq(target - estimate, eta) for target, eta in fold.targets]
-        # Two passes over the estimate instead of a J x J |estimate|.
-        peak = max(peak, float(np.max(estimate)), -float(np.min(estimate)))
-    return _FoldScores(values, peak, failures, fold.value(0.0))
+    return _FoldScores(values, failures, fold.value(0.0))
 
 
 def _try_fit(spec: EstimatorSpec, ctx: FitContext):

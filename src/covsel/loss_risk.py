@@ -165,23 +165,24 @@ def estimate_weight_matrix(training) -> np.ndarray:
     feature has no variation.
     """
     training = as_data_matrix(training, min_rows=1)
-    return _sample_weight_matrix(sample_covariance(training))
+    return _scaling("weighted", sample_covariance(training))
 
 
-def _sample_weight_matrix(cov: np.ndarray) -> np.ndarray:
-    """:func:`estimate_weight_matrix` from the training set's sample covariance ``cov``."""
+def _scaling(policy: str, cov: np.ndarray):
+    """The scaling factor ``policy`` gives a fold or an oracle whose covariance is ``cov``.
+
+    The constant policies read only ``J``.  ``weighted`` is
+    ``1 / sqrt(v_j * v_l)``, exactly ``1 / v_j`` on the diagonal, with the
+    variances ``v`` read off the diagonal of ``cov``: the training
+    covariance for a fold, the true covariance for an oracle.
+    """
+    if policy != "weighted":
+        return resolve_constant_scaling(policy, cov.shape[0])
     variances = np.diag(cov)
     bad = np.flatnonzero(variances <= 0.0)
     if bad.size:
         cols = ", ".join(str(int(j)) for j in bad[:8])
-        raise DegenerateFeatureError(
-            f"zero sample variance in column(s) {cols}; weighted scaling is undefined"
-        )
-    return _inverse_variance_weights(variances)
-
-
-def _inverse_variance_weights(variances: np.ndarray) -> np.ndarray:
-    """``1 / sqrt(v_j * v_l)`` off the diagonal, exactly ``1 / v_j`` on it."""
+        raise DegenerateFeatureError(f"no positive variance in column(s) {cols}; weighted scaling is undefined")
     weights = 1.0 / np.sqrt(np.outer(variances, variances))
     np.fill_diagonal(weights, 1.0 / variances)
     return weights
@@ -194,10 +195,9 @@ class BoundParams:
     ``m1`` bounds the squared entries of an observation vector and ``m2``
     the absolute entries of any candidate covariance matrix.  In practice
     both are empirical plug-ins, not almost-sure bounds: ``simulate``
-    takes ``m1`` from the observed data and ``m2`` from ``max|psi0|``,
-    each training fold's ``max|S|``, which bounds every grid-scored
-    estimate, and the estimates it fits one by one (see
-    :class:`~covsel.simulation.CellStats`).
+    takes ``m1`` from the observed data and ``m2`` from ``max|psi0|`` and
+    each training fold's ``max|S|``, which bounds every estimate of a
+    built-in family (see :class:`~covsel.simulation.CellStats`).
     """
 
     delta: float

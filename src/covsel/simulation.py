@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .cv_engine import (
-    _argmin_with_ties,
+    _argmin,
     _full_data_errors,
     _residual_norms,
     evaluate_candidates,
@@ -260,6 +260,8 @@ class ExperimentConfig:
             raise ConfigError("dimension ratios must be positive")
         if self.replications < 1:
             raise ConfigError("need at least one replication")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         unknown = [m for m in self.metrics if m not in _METRICS]
         if unknown:
             raise ConfigError(f"unknown metrics {unknown}; known: {list(_METRICS)}")
@@ -308,20 +310,17 @@ class ResultRow:
 class CellStats:
     """Per-cell side information needed for the finite-sample bound.
 
-    ``max_abs_estimate``, the bound's ``m2``, is the largest of
-    ``max|psi0|``, the absolute entries of the full-data estimates (fitted
-    when any metric but ``cv_ratio`` is run) and
-    :attr:`~covsel.cv_engine.CandidateEvaluation.max_abs_estimate` of
-    each replication; a fit with a non-finite entry has failed and counts
-    nowhere.  It is ``None`` unless ``cv_ratio`` was run, the only metric
-    whose bound reads it.
+    ``max_abs_estimate``, the bound's ``m2``, is the largest of each
+    replication's ``max|psi0|`` and its training folds' ``max|S|``
+    (:attr:`~covsel.cv_engine.CandidateEvaluation.max_abs_estimate`), so
+    it does not depend on which other metrics run.  It is ``None`` unless
+    ``cv_ratio`` was run, the only metric whose bound reads it.
     """
 
     model: int
     n: int
     dim: int
     ratio: float
-    replications: int
     n_candidates: int
     validation_fraction: float
     max_sq_observation: float
@@ -332,7 +331,6 @@ class CellStats:
 class ExperimentResult:
     rows: list[ResultRow]
     cells: list[CellStats]
-    config: ExperimentConfig
     #: The cells that failed on their data, each ``{model, n, ratio, reason}``.
     skipped: list[dict]
 
@@ -394,13 +392,12 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
         values = {"cv_risk_diff": ev.mean_oracle_diffs()} if want_cv else {}
         if set(config.metrics) != {"cv_ratio"}:
             full_data = center_columns(data) if config.center else data
-            full_diffs, frobenius, spectral, peak, full_failures = _full_data_errors(
+            full_diffs, frobenius, spectral, full_failures = _full_data_errors(
                 library, full_data, psi0, eta, spectral="spectral" in config.metrics
             )
             for idx, failure in full_failures.items():
                 failures.setdefault(idx, f"full-data fit: {failure}")
             values.update(full_risk_diff=full_diffs, frobenius=frobenius, spectral=spectral)
-            max_abs_est = max(max_abs_est, peak)
         excluded = list(failures)
         for idx in excluded:
             logger.warning(
@@ -410,7 +407,7 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
 
         selector = ev.mean_risks()
         selector[excluded] = np.nan
-        k_hat = _argmin_with_ties(selector)[0]
+        k_hat = _argmin(selector)
         max_sq_obs = max(max_sq_obs, float(np.max(data * data)))
         if want_cv:
             max_abs_est = max(max_abs_est, ev.max_abs_estimate, float(np.max(np.abs(psi0))))
@@ -422,11 +419,11 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
             per_candidate[excluded] = np.nan
             picks = [*kept, (SELECTED_SUBJECT, k_hat)]
             if oracle is not None:
-                picks.append((oracle, _argmin_with_ties(per_candidate)[0]))
+                picks.append((oracle, _argmin(per_candidate)))
             rows.extend((rep, subject, name, float(per_candidate[idx]), data_seed) for subject, idx in picks)
 
     stats = CellStats(
-        model=model, n=n, dim=dim, ratio=ratio, replications=config.replications,
+        model=model, n=n, dim=dim, ratio=ratio,
         n_candidates=len(library), validation_fraction=validation_fraction(config.scheme(0)),
         max_sq_observation=max_sq_obs, max_abs_estimate=max_abs_est if want_cv else None,
     )
@@ -465,7 +462,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     exception is a fault in the program and ends the run.
     """
     rows, cells, skipped = _run_grid(config, partial(_run_cell, config, config.library))
-    return ExperimentResult(rows=rows, cells=cells, config=config, skipped=skipped)
+    return ExperimentResult(rows=rows, cells=cells, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +544,6 @@ def summarize_ratios(rows, metrics=None) -> dict:
 class BenchmarkResult:
     rows: list[ResultRow]
     table: list[dict]
-    config: ExperimentConfig
     procedures: tuple[str, ...]
     #: The cells that failed on their data, as in :class:`ExperimentResult`.
     skipped: list[dict]
@@ -635,6 +631,4 @@ def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) ->
         return rows, None
 
     rows, _, skipped = _run_grid(config, run_cell)
-    return BenchmarkResult(
-        rows=rows, table=benchmark_table(rows), config=config, procedures=procedures, skipped=skipped
-    )
+    return BenchmarkResult(rows=rows, table=benchmark_table(rows), procedures=procedures, skipped=skipped)

@@ -26,6 +26,7 @@ from covsel.estimators import (
     _shrinkage_components,
     apply,
     build_library,
+    library_preset,
 )
 from covsel.loss_risk import BoundParams, finite_sample_bound, true_risk_difference
 from covsel.matrix_core import sample_covariance
@@ -98,6 +99,26 @@ def test_criterion_1_selector_equivalence():
         "criterion 1 (observation vs matrix risk selection)",
         agreements == 100 and elapsed < 60.0,
         f"{agreements}/100 agreements incl. tie sets in {elapsed:.1f}s",
+    )
+
+
+@pytest.mark.parametrize("scaling", ["one", "inv_J", "inv_J2", "weighted"])
+def test_criterion_1_on_every_model(scaling):
+    library = library_preset("default")
+    disagreements = []
+    for model in range(1, 9):
+        for dim in (20, 80):
+            psi0 = build_model_covariance(CovModelSpec(model, dim, seed=model))
+            data = sample_gaussian(psi0, 40, seed=model * dim)
+            scheme = VFold(5, seed=model)
+            by_obs, by_mat = (select(library, data, scheme, scaling=scaling, risk=risk)
+                              for risk in ("observation", "matrix"))
+            if (by_obs.selected_id, by_obs.tie_ids) != (by_mat.selected_id, by_mat.tie_ids):
+                disagreements.append((model, dim, by_obs.tie_ids, by_mat.tie_ids))
+    _check(
+        f"criterion 1 on models 1-8 ({scaling})",
+        not disagreements,
+        f"{16 - len(disagreements)}/16 (model, J) cells agree on the winner and tie set; differ: {disagreements}",
     )
 
 

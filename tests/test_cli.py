@@ -156,6 +156,9 @@ class TestConfigKeys:
         pytest.param("simulate", ".json", '{"experiment": {"replications": 1.5}}', "replications",
                      id="json-replications-fraction"),
         pytest.param("simulate", ".json", '{"experiment": {"models": [2.7]}}', "models", id="json-models-fraction"),
+        pytest.param("select", ".json", '{"run": {"seed": -1}}', "seed", id="select-negative-seed"),
+        pytest.param("simulate", ".ini", "[experiment]\nseed = -1\n", "seed", id="simulate-negative-seed"),
+        pytest.param("bench", ".json", '{"experiment": {"seed": -1}}', "seed", id="bench-negative-seed"),
     ])
     def test_a_malformed_value_exits_2_naming_its_key(self, tmp_path, toy_csv, capsys, command, suffix, text,
                                                       named):

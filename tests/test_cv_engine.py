@@ -95,6 +95,9 @@ class TestMakeSplits:
             make_splits(MonteCarloSplit(1, 0.999, seed=0), 3)  # no training rows
         with pytest.raises(ConfigError):
             make_splits(VFold(1, seed=0), 10)
+        for scheme in (VFold(5, seed=-1), MonteCarloSplit(2, 0.3, seed=-1)):
+            with pytest.raises(ConfigError, match="seed must be non-negative"):
+                make_splits(scheme, 10)
 
 
 class TestSplitScheme:
@@ -340,23 +343,33 @@ class TestOracles:
         assert full_report.full_risk_diffs[0] == pytest.approx(0.01, rel=1e-12)
         assert full_report.full_risk_diffs[1] == pytest.approx(1.0, rel=1e-12)
 
-    def test_weighted_full_oracle_uses_true_variances(self):
+    @pytest.mark.parametrize("oracle", ["full", "cv"])
+    def test_weighted_full_oracle_uses_true_variances(self, oracle):
+        # Both oracles weight by the true variances: 1/sqrt(v_j v_l), exactly 1/v_j on the diagonal.
         scale = np.sqrt(np.linspace(0.5, 3.0, 6))
         psi0 = build_model_covariance(CovModelSpec(2, 6)) * np.outer(scale, scale)
         data = sample_gaussian(psi0, 40, seed=9)
         library = small_library()
-        report = oracle_select_full(library, data, psi0, scaling="weighted")
         v = np.diag(psi0)
         weights = np.array([[1.0 / np.sqrt(v[j] * v[l]) for l in range(6)] for j in range(6)])
+        np.fill_diagonal(weights, 1.0 / v)
+        splits = make_splits(VFold(4, seed=1), data.shape[0])
+
+        def risk_diffs(truth):
+            if oracle == "full":
+                return oracle_select_full(library, data, truth, scaling="weighted").full_risk_diffs
+            return oracle_select_cv(library, data, splits, truth, scaling="weighted").cv_risk_diffs
+
+        folds = [data] if oracle == "full" else [data[~mask] for mask in splits]
+        diffs = risk_diffs(psi0)
         for idx, spec in enumerate(library):
-            residual = apply(spec, data) - psi0
-            expected = float(np.sum(weights * residual * residual))
-            assert report.full_risk_diffs[idx] == pytest.approx(expected, rel=1e-12), spec.id
+            expected = np.mean([np.sum(weights * (apply(spec, fold) - psi0) ** 2) for fold in folds])
+            assert diffs[idx] == pytest.approx(expected, rel=1e-12), spec.id
 
         bad = psi0.copy()
         bad[2, 2] = 0.0
-        with pytest.raises(ConfigError):
-            oracle_select_full(library, data, bad, scaling="weighted")
+        with pytest.raises(DegenerateFeatureError, match=r"column\(s\) 2;"):
+            risk_diffs(bad)
 
     @pytest.mark.parametrize("dim", [3, 5])
     def test_full_oracle_rejects_a_true_covariance_of_another_dimension(self, dim):

@@ -8,13 +8,12 @@ larger of the value and the fold's base, the sample covariance's value:
 each grid value is the base plus a sum over the changed entries, so a
 candidate that lands much closer to the target than ``S`` does (seen at
 J=1) carries the base's rounding.  Failure reasons agree exactly, and no
-fit has an entry larger in magnitude than the fold's reported peak, the
-larger of ``max|S|`` and the direct-path fits' largest entry, but for
-POET's rounding; with ``sample_covariance`` in the library that peak is
-``S``'s own.  Candidates with equal estimates get equal values,
-bit for bit, when one scorer sums both or when the estimate is ``S``;
-selections score the candidates near the smallest mean risk again on the
-direct path, so their winners and tie sets equal the direct path's.
+fit has an entry larger in magnitude than the fold's ``max|S|``, the
+bound's ``m2``, but for POET's rounding.  Candidates with equal
+estimates get equal values, bit for bit, when one scorer sums both or
+when the estimate is ``S``; selections score the candidates near the
+smallest mean risk again on the direct path, so their winners and tie
+sets equal the direct path's.
 """
 
 import itertools
@@ -28,7 +27,7 @@ from covsel import _grid
 from covsel.cv_engine import MonteCarloSplit, VFold, evaluate_candidates, make_splits, select
 from covsel.errors import DegenerateFeatureError
 from covsel.estimators import CandidateLibrary, EstimatorSpec, FitContext, _score_fits, library_preset
-from covsel.loss_risk import _inverse_variance_weights, estimate_weight_matrix, resolve_constant_scaling
+from covsel.loss_risk import _scaling, estimate_weight_matrix, resolve_constant_scaling
 from covsel.matrix_core import sample_covariance, scaled_frobenius_sq
 
 RTOL = 1e-12
@@ -39,10 +38,9 @@ def score_fits(library, data, targets):
     return _score_fits(library, _grid.Fold(FitContext(data), targets))
 
 
-def reported_peak(scores, data):
-    """The fold's peak as ``evaluate_candidates`` takes it: ``max|S|`` or the direct-path peak."""
-    cov = sample_covariance(data)
-    return max(float(cov.max()), -float(cov.min()), scores.peak)
+def fold_peak(data):
+    """The fold's ``max|S|``, as ``evaluate_candidates`` takes it for ``m2``."""
+    return float(np.max(np.abs(sample_covariance(data))))
 
 
 def preset_specs():
@@ -97,7 +95,7 @@ def fold_targets(data, psi0, scaling):
     val, train = data[:split], data[split:]
     dim = data.shape[1]
     if scaling == "weighted":
-        eta, oracle_eta = estimate_weight_matrix(train), _inverse_variance_weights(np.diag(psi0))
+        eta, oracle_eta = estimate_weight_matrix(train), _scaling("weighted", psi0)
     else:
         eta = oracle_eta = resolve_constant_scaling(scaling, dim)
     return train, [(sample_covariance(val), eta), (psi0, oracle_eta)]
@@ -120,15 +118,16 @@ def direct_scores(library, data, targets):
     return values, maxima, failures, estimates
 
 
-def assert_peak_bounds_every_fit(scores, maxima, library, data):
-    """No finite fit exceeds the fold's peak, which is ``S``'s own when ``S`` is a candidate.
+def assert_peak_bounds_every_fit(maxima, library, data):
+    """No finite fit exceeds the fold's ``max|S|``, which is ``S``'s own when ``S`` is a candidate.
 
     POET's low-rank part comes from an eigendecomposition, whose rounding
     can carry an entry a few units in the last place past ``max|S|`` (on
     ternary folds of lower rank than the factor count), so POET is held
-    to ``RTOL``; every other family to the peak itself.
+    to ``RTOL``; every other family, the shrinkages included, to
+    ``max|S|`` itself.
     """
-    peak = reported_peak(scores, data)
+    peak = fold_peak(data)
     limit = np.where([spec.family == "poet" for spec in library], peak * (1.0 + RTOL), peak)
     over = np.flatnonzero(maxima > limit)  # NaN, a failed fit, compares False
     assert over.size == 0, [(library[i].id, maxima[i], peak) for i in over]
@@ -147,7 +146,7 @@ def assert_matches_direct_path(library, data, targets):
         if np.all(np.isfinite(want[idx])):
             bound = RTOL * np.maximum(np.abs(want[idx]), np.abs(base))
             assert np.all(np.abs(got[idx] - want[idx]) <= bound), (spec.id, got[idx], want[idx])
-    assert_peak_bounds_every_fit(scores, maxima, library, data)
+    assert_peak_bounds_every_fit(maxima, library, data)
     # Equal estimates get equal values when one scorer sums both, or when
     # they equal S.  Otherwise their sums differ in order and they are held
     # to the bound above: POET without factors is hard thresholding binned
@@ -184,15 +183,13 @@ def test_grid_matches_the_direct_path(kind, dim, block_entries, scaling, monkeyp
 @pytest.mark.parametrize("preset", ["default", "wide", "light"])
 @pytest.mark.parametrize("kind", ["ar1", "factor", "ternary"])
 def test_the_fold_peak_bounds_every_preset_fit(kind, preset, without_s):
-    # The shrinkages take the direct path; without S the peak still bounds every fit.
+    # The shrinkages, fitted on the direct path, stay within max|S| too, with or without S a candidate.
     train, targets = fold_targets(*make_data(kind, 40), "one")
     library = library_preset(preset)
     if without_s:
         library = CandidateLibrary(tuple(spec for spec in library if spec.family != "sample_covariance"))
-    scores = score_fits(library, train, targets)
     maxima = direct_scores(library, train, targets)[1]
-    assert_peak_bounds_every_fit(scores, maxima, library, train)
-    assert scores.peak == np.nanmax(maxima[[spec.family not in estimators._SCORERS for spec in library]])
+    assert_peak_bounds_every_fit(maxima, library, train)
 
 
 @pytest.mark.parametrize("scaling", ["one", "weighted"])

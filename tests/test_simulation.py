@@ -184,6 +184,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(replications=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            tiny_config(seed=-1)
+
     def test_weighted_scaling_rejected(self):
         with pytest.raises(ConfigError):
             tiny_config(scaling="weighted")
@@ -244,6 +248,26 @@ class TestRunner:
         per_rep = (3 + 2) + (3 + 2) + (3 + 1) + (3 + 1)
         assert len(rows) == 2 * per_rep
         assert expected_row_count(config) == len(rows)
+
+    @pytest.mark.parametrize("center", [False, True])
+    def test_m2_comes_from_psi0_and_the_folds_alone(self, center):
+        # The bound's m2 is max(max|psi0|, each training fold's max|S|), whichever metrics run.
+        config = tiny_config(models=(2, 8), metrics=("cv_ratio",), center=center,
+                             library=estimators.library_preset("default"))
+        stats = run_experiment(config).cells
+        every_metric = run_experiment(
+            tiny_config(models=(2, 8), center=center, library=config.library,
+                        metrics=("cv_ratio", "full_ratio", "frobenius", "spectral"))
+        ).cells
+        assert [s.max_abs_estimate for s in every_metric] == [s.max_abs_estimate for s in stats]
+        for (model, n, ratio_idx, _, dim), cell in zip(config.cells(), stats):
+            want = 0.0
+            for _, psi0, data, _, splits in simulation._replications(config, model, n, ratio_idx, dim):
+                want = max(want, float(np.max(np.abs(psi0))))
+                for mask in splits:
+                    train = center_columns(data[~mask]) if center else data[~mask]
+                    want = max(want, float(np.max(np.abs(sample_covariance(train)))))
+            assert cell.max_abs_estimate == want
 
     def test_rerun_is_identical(self):
         config = tiny_config(metrics=("cv_ratio", "frobenius"))
