@@ -35,8 +35,11 @@ from .estimators import CandidateLibrary, expand_grid, library_preset
 from .loss_risk import SCALING_POLICIES, BoundParams, finite_sample_bound
 from .matrix_core import center_columns, eigendecompose
 from .simulation import (
+    _BENCH_METRICS,
+    _METRICS,
     ExperimentConfig,
     ResultRow,
+    _check_metrics,
     run_benchmark,
     run_experiment,
     summarize_ratios,
@@ -600,14 +603,17 @@ def _grid_command(args, profiles: dict, default_metrics, run, write) -> int:
     """Run ``simulate`` or ``bench``: ``run`` the configured grid, then write ``results.csv`` and ``write`` the rest.
 
     The grid comes from ``[experiment]`` and the output directory from
-    ``[run]``, each with the flags given in place of its keys.  Returns 4
-    when a cell was skipped, else 0.
+    ``[run]``, each with the flags given in place of its keys.  The
+    command reports ``default_metrics`` and no other; a config naming
+    another fails before the output directory is made.  Returns 4 when a
+    cell was skipped, else 0.
     """
     config_file = load_config(args.config) if args.config else {}
     config = _experiment_from_settings(
         _settings(args, config_file, "experiment"), profiles, default_metrics,
         library_from_config(config_file) or library_preset("default"),
     )
+    _check_metrics(config.metrics, default_metrics)
     out_dir = Path(str(_settings(args, config_file, "run").get("out", ".")))
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run(config)
@@ -649,9 +655,7 @@ def _write_summary(out_dir: Path, config: ExperimentConfig, result) -> None:
 
 
 def cmd_simulate(args) -> int:
-    return _grid_command(
-        args, _PROFILES, ("cv_ratio", "full_ratio", "frobenius", "spectral"), run_experiment, _write_summary
-    )
+    return _grid_command(args, _PROFILES, _METRICS, run_experiment, _write_summary)
 
 
 def _write_bench(out_dir: Path, config: ExperimentConfig, result) -> None:
@@ -660,7 +664,7 @@ def _write_bench(out_dir: Path, config: ExperimentConfig, result) -> None:
 
 
 def cmd_bench(args) -> int:
-    return _grid_command(args, _BENCH_PROFILES, ("frobenius", "spectral"), run_benchmark, _write_bench)
+    return _grid_command(args, _BENCH_PROFILES, _BENCH_METRICS, run_benchmark, _write_bench)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ every candidate is fitted on the training rows and scored on the
 validation rows.  The selector picks the candidate with the smallest risk
 averaged over splits (unweighted mean), breaking exact ties in favour of
 the lowest library index.  When the true covariance matrix is known (in
-simulation), the same machinery produces oracle selections from exact
-risk differences instead of estimated risks.
+simulation), the same pass also scores every training-fold estimate
+against it, and the cross-validated oracle selects from those exact risk
+differences instead of estimated risks.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .estimators import (  # noqa: F401
     CandidateLibrary,
     FitContext,
     _ranked_refits,
+    _score_directly,
     _score_fits,
     apply_library,
     iter_fits,
@@ -174,7 +176,7 @@ class CandidateEvaluation:
     """Per-candidate, per-split risks from one cross-validation pass.
 
     ``risks`` holds the requested risk flavour and ``oracle_diffs`` the
-    exact risk differences; each is ``None`` when not requested.  Arrays
+    exact risk differences, ``None`` without a true covariance.  Arrays
     have shape ``(K, n_splits)`` and hold NaN for failed candidates.  A
     candidate that fails on any split is excluded outright; ``failures``
     maps its library index to the first reason seen.
@@ -184,7 +186,7 @@ class CandidateEvaluation:
     so it bounds every training-fold estimate of a built-in family.
     """
 
-    risks: np.ndarray | None
+    risks: np.ndarray
     oracle_diffs: np.ndarray | None
     failures: dict[int, str]
     warnings: tuple[str, ...]
@@ -209,7 +211,7 @@ def evaluate_candidates(
     *,
     scaling: str = "one",
     center: bool = True,
-    risk: str | None = "observation",
+    risk: str = "observation",
     psi0=None,
 ) -> CandidateEvaluation:
     """Fit and score every candidate over every split in one pass.
@@ -221,25 +223,26 @@ def evaluate_candidates(
     validation rows, computed in closed form as that same distance plus
     one per-split constant that does not depend on the candidate, for
     any scaling (:func:`_observation_offset`), so both cost the same and
-    rank candidates alike; ``risk=None`` scores nothing.  With ``psi0``
-    given, which must be exactly symmetric, exact risk differences
-    against it are also recorded for each training-fold estimate.
+    rank candidates alike.  With ``psi0`` given, which must be exactly
+    symmetric, exact risk differences against it are also recorded for
+    each training-fold estimate, in the same pass.
 
     Each split is one :func:`~covsel.estimators._score_fits` call, which
     scores the grid families from shared sums over the training
     covariance and fits only the other candidates.  Those sums round
     differently from one sum per estimate, so candidates whose mean
     values lie within :data:`_TIE_RTOL` of the smallest are scored again
-    on the direct path: ties, and the selections that break them, are
-    those of fitting and scoring every candidate.
+    on the direct path, :func:`~covsel.estimators._score_directly`: ties,
+    and the selections that break them, are those of fitting and scoring
+    every candidate.
 
     With ``center=True`` each training fold is column-centered and the
     fold means are subtracted from its validation rows before scoring.
     """
     data = as_data_matrix(data, min_rows=2)
     n, dim = data.shape
-    if risk not in ("observation", "matrix", None):
-        raise ConfigError(f"risk must be 'observation', 'matrix' or None, got {risk!r}")
+    if risk not in ("observation", "matrix"):
+        raise ConfigError(f"risk must be 'observation' or 'matrix', got {risk!r}")
     if psi0 is not None:
         psi0 = as_square_matrix(psi0)
         if psi0.shape[0] != dim:
@@ -261,18 +264,16 @@ def evaluate_candidates(
             raise ConfigError(f"split {split_idx} leaves an empty training or validation set")
         masks.append(val_mask)
     min_train = n - max(int(np.count_nonzero(mask)) for mask in masks)
-    n_targets = (risk is not None) + (psi0 is not None)
-    # Per target, candidate and split: the distance to the target, before
-    # the observation risk's per-split offset.
-    values = np.full((n_targets, n_candidates, n_splits), np.nan)
-    bases = np.zeros((n_targets, n_splits))
+    # Per target (the validation covariance, then psi0), candidate and split:
+    # the distance to the target, before the observation risk's per-split offset.
+    values = np.full((1 + (psi0 is not None), n_candidates, n_splits), np.nan)
+    bases = np.zeros((values.shape[0], n_splits))
     offsets = np.zeros(n_splits)
     failures: dict[int, str] = {}
-    warnings: list[str] = []
     peak = 0.0
 
     def fold_of(split_idx: int, layout: _grid.Layout | None) -> _grid.Fold:
-        """The training fold of split ``split_idx`` with its targets; records its observation offset.
+        """The training fold of split ``split_idx`` with its targets; records its base values and offset.
 
         Finite data whose squared distances or ``x**4`` sums overflow
         would leave every candidate without a finite risk, so a fold whose
@@ -287,23 +288,19 @@ def evaluate_candidates(
             val = val - fold_means
         ctx = FitContext(train)
         eta = _scaling(scaling, ctx.cov)
-        targets = []
-        if risk is not None:
-            val_cov = sample_covariance(val)
-            targets.append((val_cov, eta))
-        if psi0 is not None:
-            targets.append((psi0, oracle_eta))
-        fold = _grid.Fold(ctx, targets, layout)
-        if risk is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                if risk == "observation":
-                    offsets[split_idx] = _observation_offset(val, val_cov, eta)
-                finite = np.isfinite(fold.value(0.0)[0]) and np.isfinite(offsets[split_idx])
-            if not finite:
-                raise ConfigError(
-                    f"the {risk} risk overflows the float range: the data's largest |x| is "
-                    f"{float(np.max(np.abs(data))):.6g}; rescale the data"
-                )
+        val_cov = sample_covariance(val)
+        oracle = [] if psi0 is None else [(psi0, oracle_eta)]
+        fold = _grid.Fold(ctx, [(val_cov, eta), *oracle], layout)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if risk == "observation":
+                offsets[split_idx] = _observation_offset(val, val_cov, eta)
+            bases[:, split_idx] = fold.value(0.0)
+            finite = np.isfinite(bases[0, split_idx]) and np.isfinite(offsets[split_idx])
+        if not finite:
+            raise ConfigError(
+                f"the {risk} risk overflows the float range: the data's largest |x| is "
+                f"{float(np.max(np.abs(data))):.6g}; rescale the data"
+            )
         return fold
 
     # The grid scorers' row blocks depend only on J, so the folds share one
@@ -311,41 +308,29 @@ def evaluate_candidates(
     layout = _grid.Layout(dim)
     for split_idx in range(n_splits):
         fold = fold_of(split_idx, layout)
-        scores = _score_fits(library, fold)
+        fold_values, fold_failures = _score_fits(library, fold)
         top = max(float(fold.cov.max()), -float(fold.cov.min()))
         del fold
         peak = max(peak, top if np.isfinite(top) else 0.0)
-        for cand_idx, failure in scores.failures.items():
+        for cand_idx, failure in fold_failures.items():
             failures.setdefault(cand_idx, failure)
-        values[:, :, split_idx] = scores.values.T
-        bases[:, split_idx] = scores.base
+        values[:, :, split_idx] = fold_values.T
     del layout  # the near-tie pass takes the direct path, which reads no blocks
 
     rescore = _near_minimum(values, bases, list(failures))
     if len(rescore) > 1:
-        subset = CandidateLibrary(tuple(library[i] for i in rescore))
         for split_idx in range(n_splits):
-            scores = _score_fits(subset, fold_of(split_idx, None), grid=False)
-            for i, failure in scores.failures.items():
-                failures.setdefault(rescore[i], failure)
-            values[:, rescore, split_idx] = scores.values.T
+            _score_directly(library, fold_of(split_idx, None), rescore, values[:, :, split_idx].T, failures)
 
-    risks = orc = None
-    if risk is not None:
-        risks = values[0] + offsets if risk == "observation" else values[0]
-    if psi0 is not None:
-        orc = values[-1]
-
-    if min_train < dim:
-        warnings.append(
-            f"training folds have as few as {min_train} observations for {dim} features; "
-            "sample-covariance-based candidates are rank-deficient"
-        )
+    warnings = () if min_train >= dim else (
+        f"training folds have as few as {min_train} observations for {dim} features; "
+        "sample-covariance-based candidates are rank-deficient",
+    )
     return CandidateEvaluation(
-        risks=risks,
-        oracle_diffs=orc,
+        risks=values[0] + offsets if risk == "observation" else values[0],
+        oracle_diffs=values[1] if psi0 is not None else None,
         failures=failures,
-        warnings=tuple(warnings),
+        warnings=warnings,
         max_abs_estimate=peak,
     )
 
@@ -433,14 +418,7 @@ def select(
         raise ConfigError(f"risk must be 'observation' or 'matrix', got {risk!r}")
     data = as_data_matrix(data, min_rows=2)
     splits = make_splits(scheme, data.shape[0])
-    ev = evaluate_candidates(
-        library,
-        data,
-        splits,
-        scaling=scaling,
-        center=center,
-        risk=risk,
-    )
+    ev = evaluate_candidates(library, data, splits, scaling=scaling, center=center, risk=risk)
     risks = ev.mean_risks()
 
     full = center_columns(data) if center else data
@@ -510,16 +488,13 @@ def oracle_select_cv(
     scaling: str = "one",
     center: bool = False,
 ) -> OracleReport:
-    """Oracle selection over training-fold estimates (simulation only)."""
-    ev = evaluate_candidates(
-        library,
-        data,
-        splits,
-        scaling=scaling,
-        center=center,
-        risk=None,
-        psi0=psi0,
-    )
+    """Oracle selection over training-fold estimates (simulation only).
+
+    Runs the fold pass :func:`~covsel.simulation.run_experiment` runs for
+    a replication, matrix risk and all, so each candidate's value is its
+    ``cv_risk_diff`` row there, bit for bit.
+    """
+    ev = evaluate_candidates(library, data, splits, scaling=scaling, center=center, risk="matrix", psi0=psi0)
     diffs = ev.mean_oracle_diffs()
     index = _argmin(diffs)
     return OracleReport(

@@ -410,15 +410,17 @@ _FAMILIES: dict[str, _Family] = {}
 #: ``fold.targets`` (exactly symmetric).  It returns one entry per spec:
 #: ``values``, where ``values[t]`` equals ``scaled_frobenius_sq(T_t - fit,
 #: eta_t)`` up to rounding, or ``None`` to leave that spec to the direct
-#: path, which fits, scores and drops it; only :func:`_grid.score_poet`
-#: does, for factor counts the fold cannot decompose.  No fit of a built-in
-#: family has an entry larger in magnitude than the fold's ``max|S|`` (but
-#: for POET's few ulps of rounding), so neither path reports maxima: the
-#: bound's ``m2`` is taken from the folds' ``max|S|`` alone (see
+#: path, :func:`_score_directly`, which fits, scores and drops it; only
+#: :func:`_grid.score_poet` does, for factor counts the fold cannot
+#: decompose.  No fit of a built-in family has an entry larger in
+#: magnitude than the fold's ``max|S|`` (but for POET's few ulps of
+#: rounding), so neither path reports maxima: the bound's ``m2`` is taken
+#: from the folds' ``max|S|`` alone (see
 #: :class:`~covsel.cv_engine.CandidateEvaluation`).  Families sharing one
 #: scorer are scored in one call per fold, so they share its pass over the
-#: covariance.  Families without a
-#: scorer, user-registered ones included, take the direct path.
+#: covariance.  Families without a scorer, user-registered ones included,
+#: take the direct path, as do the near-tie candidates that
+#: :func:`~covsel.cv_engine.evaluate_candidates` scores again.
 _SCORERS: dict[str, Callable] = {
     "sample_covariance": _grid.score_identity,
     "hard_threshold": _grid.score_thresholds,
@@ -602,40 +604,30 @@ def apply_library(library: CandidateLibrary, data):
     return list(iter_fits(library, data))
 
 
-class _FoldScores(NamedTuple):
-    """What :func:`_score_fits` returns for one fold."""
-
-    values: np.ndarray
-    failures: dict[int, str]
-    base: np.ndarray
-
-
-def _score_fits(library: CandidateLibrary, fold: _grid.Fold, *, grid: bool = True) -> _FoldScores:
+def _score_fits(library: CandidateLibrary, fold: _grid.Fold) -> tuple[np.ndarray, dict[int, str]]:
     """Score every candidate's fit on ``fold`` against each of its ``(T, eta)`` targets.
 
     ``fold`` is a :class:`covsel._grid.Fold`: the training data's
-    :class:`FitContext` and the targets.  ``values[k, t]`` is
-    ``scaled_frobenius_sq(T_t - fit_k, eta_t)``, NaN for a failed
-    candidate; ``failures`` maps a failed candidate's index to its reason,
-    in library order, a fit with a non-finite entry among them (see
-    :func:`_try_fit`); ``base[t]`` is the sample covariance's value, the
-    scale of the grid values' rounding.  Every ``T_t``, and every matrix
+    :class:`FitContext` and the targets.  Returns ``(values, failures)``:
+    ``values[k, t]`` is ``scaled_frobenius_sq(T_t - fit_k, eta_t)``, NaN
+    for a failed candidate, and ``failures`` maps a failed candidate's
+    index to its reason, in library order, a fit with a non-finite entry
+    among them (see :func:`_try_fit`).  Every ``T_t``, and every matrix
     ``eta_t``, must be exactly symmetric, as validation covariances,
     weights and checked true covariances are.
 
-    With ``grid``, families with a scorer (see :data:`_SCORERS`) are
-    scored from shared sums over the data's covariance and build no
-    ``J x J`` estimate.  The rest (families without a scorer, POET
-    factor counts the fold cannot decompose) and any candidate scored
-    as non-finite take the direct path: one fit at a time,
-    scored and dropped before the next.  The direct path is the
-    reference the scorers are tested against.
+    Families with a scorer (see :data:`_SCORERS`) are scored from shared
+    sums over the data's covariance and build no ``J x J`` estimate.  The
+    rest (families without a scorer, POET factor counts the fold cannot
+    decompose) and any candidate scored as non-finite take the direct
+    path, :func:`_score_directly`, the reference the scorers are tested
+    against.
     """
     values = np.full((len(library), len(fold.targets)), np.nan)
     groups: dict[Callable, list[int]] = {}
     direct: list[int] = []
     for idx, spec in enumerate(library):
-        score = _SCORERS.get(spec.family) if grid else None
+        score = _SCORERS.get(spec.family)
         if score is None:
             direct.append(idx)
         else:
@@ -647,13 +639,24 @@ def _score_fits(library: CandidateLibrary, fold: _grid.Fold, *, grid: bool = Tru
                 continue
             values[idx] = scored
     failures: dict[int, str] = {}
-    for idx in sorted(direct):
+    _score_directly(library, fold, sorted(direct), values, failures)
+    return values, failures
+
+
+def _score_directly(library: CandidateLibrary, fold: _grid.Fold, indices, values, failures) -> None:
+    """The direct path: fit the candidates at ``indices`` on ``fold`` one at a time, score each and drop it.
+
+    Writes candidate ``k``'s value against each target to ``values[k]``.
+    A candidate whose fit fails gets NaN there, and its reason in
+    ``failures`` unless one is recorded already.
+    """
+    for idx in indices:
         estimate, failure = _try_fit(library[idx], fold.ctx)
         if failure is not None:
-            failures[idx] = failure
+            values[idx] = np.nan
+            failures.setdefault(idx, failure)
             continue
         values[idx] = [scaled_frobenius_sq(target - estimate, eta) for target, eta in fold.targets]
-    return _FoldScores(values, failures, fold.value(0.0))
 
 
 def _try_fit(spec: EstimatorSpec, ctx: FitContext):

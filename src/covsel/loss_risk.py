@@ -7,8 +7,10 @@ The central object is the observation-level scaled Frobenius loss
 whose risk minimizer (for mean-zero data) is the true covariance matrix.
 The module also provides the matrix-level cross-validated risk term (the
 scaled squared Frobenius distance to a validation-set sample covariance),
-the analytic risk-difference identity, the diagonal-based weighting
-matrix, and the finite-sample selection bound.  :func:`true_risk_difference`
+the analytic risk-difference identity, the scaling factor of each policy,
+and the finite-sample selection bound.  The folds, both oracles and
+``simulate``'s full-data values take their scaling factor from one
+function, :func:`_scaling`.  :func:`true_risk_difference`
 states the identity by its definition; the oracles compute the same
 distance inside :mod:`covsel.cv_engine`'s scoring passes and do not call it.
 
@@ -32,40 +34,28 @@ from .matrix_core import _nonnegative_scale, as_data_matrix, as_square_matrix, s
 
 __all__ = [
     "SCALING_POLICIES",
-    "resolve_constant_scaling",
     "check_scaling",
     "observation_loss",
     "row_losses",
     "validation_risk",
     "matrix_cv_risk_term",
     "true_risk_difference",
-    "estimate_weight_matrix",
     "BoundParams",
     "BoundReport",
     "finite_sample_bound",
 ]
 
-#: Scaling-factor policies accepted by the selection entry points.  The
-#: first three are constants; "weighted" estimates a full matrix of
-#: weights from each training fold (see :func:`estimate_weight_matrix`).
-SCALING_POLICIES = ("one", "inv_J", "inv_J2", "weighted")
+#: The constant scaling policies, by the power of ``1 / J`` each one is.
+_CONSTANT_SCALINGS = {"one": 0, "inv_J": 1, "inv_J2": 2}
+
+#: Scaling-factor policies accepted by the selection entry points: the
+#: constants, and "weighted", a full matrix of weights read off a
+#: covariance's diagonal (see :func:`_scaling`).
+SCALING_POLICIES = (*_CONSTANT_SCALINGS, "weighted")
 
 # Row blocks are processed in chunks whose residual tensors stay below
 # roughly this many float64 entries.
 _CHUNK_BUDGET = 4_000_000
-
-
-def resolve_constant_scaling(policy: str, dim: int) -> float:
-    """Map a constant scaling-policy name to its scalar value."""
-    if policy == "one":
-        return 1.0
-    if policy == "inv_J":
-        return 1.0 / dim
-    if policy == "inv_J2":
-        return 1.0 / dim**2
-    if policy == "weighted":
-        raise ConfigError("'weighted' scaling is estimated per training fold, not constant")
-    raise ConfigError(f"unknown scaling policy {policy!r}; expected one of {SCALING_POLICIES}")
 
 
 def check_scaling(eta, dim: int):
@@ -156,28 +146,20 @@ def true_risk_difference(psi_hat, psi0, eta=1.0) -> float:
     return scaled_frobenius_sq(psi_hat - psi0, eta)
 
 
-def estimate_weight_matrix(training) -> np.ndarray:
-    """Inverse-variance weighting matrix estimated from a training set.
-
-    Entry ``(j, l)`` is ``1 / sqrt(v_j * v_l)`` where ``v_j`` is the
-    training sample variance of feature ``j``; diagonal entries are
-    exactly ``1 / v_j``.  Raises :class:`DegenerateFeatureError` when a
-    feature has no variation.
-    """
-    training = as_data_matrix(training, min_rows=1)
-    return _scaling("weighted", sample_covariance(training))
-
-
 def _scaling(policy: str, cov: np.ndarray):
     """The scaling factor ``policy`` gives a fold or an oracle whose covariance is ``cov``.
 
-    The constant policies read only ``J``.  ``weighted`` is
+    The constant policies read only ``J``: ``one`` is 1, ``inv_J`` is
+    ``1 / J`` and ``inv_J2`` is ``1 / J**2``.  ``weighted`` is
     ``1 / sqrt(v_j * v_l)``, exactly ``1 / v_j`` on the diagonal, with the
     variances ``v`` read off the diagonal of ``cov``: the training
-    covariance for a fold, the true covariance for an oracle.
+    covariance for a fold, the true covariance for an oracle.  Raises
+    :class:`DegenerateFeatureError` when a variance is not positive.
     """
+    if policy in _CONSTANT_SCALINGS:
+        return 1.0 / cov.shape[0] ** _CONSTANT_SCALINGS[policy]
     if policy != "weighted":
-        return resolve_constant_scaling(policy, cov.shape[0])
+        raise ConfigError(f"unknown scaling policy {policy!r}; expected one of {SCALING_POLICIES}")
     variances = np.diag(cov)
     bad = np.flatnonzero(variances <= 0.0)
     if bad.size:

@@ -41,7 +41,7 @@ from .estimators import (  # noqa: F401
     default_library,
     wide_library,
 )
-from .loss_risk import resolve_constant_scaling
+from .loss_risk import _CONSTANT_SCALINGS, _scaling
 from .matrix_core import _frobenius_norm, _has_cholesky, as_square_matrix, center_columns, symmetrize
 
 __all__ = [
@@ -78,6 +78,8 @@ _METRIC_ROWS = {
     "spectral": ("spectral", None),
 }
 _METRICS = tuple(_METRIC_ROWS)
+#: The metrics :func:`run_benchmark` reports.
+_BENCH_METRICS = ("frobenius", "spectral")
 
 
 @dataclass(frozen=True)
@@ -212,6 +214,13 @@ def _draw(factor: np.ndarray, n: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_metrics(metrics, supported) -> None:
+    """Reject a metric not in ``supported``, the metrics a command reports."""
+    unsupported = [m for m in metrics if m not in supported]
+    if unsupported:
+        raise ConfigError(f"unsupported metrics {unsupported}; supported: {list(supported)}")
+
+
 def _dim_for(n: int, ratio: float) -> int:
     return int(np.rint(ratio * n))
 
@@ -258,21 +267,26 @@ class ExperimentConfig:
             raise ConfigError("need at least one sample size")
         if not self.ratios or any(r <= 0 for r in self.ratios):
             raise ConfigError("dimension ratios must be positive")
+        lists = (("models", self.models), ("n", self.sample_sizes), ("ratio", self.ratios), ("metrics", self.metrics))
+        for key, values in lists:
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{key} lists {repeated[0]!r} more than once")
         if self.replications < 1:
             raise ConfigError("need at least one replication")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        unknown = [m for m in self.metrics if m not in _METRICS]
-        if unknown:
-            raise ConfigError(f"unknown metrics {unknown}; known: {list(_METRICS)}")
+        _check_metrics(self.metrics, _METRICS)
         if not self.metrics:
             raise ConfigError("at least one metric is required")
-        if self.scaling not in ("one", "inv_J", "inv_J2"):
-            raise ConfigError("simulation runs use a constant scaling factor (one, inv_J, inv_J2)")
+        if self.scaling not in _CONSTANT_SCALINGS:
+            raise ConfigError(f"simulation runs use a constant scaling factor ({', '.join(_CONSTANT_SCALINGS)})")
         for n in self.sample_sizes:
             # make_splits holds the CV design's rules; a design it rejects fails here, not mid-run.
             make_splits(self.scheme(0), n)
             for ratio in self.ratios:
+                if not math.isfinite(ratio * n):
+                    raise ConfigError(f"ratio {ratio} with n={n} gives no finite dimension")
                 dim = _dim_for(n, ratio)
                 if dim < 2:
                     raise ConfigError(f"cell n={n}, ratio={ratio} yields dimension {dim} < 2")
@@ -374,26 +388,20 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
     max_sq_obs = 0.0
     max_abs_est = 0.0
     want_cv = "cv_ratio" in config.metrics
-    # full_risk_diff is in the oracle's eta units, as cv_risk_diff is.
-    eta = resolve_constant_scaling(config.scaling, dim)
 
     for rep, psi0, data, data_seed, splits in _replications(config, model, n, ratio_idx, dim):
         ev = evaluate_candidates(
-            library,
-            data,
-            splits,
-            scaling=config.scaling,
-            center=config.center,
-            risk="matrix",
-            psi0=psi0 if want_cv else None,
+            library, data, splits,
+            scaling=config.scaling, center=config.center, risk="matrix", psi0=psi0 if want_cv else None,
         )
         failures = dict(ev.failures)
         # Per result-row metric, each candidate's value.
         values = {"cv_risk_diff": ev.mean_oracle_diffs()} if want_cv else {}
         if set(config.metrics) != {"cv_ratio"}:
             full_data = center_columns(data) if config.center else data
+            # full_risk_diff is in the oracle's eta units, as cv_risk_diff is.
             full_diffs, frobenius, spectral, full_failures = _full_data_errors(
-                library, full_data, psi0, eta, spectral="spectral" in config.metrics
+                library, full_data, psi0, _scaling(config.scaling, psi0), spectral="spectral" in config.metrics
             )
             for idx, failure in full_failures.items():
                 failures.setdefault(idx, f"full-data fit: {failure}")
@@ -587,9 +595,7 @@ def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) ->
     procedure falls back to its next-ranked candidate.  A cell that fails
     on its data is skipped, as in :func:`run_experiment`.
     """
-    for metric in config.metrics:
-        if metric not in ("frobenius", "spectral"):
-            raise ConfigError(f"benchmark metrics must be frobenius/spectral, got {metric!r}")
+    _check_metrics(config.metrics, _BENCH_METRICS)
     if tuning_grids is None:
         tuning_grids = _family_grids(wide_library())
 

@@ -159,6 +159,16 @@ class TestConfigKeys:
         pytest.param("select", ".json", '{"run": {"seed": -1}}', "seed", id="select-negative-seed"),
         pytest.param("simulate", ".ini", "[experiment]\nseed = -1\n", "seed", id="simulate-negative-seed"),
         pytest.param("bench", ".json", '{"experiment": {"seed": -1}}', "seed", id="bench-negative-seed"),
+        pytest.param("simulate", ".ini", "[experiment]\nratio = inf\n", "ratio inf", id="ratio-inf"),
+        pytest.param("simulate", ".ini", "[experiment]\nratio = nan\n", "ratio nan", id="ratio-nan"),
+        pytest.param("simulate", ".ini", "[experiment]\nratio = 1e308\n", "ratio 1e+308", id="ratio-overflows"),
+        pytest.param("simulate", ".ini", "[experiment]\nn = 50 50\n", "n lists 50", id="simulate-repeated-n"),
+        pytest.param("bench", ".json", '{"experiment": {"models": [2, 2]}}', "models lists 2",
+                     id="bench-repeated-model"),
+        pytest.param("bench", ".ini", "[experiment]\nmetrics = cv_ratio\n", "metrics ['cv_ratio']",
+                     id="bench-unreported-metric"),
+        pytest.param("simulate", ".ini", "[experiment]\nmetrics = frobenius frobenius\n", "metrics lists 'frobenius'",
+                     id="simulate-repeated-metric"),
     ])
     def test_a_malformed_value_exits_2_naming_its_key(self, tmp_path, toy_csv, capsys, command, suffix, text,
                                                       named):

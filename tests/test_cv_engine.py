@@ -26,7 +26,7 @@ from covsel.estimators import (
     register_family,
     wide_library,
 )
-from covsel.loss_risk import estimate_weight_matrix, resolve_constant_scaling, row_losses, validation_risk
+from covsel.loss_risk import _scaling, row_losses, validation_risk
 from covsel.matrix_core import is_psd, sample_covariance
 from covsel.simulation import CovModelSpec, build_model_covariance, sample_gaussian
 
@@ -424,6 +424,12 @@ class TestEvaluateCandidates:
         for idx, value in enumerate(oracle.cv_risk_diffs):
             assert joint[idx] == pytest.approx(value, rel=1e-15)
 
+    def test_every_pass_scores_a_validation_risk(self):
+        data = np.random.default_rng(13).normal(size=(10, 2))
+        library = CandidateLibrary((EstimatorSpec("sample_covariance"),))
+        with pytest.raises(ConfigError, match="risk must be 'observation' or 'matrix', got None"):
+            evaluate_candidates(library, data, make_splits(VFold(2), 10), risk=None, psi0=np.eye(2))
+
     def test_mask_shape_validated(self):
         rng = np.random.default_rng(13)
         data = rng.normal(size=(10, 2))
@@ -443,10 +449,7 @@ def definitional_risks(library, data, splits, scaling, center):
         if center:
             means = train.mean(axis=0, keepdims=True)
             train, val = train - means, val - means
-        if scaling == "weighted":
-            eta = estimate_weight_matrix(train)
-        else:
-            eta = resolve_constant_scaling(scaling, data.shape[1])
+        eta = _scaling(scaling, sample_covariance(train))
         for idx, (estimate, failure) in enumerate(apply_library(library, train)):
             if failure is None:
                 out[idx, split_idx] = np.mean(row_losses(val, estimate, eta))

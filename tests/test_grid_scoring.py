@@ -27,7 +27,7 @@ from covsel import _grid
 from covsel.cv_engine import MonteCarloSplit, VFold, evaluate_candidates, make_splits, select
 from covsel.errors import DegenerateFeatureError
 from covsel.estimators import CandidateLibrary, EstimatorSpec, FitContext, _score_fits, library_preset
-from covsel.loss_risk import _scaling, estimate_weight_matrix, resolve_constant_scaling
+from covsel.loss_risk import _scaling
 from covsel.matrix_core import sample_covariance, scaled_frobenius_sq
 
 RTOL = 1e-12
@@ -93,11 +93,7 @@ def fold_targets(data, psi0, scaling):
     """A training fold and its targets: the validation covariance and psi0, each with its scaling."""
     split = max(1, data.shape[0] // 3)
     val, train = data[:split], data[split:]
-    dim = data.shape[1]
-    if scaling == "weighted":
-        eta, oracle_eta = estimate_weight_matrix(train), _scaling("weighted", psi0)
-    else:
-        eta = oracle_eta = resolve_constant_scaling(scaling, dim)
+    eta, oracle_eta = _scaling(scaling, sample_covariance(train)), _scaling(scaling, psi0)
     return train, [(sample_covariance(val), eta), (psi0, oracle_eta)]
 
 
@@ -136,8 +132,7 @@ def assert_peak_bounds_every_fit(maxima, library, data):
 
 
 def assert_matches_direct_path(library, data, targets):
-    scores = score_fits(library, data, targets)
-    got, got_failures = scores.values, scores.failures
+    got, got_failures = score_fits(library, data, targets)
     want, maxima, want_failures, estimates = direct_scores(library, data, targets)
     assert got_failures == want_failures
     assert np.array_equal(np.isfinite(got), np.isfinite(want))
@@ -249,7 +244,7 @@ def test_poet_bins_at_their_edges(case, scaling):
     library = poet_library([2], thresholds)
     assert_matches_direct_path(library, train, targets)
     if case == "empty_bin":
-        values = score_fits(library, train, targets).values
+        values = score_fits(library, train, targets)[0]
         assert np.array_equal(values[2], values[3])
 
 
@@ -263,7 +258,7 @@ def test_poet_on_data_of_lower_rank_than_its_factor_count(scaling):
     weights = FitContext(train).factor_basis[1]
     assert train.shape[0] >= train.shape[1] and np.any(weights[:8] < 0.0)
     library = poet_library(range(1, 9), [0.0, 0.1, 0.5])
-    values = score_fits(library, train, targets).values
+    values = score_fits(library, train, targets)[0]
     assert np.all(np.isfinite(values))
     assert_matches_direct_path(library, train, targets)
 
@@ -290,10 +285,10 @@ def test_selections_and_ties_match_the_direct_path(kind, dim, direct_path):
     if all(np.all(np.var(data[~mask], axis=0) > 0.0) for mask in splits):
         settings.append(("observation", "weighted"))
     grid = [select(library, data, scheme, risk=r, scaling=s) for r, s in settings]
-    grid_oracle = evaluate_candidates(library, data, splits, risk=None, psi0=psi0)
+    grid_oracle = evaluate_candidates(library, data, splits, risk="matrix", psi0=psi0)
     direct_path()
     direct = [select(library, data, scheme, risk=r, scaling=s) for r, s in settings]
-    direct_oracle = evaluate_candidates(library, data, splits, risk=None, psi0=psi0)
+    direct_oracle = evaluate_candidates(library, data, splits, risk="matrix", psi0=psi0)
     for a, b in zip(grid, direct):
         # Near-minimum candidates are scored again on the direct path, so
         # ties match exactly, also between estimates equal only to rounding.
@@ -332,7 +327,7 @@ def test_deferred_candidates_take_the_direct_path(monkeypatch):
         )
     )
     targets = [(np.eye(3), 1.0)]
-    failures = score_fits(library, data, targets).failures
+    _, failures = score_fits(library, data, targets)
     # Only a factor count the fold cannot decompose and a family without a scorer are fitted.
     assert fitted == ["poet(factors=4, threshold=0.1)", "linear_shrinkage"]
     assert failures == {3: "ConfigError: factor count 4 outside [0, 3]"}
@@ -358,7 +353,7 @@ def test_nonfinite_grid_values_fall_back(monkeypatch):
 
     monkeypatch.setitem(estimators._SCORERS, "banding", broken)
     targets = [(np.eye(4), 0.25)]
-    got = score_fits(library, data, targets).values
+    got, _ = score_fits(library, data, targets)
     want, _, _, _ = direct_scores(library, data, targets)
     assert got[1, 0] == want[1, 0]
 
@@ -416,14 +411,19 @@ def test_folds_share_one_layout_per_call(monkeypatch):
         real_block(self, start, stop, *args)
 
     passes = []
-    real_score = cv_engine._score_fits
+    real_score, real_direct = cv_engine._score_fits, cv_engine._score_directly
 
-    def counted_score(library, fold, **kwargs):
-        passes.append(kwargs.get("grid", True))
-        return real_score(library, fold, **kwargs)
+    def counted_score(library, fold):
+        passes.append("grid")
+        return real_score(library, fold)
+
+    def counted_direct(library, fold, indices, values, failures):
+        passes.append("direct")
+        real_direct(library, fold, indices, values, failures)
 
     monkeypatch.setattr(_grid._Block, "__init__", counted_block)
     monkeypatch.setattr(cv_engine, "_score_fits", counted_score)
+    monkeypatch.setattr(cv_engine, "_score_directly", counted_direct)
     data, psi0 = make_data("ar1", 12)
     splits = make_splits(VFold(5, seed=0), data.shape[0])
     # banding(1) and tapering(2) have equal estimates, so they tie and the
@@ -433,5 +433,5 @@ def test_folds_share_one_layout_per_call(monkeypatch):
         built.clear()
         passes.clear()
         evaluate_candidates(library, data, splits, risk="matrix", psi0=psi0)
-        assert passes == [True] * 5 + [False] * 5
+        assert passes == ["grid"] * 5 + ["direct"] * 5
         assert built == [(0, 5), (5, 10), (10, 12)]

@@ -6,11 +6,10 @@ import pytest
 from covsel.errors import ConfigError, DegenerateFeatureError
 from covsel.loss_risk import (
     BoundParams,
-    estimate_weight_matrix,
+    _scaling,
     finite_sample_bound,
     matrix_cv_risk_term,
     observation_loss,
-    resolve_constant_scaling,
     true_risk_difference,
     validation_risk,
 )
@@ -159,28 +158,33 @@ class TestTrueRiskDifference:
             true_risk_difference(np.eye(2), np.eye(3))
 
 
+def weight_matrix(training):
+    """The ``weighted`` scaling of a training set, read off its sample covariance."""
+    return _scaling("weighted", sample_covariance(training))
+
+
 class TestWeightMatrix:
     def test_known_variances(self):
         # sample variances are exactly (4, 9)
         training = np.array([[2.0, 3.0], [-2.0, -3.0]])
-        weights = estimate_weight_matrix(training)
+        weights = weight_matrix(training)
         assert weights[0, 1] == pytest.approx(1.0 / 6.0, rel=1e-14)
         assert weights[0, 0] == pytest.approx(0.25, rel=1e-14)
         assert weights[1, 1] == pytest.approx(1.0 / 9.0, rel=1e-14)
 
     def test_unit_variances_give_ones(self):
         training = np.array([[1.0, 1.0], [-1.0, -1.0]])
-        assert np.allclose(estimate_weight_matrix(training), np.ones((2, 2)), atol=1e-14)
+        assert np.allclose(weight_matrix(training), np.ones((2, 2)), atol=1e-14)
 
     def test_symmetry(self):
         rng = np.random.default_rng(10)
-        weights = estimate_weight_matrix(rng.normal(size=(6, 4)))
+        weights = weight_matrix(rng.normal(size=(6, 4)))
         assert np.array_equal(weights, weights.T)
 
     def test_zero_variance_names_column(self):
         training = np.array([[0.0, 1.0], [0.0, -1.0]])
         with pytest.raises(DegenerateFeatureError, match="column\\(s\\) 0"):
-            estimate_weight_matrix(training)
+            weight_matrix(training)
 
 
 class TestFiniteSampleBound:
@@ -227,10 +231,10 @@ class TestFiniteSampleBound:
 
 
 def test_scaling_policies():
-    assert resolve_constant_scaling("one", 7) == 1.0
-    assert resolve_constant_scaling("inv_J", 4) == 0.25
-    assert resolve_constant_scaling("inv_J2", 4) == pytest.approx(1.0 / 16.0)
+    cov = np.diag([4.0, 9.0, 1.0, 1.0])
+    assert _scaling("one", np.eye(7)) == 1.0
+    assert _scaling("inv_J", cov) == 0.25
+    assert _scaling("inv_J2", cov) == 1.0 / 16.0
+    assert _scaling("weighted", cov)[0, 1] == 1.0 / 6.0
     with pytest.raises(ConfigError):
-        resolve_constant_scaling("weighted", 4)
-    with pytest.raises(ConfigError):
-        resolve_constant_scaling("bogus", 4)
+        _scaling("bogus", cov)
