@@ -30,14 +30,10 @@ built and scored.
 The bins use the breakpoints the kernels compare against, built with the
 same float expressions, and ``searchsorted(..., side="left")`` puts an
 entry equal to a breakpoint below it, which is what ``>`` and ``<=`` do
-in the kernels.  The scorers return values only: every family scored
-here maps ``S`` entrywise to values no larger in magnitude, or keeps
-``diag(S)`` and POET's low-rank part ``L``, which ``S`` dominates, so no
-estimate's largest absolute entry exceeds ``max|S|``, but for the
-rounding of POET's eigendecomposition.  A scorer leaves a candidate to
-the direct path only when it is a POET factor count the fold cannot
-decompose; :func:`~covsel.estimators._score_fits` also sends there any
-value that is not finite.
+in the kernels.  The scorers return values only.  A scorer leaves a
+candidate to the direct path only when it is a POET factor count the
+fold cannot decompose; :func:`~covsel.estimators._score_fits` also sends
+there any value that is not finite.
 
 Sums are taken over row blocks of at most :data:`_BLOCK_ENTRIES` entries,
 so a fold holds no ``J x J`` temporary besides the cached covariance (and

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cv_engine import scheme_description, select, split_scheme
+from .cv_engine import scheme_description, select, split_scheme, validation_fraction
 from .errors import ConfigError, DegenerateFeatureError, EstimationError, SelectionError
 from .estimators import CandidateLibrary, expand_grid, library_preset
 from .loss_risk import SCALING_POLICIES, BoundParams, finite_sample_bound
@@ -40,6 +40,7 @@ from .simulation import (
     ExperimentConfig,
     ResultRow,
     _check_metrics,
+    _safe_ratio,
     run_benchmark,
     run_experiment,
     summarize_ratios,
@@ -61,9 +62,10 @@ logger = logging.getLogger(__name__)
 #: scheme with ``count`` 1) and of the ``simulate`` ``summary.json``
 #: (2: ``full_risk_diff`` is scaled by the oracle's eta, as
 #: ``cv_risk_diff`` is; 3: ``skipped`` lists the cells that failed on their
-#: data; 4: the config echo has no ``selector_risk``).
+#: data; 4: the config echo has no ``selector_risk``; 5: a cell's ``bound``
+#: is ``{delta, m1, m2, rhs, mean_selected, slack}``).
 SCHEMA_VERSION = 3
-SUMMARY_SCHEMA_VERSION = 4
+SUMMARY_SCHEMA_VERSION = 5
 
 _PROFILES = {
     "smoke": {"models": (2,), "sample_sizes": (50,), "ratios": (0.5,), "replications": 2},
@@ -510,7 +512,13 @@ def cmd_select(args) -> int:
     scheme = split_scheme(*_split_settings(run))
     library = library_from_config(config) or library_preset("default")
 
-    data, _ = read_numeric_csv(str(run["input"]), delimiter=delimiter, header=str(run.get("header", "auto")))
+    data, names = read_numeric_csv(str(run["input"]), delimiter=delimiter, header=str(run.get("header", "auto")))
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        # Rows are counted as read_numeric_csv counts them: blank rows skipped, a header row counted.
+        row, col = bad[0]
+        raise ConfigError(f"{run['input']}: row {row + 1 + (names is not None)}, column {col + 1}: "
+                          f"{data[row, col]} is not a finite number")
     if not 0 <= pca <= data.shape[1]:
         raise ConfigError(f"--pca must lie between 0 and the number of features {data.shape[1]}, got {pca}")
 
@@ -625,23 +633,20 @@ def _grid_command(args, profiles: dict, default_metrics, run, write) -> int:
 def _write_summary(out_dir: Path, config: ExperimentConfig, result) -> None:
     summary = summarize_ratios(result.rows, metrics=config.metrics)
     stats_by_cell = {(s.model, s.n, s.dim, s.ratio): s for s in result.cells}
+    fraction = validation_fraction(config.scheme(0))
     for cell in summary["cells"]:
         stats = stats_by_cell.get((cell["model"], cell["n"], cell["J"], cell["ratio"]))
         if stats is None or "cv_risk_diff_mean_oracle" not in cell:
             continue
         params = BoundParams(
             delta=1.0, m1=stats.max_sq_observation, m2=stats.max_abs_estimate, dim=stats.dim,
-            n_candidates=stats.n_candidates, n_obs=stats.n, validation_fraction=stats.validation_fraction,
+            n_candidates=len(config.library), n_obs=stats.n, validation_fraction=fraction,
         )
-        bound = finite_sample_bound(params, cell["cv_risk_diff_mean_oracle"])
+        rhs = finite_sample_bound(params, cell["cv_risk_diff_mean_oracle"])
+        selected = cell["cv_risk_diff_mean_selected"]
         cell["bound"] = {
-            "delta": params.delta,
-            "m1": params.m1,
-            "m2": params.m2,
-            **dataclasses.asdict(bound),
-            "mean_selected": cell["cv_risk_diff_mean_selected"],
-            "holds": cell["cv_risk_diff_mean_selected"] <= bound.rhs,
-            "note": "m1/m2 are empirical plug-ins, not almost-sure bounds",
+            "delta": params.delta, "m1": params.m1, "m2": params.m2,
+            "rhs": rhs, "mean_selected": selected, "slack": _safe_ratio(rhs, selected),
         }
     payload = {
         "schema_version": SUMMARY_SCHEMA_VERSION,

@@ -180,17 +180,12 @@ class CandidateEvaluation:
     have shape ``(K, n_splits)`` and hold NaN for failed candidates.  A
     candidate that fails on any split is excluded outright; ``failures``
     maps its library index to the first reason seen.
-    ``max_abs_estimate`` is the largest ``max|S|`` of the folds' sample
-    covariances.  No built-in family's estimate has a larger entry
-    (POET's only by the few ulps of its eigendecomposition's rounding),
-    so it bounds every training-fold estimate of a built-in family.
     """
 
     risks: np.ndarray
     oracle_diffs: np.ndarray | None
     failures: dict[int, str]
     warnings: tuple[str, ...]
-    max_abs_estimate: float
 
     def _means(self, values: np.ndarray) -> np.ndarray:
         means = values.mean(axis=1)
@@ -270,7 +265,6 @@ def evaluate_candidates(
     bases = np.zeros((values.shape[0], n_splits))
     offsets = np.zeros(n_splits)
     failures: dict[int, str] = {}
-    peak = 0.0
 
     def fold_of(split_idx: int, layout: _grid.Layout | None) -> _grid.Fold:
         """The training fold of split ``split_idx`` with its targets; records its base values and offset.
@@ -309,9 +303,7 @@ def evaluate_candidates(
     for split_idx in range(n_splits):
         fold = fold_of(split_idx, layout)
         fold_values, fold_failures = _score_fits(library, fold)
-        top = max(float(fold.cov.max()), -float(fold.cov.min()))
         del fold
-        peak = max(peak, top if np.isfinite(top) else 0.0)
         for cand_idx, failure in fold_failures.items():
             failures.setdefault(cand_idx, failure)
         values[:, :, split_idx] = fold_values.T
@@ -331,7 +323,6 @@ def evaluate_candidates(
         oracle_diffs=values[1] if psi0 is not None else None,
         failures=failures,
         warnings=warnings,
-        max_abs_estimate=peak,
     )
 
 
@@ -414,8 +405,6 @@ def select(
     refitted keeps its risk.  Only the winner's refit is kept, for the
     report.
     """
-    if risk not in ("observation", "matrix"):
-        raise ConfigError(f"risk must be 'observation' or 'matrix', got {risk!r}")
     data = as_data_matrix(data, min_rows=2)
     splits = make_splits(scheme, data.shape[0])
     ev = evaluate_candidates(library, data, splits, scaling=scaling, center=center, risk=risk)
@@ -462,21 +451,28 @@ def select(
 
 @dataclass
 class OracleReport:
-    """Exact risk differences against a known covariance matrix.
+    """Exact risk differences against a known covariance matrix, and their argmin.
 
-    ``cv_risk_diffs`` average the training-fold estimates' squared
-    distances to the truth across splits; ``full_risk_diffs`` use a single
-    fit on the whole dataset.  Either side may be absent depending on
-    which oracle was run.  Failed candidates hold None.
+    :func:`oracle_select_cv` averages the training-fold estimates' squared
+    distances to the truth across splits; :func:`oracle_select_full` uses
+    a single fit on the whole dataset.  Failed candidates hold None.
     """
 
     ids: tuple[str, ...]
-    cv_risk_diffs: tuple | None = None
-    full_risk_diffs: tuple | None = None
-    cv_oracle_index: int | None = None
-    cv_oracle_id: str | None = None
-    full_oracle_index: int | None = None
-    full_oracle_id: str | None = None
+    risk_diffs: tuple
+    index: int
+    id: str
+
+
+def _oracle_report(library: CandidateLibrary, diffs: np.ndarray) -> OracleReport:
+    """The report of ``diffs``, one per candidate (NaN where it failed), and of the lowest index of the smallest."""
+    index = _argmin(diffs)
+    return OracleReport(
+        ids=library.ids,
+        risk_diffs=tuple(None if np.isnan(v) else float(v) for v in diffs),
+        index=index,
+        id=library[index].id,
+    )
 
 
 def oracle_select_cv(
@@ -495,14 +491,7 @@ def oracle_select_cv(
     ``cv_risk_diff`` row there, bit for bit.
     """
     ev = evaluate_candidates(library, data, splits, scaling=scaling, center=center, risk="matrix", psi0=psi0)
-    diffs = ev.mean_oracle_diffs()
-    index = _argmin(diffs)
-    return OracleReport(
-        ids=library.ids,
-        cv_risk_diffs=tuple(None if np.isnan(v) else float(v) for v in diffs),
-        cv_oracle_index=index,
-        cv_oracle_id=library[index].id,
-    )
+    return _oracle_report(library, ev.mean_oracle_diffs())
 
 
 def _residual_norms(residual: np.ndarray, spectral: bool) -> tuple[float, float]:
@@ -549,11 +538,4 @@ def oracle_select_full(
     eta = _scaling(scaling, psi0)
     if center:
         data = center_columns(data)
-    diffs = _full_data_errors(library, data, psi0, eta, spectral=False)[0]
-    index = _argmin(diffs)
-    return OracleReport(
-        ids=library.ids,
-        full_risk_diffs=tuple(None if np.isnan(v) else float(v) for v in diffs),
-        full_oracle_index=index,
-        full_oracle_id=library[index].id,
-    )
+    return _oracle_report(library, _full_data_errors(library, data, psi0, eta, spectral=False)[0])

@@ -412,15 +412,11 @@ _FAMILIES: dict[str, _Family] = {}
 #: eta_t)`` up to rounding, or ``None`` to leave that spec to the direct
 #: path, :func:`_score_directly`, which fits, scores and drops it; only
 #: :func:`_grid.score_poet` does, for factor counts the fold cannot
-#: decompose.  No fit of a built-in family has an entry larger in
-#: magnitude than the fold's ``max|S|`` (but for POET's few ulps of
-#: rounding), so neither path reports maxima: the bound's ``m2`` is taken
-#: from the folds' ``max|S|`` alone (see
-#: :class:`~covsel.cv_engine.CandidateEvaluation`).  Families sharing one
-#: scorer are scored in one call per fold, so they share its pass over the
-#: covariance.  Families without a scorer, user-registered ones included,
-#: take the direct path, as do the near-tie candidates that
-#: :func:`~covsel.cv_engine.evaluate_candidates` scores again.
+#: decompose.  Families sharing one scorer are scored in one call per
+#: fold, so they share its pass over the covariance.  Families without a
+#: scorer, user-registered ones included, take the direct path, as do the
+#: near-tie candidates that :func:`~covsel.cv_engine.evaluate_candidates`
+#: scores again.
 _SCORERS: dict[str, Callable] = {
     "sample_covariance": _grid.score_identity,
     "hard_threshold": _grid.score_thresholds,

@@ -41,7 +41,6 @@ __all__ = [
     "matrix_cv_risk_term",
     "true_risk_difference",
     "BoundParams",
-    "BoundReport",
     "finite_sample_bound",
 ]
 
@@ -178,8 +177,8 @@ class BoundParams:
     the absolute entries of any candidate covariance matrix.  In practice
     both are empirical plug-ins, not almost-sure bounds: ``simulate``
     takes ``m1`` from the observed data and ``m2`` from ``max|psi0|`` and
-    each training fold's ``max|S|``, which bounds every estimate of a
-    built-in family (see :class:`~covsel.simulation.CellStats`).
+    each training fold's largest variance (see
+    :class:`~covsel.simulation.CellStats`).
     """
 
     delta: float
@@ -201,18 +200,8 @@ class BoundParams:
             raise ValueError("validation_fraction must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Evaluated bound: ``rhs = (1 + 2*delta) * oracle_risk_diff + bound_term``."""
-
-    m_bar: float
-    c_value: float
-    bound_term: float
-    rhs: float
-
-
-def finite_sample_bound(params: BoundParams, oracle_risk_diff: float) -> BoundReport:
-    """Evaluate the finite-sample bound on the selected candidate's risk.
+def finite_sample_bound(params: BoundParams, oracle_risk_diff: float) -> float:
+    """The finite-sample bound on the selected candidate's mean excess risk.
 
     With ``M = 4 * (m1 + m2)**2 * J**2`` and
     ``c = 2 * (1 + delta)**2 * M * (1/3 + 1/delta)``, the mean excess risk
@@ -223,11 +212,5 @@ def finite_sample_bound(params: BoundParams, oracle_risk_diff: float) -> BoundRe
         raise ValueError("oracle_risk_diff must be nonnegative")
     m_bar = 4.0 * (params.m1 + params.m2) ** 2 * params.dim**2
     c_value = 2.0 * (1.0 + params.delta) ** 2 * m_bar * (1.0 / 3.0 + 1.0 / params.delta)
-    bound_term = (
-        2.0
-        * c_value
-        * (1.0 + log(params.n_candidates))
-        / (params.n_obs * params.validation_fraction)
-    )
-    rhs = (1.0 + 2.0 * params.delta) * oracle_risk_diff + bound_term
-    return BoundReport(m_bar=m_bar, c_value=c_value, bound_term=bound_term, rhs=rhs)
+    bound_term = 2.0 * c_value * (1.0 + log(params.n_candidates)) / (params.n_obs * params.validation_fraction)
+    return (1.0 + 2.0 * params.delta) * oracle_risk_diff + bound_term

@@ -270,8 +270,12 @@ def _frobenius_norm(m: np.ndarray) -> float:
     return peak * math.sqrt(float(np.vdot(scaled, scaled)))
 
 
-def is_psd(m, rtol: float = 1e-10) -> bool:
-    """Whether ``lambda_min >= -rtol * max|lambda|`` for a symmetric matrix.
+#: The relative tolerance ``rtol`` of :func:`is_psd`.
+_PSD_RTOL = 1e-10
+
+
+def is_psd(m) -> bool:
+    """Whether ``lambda_min >= -rtol * max|lambda|`` for a symmetric matrix, ``rtol`` :data:`_PSD_RTOL`.
 
     Two Cholesky factorizations decide almost every matrix without an
     eigendecomposition.  With ``F = ||m||_F >= max|lambda|`` and
@@ -289,14 +293,14 @@ def is_psd(m, rtol: float = 1e-10) -> bool:
     m = as_square_matrix(m)
     fro = _frobenius_norm(m)
     if fro > 0.0 and math.isfinite(fro):
-        if not _has_cholesky(m, 2.0 * rtol * fro):
+        if not _has_cholesky(m, 2.0 * _PSD_RTOL * fro):
             return False
         diag_peak = float(np.max(np.abs(np.diag(m))))
-        if diag_peak > 0.0 and _has_cholesky(m, 0.5 * rtol * diag_peak):
+        if diag_peak > 0.0 and _has_cholesky(m, 0.5 * _PSD_RTOL * diag_peak):
             return True
     try:
         eigvals = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError:
         return False
     scale = max(float(np.max(np.abs(eigvals))), 1e-300)
-    return bool(np.min(eigvals) >= -rtol * scale)
+    return bool(np.min(eigvals) >= -_PSD_RTOL * scale)

@@ -29,7 +29,6 @@ from .cv_engine import (
     evaluate_candidates,
     make_splits,
     split_scheme,
-    validation_fraction,
 )
 from .errors import ConfigError, DegenerateFeatureError, EstimationError, SelectionError
 # apply_library stays bound here for code that patches or traces it by this name.
@@ -322,22 +321,26 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class CellStats:
-    """Per-cell side information needed for the finite-sample bound.
+    """A cell and the two plug-ins of its finite-sample bound, ``m1`` and ``m2``.
 
-    ``max_abs_estimate``, the bound's ``m2``, is the largest of each
-    replication's ``max|psi0|`` and its training folds' ``max|S|``
-    (:attr:`~covsel.cv_engine.CandidateEvaluation.max_abs_estimate`), so
-    it does not depend on which other metrics run.  It is ``None`` unless
-    ``cv_ratio`` was run, the only metric whose bound reads it.
+    ``max_sq_observation``, ``m1``, is the largest squared entry of any
+    replication's data.  ``max_abs_estimate``, ``m2``, is the largest of
+    each replication's ``max|psi0|`` and its training folds' largest
+    variances.  A sample covariance ``S`` is PSD, so
+    ``|S_jl| <= sqrt(S_jj S_ll)`` and a fold's largest variance is its
+    ``max|S|`` up to rounding.  Every built-in family maps ``S``
+    entrywise to values no larger in magnitude, or keeps ``diag(S)`` and
+    POET's low-rank part, which ``S`` dominates, so ``max|S|`` bounds
+    every training-fold estimate, POET's but for the up to 6 ulps by
+    which the rounding of its eigendecomposition can exceed it.  Both
+    are ``None`` unless ``cv_ratio`` ran, the only metric with a bound.
     """
 
     model: int
     n: int
     dim: int
     ratio: float
-    n_candidates: int
-    validation_fraction: float
-    max_sq_observation: float
+    max_sq_observation: float | None
     max_abs_estimate: float | None
 
 
@@ -416,9 +419,11 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
         selector = ev.mean_risks()
         selector[excluded] = np.nan
         k_hat = _argmin(selector)
-        max_sq_obs = max(max_sq_obs, float(np.max(data * data)))
         if want_cv:
-            max_abs_est = max(max_abs_est, ev.max_abs_estimate, float(np.max(np.abs(psi0))))
+            max_sq_obs = max(max_sq_obs, float(np.max(data * data)))
+            folds = (data[~mask] for mask in splits)
+            variances = (train.var(axis=0) if config.center else np.mean(train * train, axis=0) for train in folds)
+            max_abs_est = max(max_abs_est, float(np.max(np.abs(psi0))), *(float(v.max()) for v in variances))
 
         kept = [(spec.id, idx) for idx, spec in enumerate(library) if idx not in failures]
         for metric in config.metrics:
@@ -430,12 +435,9 @@ def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n
                 picks.append((oracle, _argmin(per_candidate)))
             rows.extend((rep, subject, name, float(per_candidate[idx]), data_seed) for subject, idx in picks)
 
-    stats = CellStats(
-        model=model, n=n, dim=dim, ratio=ratio,
-        n_candidates=len(library), validation_fraction=validation_fraction(config.scheme(0)),
-        max_sq_observation=max_sq_obs, max_abs_estimate=max_abs_est if want_cv else None,
-    )
-    return rows, stats
+    if not want_cv:
+        max_sq_obs = max_abs_est = None
+    return rows, CellStats(model, n, dim, ratio, max_sq_obs, max_abs_est)
 
 
 def _run_grid(config: ExperimentConfig, run_cell) -> tuple[list[ResultRow], list, list[dict]]:

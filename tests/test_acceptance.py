@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from covsel.cli import main, read_estimate_csv, read_results_csv, read_risk_table, write_results_csv
+from covsel.cli import _write_summary, main, read_estimate_csv, read_results_csv, read_risk_table, write_results_csv
 from covsel.cv_engine import VFold, select
 from covsel.estimators import (
     EstimatorSpec,
@@ -28,7 +28,7 @@ from covsel.estimators import (
     build_library,
     library_preset,
 )
-from covsel.loss_risk import BoundParams, finite_sample_bound, true_risk_difference
+from covsel.loss_risk import true_risk_difference
 from covsel.matrix_core import sample_covariance
 from covsel.simulation import (
     CV_ORACLE_SUBJECT,
@@ -61,7 +61,7 @@ def desk_experiment():
     )
     start = time.monotonic()
     result = run_experiment(config)
-    return result, time.monotonic() - start
+    return config, result, time.monotonic() - start
 
 
 def test_criterion_1_selector_equivalence():
@@ -161,7 +161,7 @@ def test_criterion_2_analytic_risk_difference_identity():
 
 
 def test_criterion_3_selected_vs_oracle_ratio(desk_experiment):
-    result, elapsed = desk_experiment
+    _, result, elapsed = desk_experiment
     summary = summarize_ratios(result.rows, metrics=("cv_ratio",))
     ratios = {(cell["n"], cell["J"]): cell["cv_ratio_of_means"] for cell in summary["cells"]}
     ok = ratios[(50, 50)] <= 1.25 and ratios[(200, 200)] <= 1.05 and elapsed < 900.0
@@ -189,39 +189,20 @@ def _dominance_ratios(rows) -> list[float]:
     return [picked[k] / oracle[k] for k in picked]
 
 
-def _bound_sides(result) -> dict:
-    """Per ``(model, n, J)`` cell, the selection's mean cv risk difference and the finite-sample bound's ``rhs``."""
-    summary = summarize_ratios(result.rows, metrics=("cv_ratio",))
-    stats_by_cell = {(s.model, s.n, s.dim): s for s in result.cells}
-    sides = {}
-    for cell in summary["cells"]:
-        key = (cell["model"], cell["n"], cell["J"])
-        stats = stats_by_cell[key]
-        params = BoundParams(
-            delta=1.0,
-            m1=stats.max_sq_observation,
-            m2=stats.max_abs_estimate,
-            dim=stats.dim,
-            n_candidates=stats.n_candidates,
-            n_obs=stats.n,
-            validation_fraction=stats.validation_fraction,
-        )
-        sides[key] = (cell["cv_risk_diff_mean_selected"], finite_sample_bound(params, cell["cv_risk_diff_mean_oracle"]).rhs)
-    return sides
+def _bound_sides(config, result, out_dir) -> dict:
+    """Per ``(model, n, J)`` cell, the finite-sample ``bound`` of the ``summary.json`` that ``simulate`` writes."""
+    _write_summary(out_dir, config, result)
+    summary = json.loads((out_dir / "summary.json").read_text())
+    return {(cell["model"], cell["n"], cell["J"]): cell["bound"] for cell in summary["cells"]}
 
 
 def _bound_holds(sides: dict) -> bool:
-    """``lhs <= rhs`` in every cell; a NaN on either side fails."""
-    return all(lhs <= rhs for lhs, rhs in sides.values())
-
-
-def _slack(lhs: float, rhs: float) -> float:
-    """The bound's slack ``rhs / lhs`` for printing (NaN stays NaN)."""
-    return math.inf if lhs <= 0.0 else rhs / lhs
+    """``mean_selected <= rhs`` in every cell; a NaN on either side fails."""
+    return all(bound["mean_selected"] <= bound["rhs"] for bound in sides.values())
 
 
 def test_criterion_4_per_replication_dominance(desk_experiment):
-    result, _ = desk_experiment
+    _, result, _ = desk_experiment
     ratios = _dominance_ratios(result.rows)
     _check(
         "criterion 4 (per-replication oracle dominance)",
@@ -254,18 +235,18 @@ def test_criterion_5_benchmark_no_worse_than_best_family():
     )
 
 
-def test_criterion_6_finite_sample_bound(desk_experiment):
-    result, _ = desk_experiment
-    sides = _bound_sides(result)
+def test_criterion_6_finite_sample_bound(desk_experiment, tmp_path):
+    config, result, _ = desk_experiment
+    sides = _bound_sides(config, result, tmp_path)
     _check(
         "criterion 6 (finite-sample bound sanity)",
         _bound_holds(sides),
-        "; ".join(f"n={n}: rhs / lhs {_slack(*pair):.3e}" for (_, n, _), pair in sorted(sides.items())),
+        "; ".join(f"n={n}: slack {bound['slack']:.3e}" for (_, n, _), bound in sorted(sides.items())),
     )
 
 
 @pytest.mark.parametrize("scaling", ["one", "inv_J", "inv_J2"])
-def test_criteria_4_and_6_on_every_model(scaling):
+def test_criteria_4_and_6_on_every_model(scaling, tmp_path):
     config = ExperimentConfig(
         models=tuple(range(1, 9)),
         sample_sizes=(50,),
@@ -283,12 +264,12 @@ def test_criteria_4_and_6_on_every_model(scaling):
         all(ratio >= 1.0 - 1e-12 for ratio in ratios),
         f"minimum per-replication ratio {min(ratios):.15f} over {len(ratios)} replications",
     )
-    sides = _bound_sides(result)
+    sides = _bound_sides(config, result, tmp_path)
     _check(
         f"criterion 6 on models 1-8 ({scaling})",
         len(sides) == 16 and _bound_holds(sides),
         "; ".join(
-            f"model {model} J={dim}: rhs / lhs {_slack(*pair):.3e}" for (model, _, dim), pair in sorted(sides.items())
+            f"model {model} J={dim}: slack {bound['slack']:.3e}" for (model, _, dim), bound in sorted(sides.items())
         ),
     )
 

@@ -85,6 +85,16 @@ class TestReadNumericCsv:
         values, _ = read_numeric_csv(path, delimiter=";")
         assert np.array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("delimiter", ["tab", "\\t"])
+    def test_tab_delimiter_selects_as_the_csv_does(self, tmp_path, toy_csv, delimiter):
+        path, data = toy_csv
+        tsv = tmp_path / "data.tsv"
+        write_csv(tsv, data, header=["a", "b", "c"], delimiter="\t")
+        assert main(["select", "--input", str(path), "--out", str(tmp_path / "csv")]) == 0
+        assert main(["select", "--input", str(tsv), "--delimiter", delimiter, "--out", str(tmp_path / "tsv")]) == 0
+        for name in ("selection_report.json", "risk_table.csv", "estimate.csv"):
+            assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "tsv" / name).read_bytes(), name
+
     def test_byte_order_mark_is_not_part_of_the_first_field(self, tmp_path, toy_csv):
         path, data = toy_csv
         for header in (["a", "b", "c"], None):
@@ -169,11 +179,19 @@ class TestConfigKeys:
                      id="bench-unreported-metric"),
         pytest.param("simulate", ".ini", "[experiment]\nmetrics = frobenius frobenius\n", "metrics lists 'frobenius'",
                      id="simulate-repeated-metric"),
+        # A config file that cannot be loaded is named instead; None is a file that does not exist.
+        pytest.param("select", ".json", None, "config.json: [Errno 2]", id="config-missing"),
+        pytest.param("select", ".json", '{"run": {"folds": 4}', "config.json: invalid JSON", id="config-invalid-json"),
+        pytest.param("bench", ".json", "[1, 2]", "config.json: top-level JSON value must be an object",
+                     id="config-json-not-an-object"),
+        pytest.param("simulate", ".ini", "folds = 4\n[run]\n", "config.ini: invalid config",
+                     id="config-ini-key-before-any-section"),
     ])
     def test_a_malformed_value_exits_2_naming_its_key(self, tmp_path, toy_csv, capsys, command, suffix, text,
                                                       named):
         config = tmp_path / f"config{suffix}"
-        config.write_text(text, encoding="utf-8")
+        if text is not None:
+            config.write_text(text, encoding="utf-8")
         argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
         if command == "select":
             argv += ["--input", str(toy_csv[0])]
@@ -248,6 +266,23 @@ class TestSelectCommand:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "invalid_input"
         assert "ragged" in record["message"]
+
+    @pytest.mark.parametrize("special", ["nan", "-inf", "1e999"])
+    def test_a_non_finite_value_exits_2_naming_its_place(self, tmp_path, capsys, special):
+        # read_numeric_csv parses these as floats; select names where the first one is.
+        lines = [",".join(map(repr, row)) for row in np.random.default_rng(2).normal(size=(30, 6)).tolist()]
+        fields = lines[3].split(",")
+        fields[2] = special
+        lines[3] = ",".join(fields)
+        path = tmp_path / "special.csv"
+        path.write_text("\n".join(["a,b,c,d,e,f", *lines]) + "\n", encoding="utf-8")
+        assert main(["select", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "invalid_input"
+        assert f"{path}: row 5, column 3:" in record["message"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_constant_column_under_weighted_scaling_exits_2(self, tmp_path, capsys):
         data = np.random.default_rng(1).normal(size=(20, 4))
@@ -440,10 +475,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--profile", "smoke", "--seed", "2", "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["candidates"] == 73
-        assert (summary["schema_version"], summary["skipped"]) == (4, [])
+        assert (summary["schema_version"], summary["skipped"]) == (5, [])
         assert "selector_risk" not in summary["config"]
         cell = summary["cells"][0]
-        assert cell["bound"]["holds"] is True
+        bound = cell["bound"]
+        assert set(bound) == {"delta", "m1", "m2", "rhs", "mean_selected", "slack"}
+        assert bound["mean_selected"] == cell["cv_risk_diff_mean_selected"]
+        assert bound["slack"] == bound["rhs"] / bound["mean_selected"] and bound["slack"] >= 1.0
         assert cell["cv_ratio_of_means"] >= 1.0 - 1e-9
 
     def test_a_cell_that_fails_on_its_data_is_listed_as_skipped(self, tmp_path, monkeypatch):

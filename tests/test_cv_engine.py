@@ -323,8 +323,8 @@ class TestOracles:
         )
         splits = make_splits(VFold(5, seed=2), 30)
         report = oracle_select_cv(library, data, splits, psi0)
-        assert report.cv_oracle_id == "truth"
-        assert report.cv_risk_diffs[1] == 0.0
+        assert report.id == "truth"
+        assert report.risk_diffs[1] == 0.0
 
     def test_scalar_toy_risk_differences(self):
         psi0 = np.array([[1.0]])
@@ -334,14 +334,14 @@ class TestOracles:
         )
         splits = make_splits(VFold(3, seed=4), 12)
         cv_report = oracle_select_cv(library, data, splits, psi0)
-        assert cv_report.cv_oracle_id == "near"
-        assert cv_report.cv_risk_diffs[0] == pytest.approx(0.01, rel=1e-12)
-        assert cv_report.cv_risk_diffs[1] == pytest.approx(1.0, rel=1e-12)
+        assert cv_report.id == "near"
+        assert cv_report.risk_diffs[0] == pytest.approx(0.01, rel=1e-12)
+        assert cv_report.risk_diffs[1] == pytest.approx(1.0, rel=1e-12)
 
         full_report = oracle_select_full(library, data, psi0)
-        assert full_report.full_oracle_id == "near"
-        assert full_report.full_risk_diffs[0] == pytest.approx(0.01, rel=1e-12)
-        assert full_report.full_risk_diffs[1] == pytest.approx(1.0, rel=1e-12)
+        assert full_report.id == "near"
+        assert full_report.risk_diffs[0] == pytest.approx(0.01, rel=1e-12)
+        assert full_report.risk_diffs[1] == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("oracle", ["full", "cv"])
     def test_weighted_full_oracle_uses_true_variances(self, oracle):
@@ -357,8 +357,8 @@ class TestOracles:
 
         def risk_diffs(truth):
             if oracle == "full":
-                return oracle_select_full(library, data, truth, scaling="weighted").full_risk_diffs
-            return oracle_select_cv(library, data, splits, truth, scaling="weighted").cv_risk_diffs
+                return oracle_select_full(library, data, truth, scaling="weighted").risk_diffs
+            return oracle_select_cv(library, data, splits, truth, scaling="weighted").risk_diffs
 
         folds = [data] if oracle == "full" else [data[~mask] for mask in splits]
         diffs = risk_diffs(psi0)
@@ -385,7 +385,7 @@ class TestOracles:
             report = oracle_select_full(library, data, np.eye(6))
         finally:
             _FAMILIES.pop("nan_fit", None)
-        assert report.full_oracle_id == "sample_covariance" and report.full_risk_diffs[1] is None
+        assert report.id == "sample_covariance" and report.risk_diffs[1] is None
 
     def test_singleton_oracle(self):
         psi0 = np.eye(3)
@@ -393,8 +393,8 @@ class TestOracles:
         library = CandidateLibrary((EstimatorSpec("sample_covariance"),))
         splits = make_splits(VFold(3, seed=6), 15)
         report = oracle_select_cv(library, data, splits, psi0)
-        assert report.cv_oracle_id == "sample_covariance"
-        assert report.cv_risk_diffs[0] > 0.0
+        assert report.id == "sample_covariance"
+        assert report.risk_diffs[0] > 0.0
 
     def test_full_risk_shrinks_with_sample_size(self):
         psi0 = build_model_covariance(CovModelSpec(2, 20))
@@ -405,7 +405,7 @@ class TestOracles:
             for rep in range(20):
                 data = sample_gaussian(psi0, n, seed=1000 * n + rep)
                 report = oracle_select_full(library, data, psi0)
-                diffs.append(report.full_risk_diffs[0])
+                diffs.append(report.risk_diffs[0])
             means.append(np.mean(diffs))
         assert means[0] > means[1] > means[2]
 
@@ -421,7 +421,7 @@ class TestEvaluateCandidates:
         )
         oracle = oracle_select_cv(library, data, splits, psi0)
         joint = ev.mean_oracle_diffs()
-        for idx, value in enumerate(oracle.cv_risk_diffs):
+        for idx, value in enumerate(oracle.risk_diffs):
             assert joint[idx] == pytest.approx(value, rel=1e-15)
 
     def test_every_pass_scores_a_validation_risk(self):

@@ -297,7 +297,6 @@ def test_selections_and_ties_match_the_direct_path(kind, dim, direct_path):
     a, b = grid_oracle.mean_oracle_diffs(), direct_oracle.mean_oracle_diffs()
     best = np.nanmin(b)
     assert np.array_equal(a == np.nanmin(a), b == best)
-    assert grid_oracle.max_abs_estimate == direct_oracle.max_abs_estimate
 
 
 def test_deferred_candidates_take_the_direct_path(monkeypatch):
@@ -367,7 +366,6 @@ def test_monte_carlo_splits_score_like_the_direct_path(direct_path):
     direct = evaluate_candidates(library, data, splits, risk="observation", psi0=psi0)
     assert np.allclose(grid.risks, direct.risks, rtol=RTOL, atol=0.0)
     assert np.allclose(grid.oracle_diffs, direct.oracle_diffs, rtol=RTOL, atol=0.0)
-    assert grid.max_abs_estimate == direct.max_abs_estimate
     assert grid.failures == direct.failures
 
 

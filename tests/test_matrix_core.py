@@ -330,7 +330,7 @@ def test_is_psd():
     assert not is_psd(np.diag([1.0, -0.5]))
 
 
-RTOL = 1e-10
+RTOL = matrix_core._PSD_RTOL
 
 
 def psd_by_definition(m, rtol=RTOL):
@@ -363,9 +363,9 @@ class TestIsPsdCertificate:
         else:
             middle = np.linspace(1.0, 0.01, dim - 1)[1:]
             m = with_spectrum([1.0, *middle, ratio * RTOL], seed=dim)
-        assert is_psd(m, RTOL) == psd_by_definition(m)
+        assert is_psd(m) == psd_by_definition(m)
         if dim > 1:
-            assert is_psd(m, RTOL) == (ratio >= -1.0)
+            assert is_psd(m) == (ratio >= -1.0)
 
     @pytest.mark.parametrize(
         "m",

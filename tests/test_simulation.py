@@ -267,7 +267,8 @@ class TestRunner:
 
     @pytest.mark.parametrize("center", [False, True])
     def test_m2_comes_from_psi0_and_the_folds_alone(self, center):
-        # The bound's m2 is max(max|psi0|, each training fold's max|S|), whichever metrics run.
+        # The bound's m2 is max(max|psi0|, each training fold's largest variance), whichever
+        # metrics run.  A fold's largest variance is its max|S|, up to rounding.
         config = tiny_config(models=(2, 8), metrics=("cv_ratio",), center=center,
                              library=estimators.library_preset("default"))
         stats = run_experiment(config).cells
@@ -283,7 +284,7 @@ class TestRunner:
                 for mask in splits:
                     train = center_columns(data[~mask]) if center else data[~mask]
                     want = max(want, float(np.max(np.abs(sample_covariance(train)))))
-            assert cell.max_abs_estimate == want
+            assert cell.max_abs_estimate == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_rerun_is_identical(self):
         config = tiny_config(metrics=("cv_ratio", "frobenius"))
@@ -324,14 +325,12 @@ class TestRunner:
         for rep, psi0, data, _, splits in simulation._replications(config, model, n, ratio_idx, dim):
             if oracle == "cv":
                 report = cv_engine.oracle_select_cv(library, data, splits, psi0, scaling=scaling)
-                values, best, subject = report.cv_risk_diffs, report.cv_oracle_id, CV_ORACLE_SUBJECT
             else:
                 report = cv_engine.oracle_select_full(library, data, psi0, scaling=scaling)
-                values, best, subject = report.full_risk_diffs, report.full_oracle_id, FULL_ORACLE_SUBJECT
-            want = dict(zip(library.ids, values))
-            want[subject] = want[best]
+            want = dict(zip(library.ids, report.risk_diffs))
+            want[CV_ORACLE_SUBJECT if oracle == "cv" else FULL_ORACLE_SUBJECT] = want[report.id]
             found = {r.subject: r.value for r in rows if r.replication == rep and r.subject != SELECTED_SUBJECT}
-            assert None not in values and found == want
+            assert None not in report.risk_diffs and found == want
 
     def test_center_applies_to_the_full_data(self):
         # The folds and the full-data fits both see centred data, as select's refit does.
@@ -351,8 +350,8 @@ class TestRunner:
         library = config.library
         for rep, psi0, data, _, _ in simulation._replications(config, model, n, ratio_idx, dim):
             report = cv_engine.oracle_select_full(library, data, psi0, center=True)
-            want = dict(zip(library.ids, report.full_risk_diffs))
-            want[FULL_ORACLE_SUBJECT] = want[report.full_oracle_id]
+            want = dict(zip(library.ids, report.risk_diffs))
+            want[FULL_ORACLE_SUBJECT] = want[report.id]
             found = {r.subject: r.value for r in rows if r.replication == rep and r.subject != SELECTED_SUBJECT}
             assert found == want
 
