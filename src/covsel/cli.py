@@ -110,40 +110,55 @@ def read_numeric_csv(path, delimiter: str = ",", header: str = "auto"):
     Rows are observations.  ``header`` is ``"auto"`` (treat the first row
     as a header when it does not parse as numbers), ``"yes"``, or
     ``"no"``.  Ragged rows and unparsable fields raise
-    :class:`ConfigError` with row/column diagnostics.
+    :class:`ConfigError` naming their line of the file and column.
     """
     if header not in ("auto", "yes", "no"):
         raise ConfigError(f"header must be auto/yes/no, got {header!r}")
     path = Path(path)
+    return _parse_rows(path, _split_rows(_read_text(path), delimiter), header)
+
+
+def _read_text(path) -> str:
     # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
-    with path.open("r", encoding="utf-8-sig", newline="") as handle:
-        text = handle.read()
-    return _parse_rows(path, _split_rows(text, delimiter), header)
+    with Path(path).open("r", encoding="utf-8-sig", newline="") as handle:
+        return handle.read()
 
 
-def _split_rows(text: str, delimiter: str):
-    """The fields of each line of ``text``, split as ``csv.reader`` splits them.
+def _split_rows(text: str, delimiter: str, first_line: int = 1):
+    """``(line, fields)`` for each non-blank row of ``text``, ``line`` its number in the file.
 
-    Without quotes or carriage returns other than CRLF line ends, that is
-    ``str.split``: a CR left at a line's end is whitespace, which
-    ``float`` and the blank-row test ignore.  Otherwise ``csv.reader``
-    splits the text.
+    ``text`` starts at line ``first_line`` of its file.  The fields are
+    split as ``csv.reader`` splits them.  Without quotes or carriage
+    returns other than CRLF line ends, that is ``str.split``: a CR left at
+    a line's end is whitespace, which ``float`` and the blank-row test
+    ignore.  Otherwise ``csv.reader`` splits the text, and a row whose
+    quoted field spans lines is numbered by its first line.
     """
     crs = text.count("\r")
     if '"' in text or (crs and (delimiter == "\r" or crs != text.count("\r\n"))):
-        return csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
-    return (line.split(delimiter) for line in text.split("\n"))
+        rows = _numbered(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter), first_line)
+    else:
+        rows = enumerate((line.split(delimiter) for line in text.split("\n")), first_line)
+    return ((line, fields) for line, fields in rows if any(map(str.strip, fields)))
+
+
+def _numbered(reader, first_line: int):
+    """``(line, fields)`` for each row of a ``csv.reader``, ``line`` the first line of the row."""
+    line = first_line
+    for fields in reader:
+        yield line, fields
+        line = first_line + reader.line_num
 
 
 def _parse_rows(path, rows, header: str):
-    """``(matrix, column_names)`` from the field lists ``rows``; blank rows are skipped.
+    """``(matrix, column_names)`` from the ``(line, fields)`` pairs ``rows`` of :func:`_split_rows`.
 
     Each data row is converted as it comes, straight into one buffer of
     doubles.  Fields may carry surrounding whitespace, which ``float``
-    ignores; header names and error messages show them stripped.
+    ignores; header names and error messages show them stripped.  An
+    error names the line of the file it is on.
     """
-    rows = (fields for fields in rows if any(map(str.strip, fields)))
-    first = next(rows, None)
+    line, first = next(rows, (None, None))
     if first is None:
         raise ConfigError(f"{path}: no data rows")
     names = None
@@ -156,15 +171,15 @@ def _parse_rows(path, rows, header: str):
             names = first
     if names is not None:
         names = [f.strip() for f in names]
-        first = next(rows, None)
+        line, first = next(rows, (None, None))
         if first is None:
             raise ConfigError(f"{path}: header only, no data rows")
 
     width = len(first)
     values = array("d")
-    for i, fields in enumerate(itertools.chain([first], rows), start=1 + (names is not None)):
+    for line, fields in itertools.chain([(line, first)], rows):
         if len(fields) != width:
-            raise ConfigError(f"{path}: ragged row {i}: expected {width} columns, got {len(fields)}")
+            raise ConfigError(f"{path}: ragged row at line {line}: expected {width} columns, got {len(fields)}")
         try:
             values.extend(map(float, fields))
         except ValueError:
@@ -173,7 +188,7 @@ def _parse_rows(path, rows, header: str):
                     float(f)
                 except ValueError:
                     raise ConfigError(
-                        f"{path}: row {i}, column {j + 1}: cannot parse {f.strip()!r} as a number"
+                        f"{path}: line {line}, column {j + 1}: cannot parse {f.strip()!r} as a number"
                     ) from None
             raise
     if names is not None and len(names) != width:
@@ -253,7 +268,7 @@ def read_estimate_csv(path):
         meta = first[2:]
         dim_part, _, selected = meta.partition(" selected=")
         dim = int(dim_part[len("J=") :])
-        matrix, _ = _parse_rows(path, _split_rows(handle.read(), ","), "no")
+        matrix, _ = _parse_rows(path, _split_rows(handle.read(), ",", first_line=2), "no")
     if matrix.shape != (dim, dim):
         raise ConfigError(f"{path}: expected a {dim}x{dim} matrix, got {matrix.shape}")
     return matrix, dim, selected
@@ -515,10 +530,11 @@ def cmd_select(args) -> int:
     data, names = read_numeric_csv(str(run["input"]), delimiter=delimiter, header=str(run.get("header", "auto")))
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
-        # Rows are counted as read_numeric_csv counts them: blank rows skipped, a header row counted.
         row, col = bad[0]
-        raise ConfigError(f"{run['input']}: row {row + 1 + (names is not None)}, column {col + 1}: "
-                          f"{data[row, col]} is not a finite number")
+        # The reader keeps no line numbers; the file's non-blank rows are the header, if any, and the data.
+        rows = _split_rows(_read_text(run["input"]), delimiter)
+        line, _ = next(itertools.islice(rows, row + (names is not None), None))
+        raise ConfigError(f"{run['input']}: line {line}, column {col + 1}: {data[row, col]} is not a finite number")
     if not 0 <= pca <= data.shape[1]:
         raise ConfigError(f"--pca must lie between 0 and the number of features {data.shape[1]}, got {pca}")
 

@@ -506,16 +506,17 @@ def _full_data_errors(library: CandidateLibrary, data, psi0, eta, *, spectral: b
     candidate, ``scaled_frobenius_sq(fit - psi0, eta)`` and the two norms
     of ``fit - psi0`` (NaN where the fit failed, and every spectral norm
     NaN unless ``spectral``); and each failed candidate's reason by index.
-    Each fit from :func:`~covsel.estimators.iter_fits` is dropped once
-    measured, so memory stays bounded in ``J²``.
+    Each fit from :func:`~covsel.estimators.iter_fits` is a new array,
+    turned into its residual in place and dropped once measured, so memory
+    stays bounded in ``J²``.
     """
     risk_diffs, frobenius, spectral_norms = (np.full(len(library), np.nan) for _ in range(3))
     failures: dict[int, str] = {}
-    for idx, (estimate, failure) in enumerate(iter_fits(library, data)):
+    for idx, (residual, failure) in enumerate(iter_fits(library, data)):
         if failure is not None:
             failures[idx] = failure
             continue
-        residual = estimate - psi0
+        residual -= psi0
         squares, spectral_norms[idx] = _residual_norms(residual, spectral)
         frobenius[idx] = math.sqrt(squares)
         risk_diffs[idx] = eta * squares if isinstance(eta, float) else scaled_frobenius_sq(residual, eta)

@@ -432,7 +432,8 @@ def register_family(name, fit, validate=None, param_order=()) -> None:
     """Register an estimator family.
 
     ``fit(ctx, params)`` must be a deterministic function of the data in
-    ``ctx`` and the validated ``params``, returning a symmetric matrix.
+    ``ctx`` and the validated ``params``, returning a symmetric matrix in
+    a new array, which the caller may overwrite (not ``ctx.cov`` itself).
     ``validate(params)`` normalizes hyperparameters (filling defaults) and
     raises :class:`ConfigError` on invalid input.
     """

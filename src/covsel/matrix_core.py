@@ -148,7 +148,7 @@ def spectral_norm(m) -> float:
     does not settle, from ``eigvalsh``.
     """
     m = as_square_matrix(m)
-    if not np.array_equal(m, m.T):
+    if not _is_symmetric(m):
         m = symmetrize(m)
     if m.shape[0] >= _LANCZOS_MIN_DIM:
         norm = _lanczos_norm(m)
@@ -159,6 +159,26 @@ def spectral_norm(m) -> float:
     except np.linalg.LinAlgError as exc:
         raise EstimationError(f"eigenvalue computation failed for shape {m.shape}: {exc}") from exc
     return float(np.max(np.abs(eigvals))) if m.shape[0] else 0.0
+
+
+#: Rows per block of :func:`_is_symmetric`.
+_SYMMETRY_BLOCK = 256
+
+
+def _is_symmetric(m: np.ndarray) -> bool:
+    """``np.array_equal(m, m.T)`` for a square ``m``, one block of rows at a time.
+
+    Each block compares its rows from the diagonal on with the matching
+    columns, so the check reads the upper triangle and its mirror, not
+    all of ``m`` and all of ``m.T``, holds one block's comparison at a
+    time, and stops at the first block that differs.  A NaN compares
+    unequal, as in ``np.array_equal``.
+    """
+    for start in range(0, m.shape[0], _SYMMETRY_BLOCK):
+        stop = start + _SYMMETRY_BLOCK
+        if not np.array_equal(m[start:stop, start:], m[start:, start:stop].T):
+            return False
+    return True
 
 
 def _lanczos_norm(m: np.ndarray) -> float | None:

@@ -11,12 +11,20 @@ Seeding: every replication derives independent streams for the model
 draw, the data draw, and the CV split from
 ``SeedSequence([master, model, n, ratio_index, replication, stream])``
 with stream tags 0, 1, and 2, so any cell can be reproduced in isolation.
+That independence lets the runner split a grid's (cell, replication)
+units among forked worker processes and merge their results into the
+same outputs as one process gives.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+import os
+import pickle
+import sys
+import traceback
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -365,16 +373,17 @@ def _stream_seed(master: int, model: int, n: int, ratio_idx: int, rep: int, stre
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
-def _replications(config: ExperimentConfig, model: int, n: int, ratio_idx: int, dim: int):
-    """Yield ``(rep, psi0, data, data_seed, splits)`` for each replication of one cell.
+def _replications(config: ExperimentConfig, model: int, n: int, ratio_idx: int, dim: int, reps):
+    """Yield ``(rep, psi0, data, data_seed, splits)`` for each replication ``rep`` in ``reps`` of one cell.
 
     Models 5 and 8 are redrawn each replication unless ``config.fix_model``
     is set; every other model matrix is built, and factorized for
-    sampling, once per cell.
+    sampling, once per call.  Each value depends on the cell and ``rep``
+    alone, not on which other replications ``reps`` holds.
     """
     redrawn = model in (5, 8) and not config.fix_model
     psi0 = None
-    for rep in range(config.replications):
+    for rep in reps:
         if psi0 is None or redrawn:
             model_seed = _stream_seed(config.seed, model, n, ratio_idx, rep if redrawn else 0, 0)
             psi0 = build_model_covariance(CovModelSpec(model, dim, model_seed))
@@ -385,84 +394,271 @@ def _replications(config: ExperimentConfig, model: int, n: int, ratio_idx: int, 
         yield rep, psi0, data, data_seed, make_splits(config.scheme(split_seed), n)
 
 
-def _run_cell(config: ExperimentConfig, library: CandidateLibrary, model: int, n: int,
-              ratio_idx: int, ratio: float, dim: int) -> tuple[list[tuple], CellStats]:
-    rows: list[tuple] = []
-    max_sq_obs = 0.0
-    max_abs_est = 0.0
-    want_cv = "cv_ratio" in config.metrics
+def _run_rep(config: ExperimentConfig, library: CandidateLibrary, cell: tuple, replication: tuple,
+             warnings: list) -> tuple[list[tuple], tuple]:
+    """One replication's result rows and its share of the cell's bound plug-ins.
 
-    for rep, psi0, data, data_seed, splits in _replications(config, model, n, ratio_idx, dim):
-        ev = evaluate_candidates(
-            library, data, splits,
-            scaling=config.scaling, center=config.center, risk="matrix", psi0=psi0 if want_cv else None,
-        )
-        failures = dict(ev.failures)
-        # Per result-row metric, each candidate's value.
-        values = {"cv_risk_diff": ev.mean_oracle_diffs()} if want_cv else {}
-        if set(config.metrics) != {"cv_ratio"}:
-            full_data = center_columns(data) if config.center else data
-            # full_risk_diff is in the oracle's eta units, as cv_risk_diff is.
-            full_diffs, frobenius, spectral, full_failures = _full_data_errors(
-                library, full_data, psi0, _scaling(config.scaling, psi0), spectral="spectral" in config.metrics
-            )
-            for idx, failure in full_failures.items():
-                failures.setdefault(idx, f"full-data fit: {failure}")
-            values.update(full_risk_diff=full_diffs, frobenius=frobenius, spectral=spectral)
-        excluded = list(failures)
-        for idx in excluded:
-            logger.warning(
-                "model %d n=%d J=%d rep %d: excluded %s (%s)",
-                model, n, dim, rep, library[idx].id, failures[idx],
-            )
-
-        selector = ev.mean_risks()
-        selector[excluded] = np.nan
-        k_hat = _argmin(selector)
-        if want_cv:
-            max_sq_obs = max(max_sq_obs, float(np.max(data * data)))
-            folds = (data[~mask] for mask in splits)
-            variances = (train.var(axis=0) if config.center else np.mean(train * train, axis=0) for train in folds)
-            max_abs_est = max(max_abs_est, float(np.max(np.abs(psi0))), *(float(v.max()) for v in variances))
-
-        kept = [(spec.id, idx) for idx, spec in enumerate(library) if idx not in failures]
-        for metric in config.metrics:
-            name, oracle = _METRIC_ROWS[metric]
-            per_candidate = values[name]
-            per_candidate[excluded] = np.nan
-            picks = [*kept, (SELECTED_SUBJECT, k_hat)]
-            if oracle is not None:
-                picks.append((oracle, _argmin(per_candidate)))
-            rows.extend((rep, subject, name, float(per_candidate[idx]), data_seed) for subject, idx in picks)
-
-    if not want_cv:
-        max_sq_obs = max_abs_est = None
-    return rows, CellStats(model, n, dim, ratio, max_sq_obs, max_abs_est)
-
-
-def _run_grid(config: ExperimentConfig, run_cell) -> tuple[list[ResultRow], list, list[dict]]:
-    """Each cell's rows, sorted, its stats, and the cells skipped, from ``run_cell(model, n, ratio_idx, ratio, dim)``.
-
-    ``run_cell`` returns the cell's rows as ``(replication, subject,
-    metric, value, seed)`` tuples, and its stats.  A cell that raises one
-    of the package's errors or ``LinAlgError`` is logged and skipped, and
-    recorded as ``{model, n, ratio, reason}``; any other exception ends
-    the run.
+    ``replication`` is an item of :func:`_replications` for ``cell``.
+    Returns the rows as ``(replication, subject, metric, value, seed)``
+    tuples, and ``(m1, m2)`` of this replication when ``cv_ratio`` runs,
+    else ``()``.  Each candidate left out is appended to ``warnings`` as a
+    ``(rep, message, args)`` log record.
     """
-    rows: list[ResultRow] = []
-    cells = []
-    skipped = []
-    for model, n, ratio_idx, ratio, dim in config.cells():
+    model, n, _, _, dim = cell
+    rep, psi0, data, data_seed, splits = replication
+    want_cv = "cv_ratio" in config.metrics
+    ev = evaluate_candidates(
+        library, data, splits,
+        scaling=config.scaling, center=config.center, risk="matrix", psi0=psi0 if want_cv else None,
+    )
+    failures = dict(ev.failures)
+    # Per result-row metric, each candidate's value.
+    values = {"cv_risk_diff": ev.mean_oracle_diffs()} if want_cv else {}
+    if set(config.metrics) != {"cv_ratio"}:
+        full_data = center_columns(data) if config.center else data
+        # full_risk_diff is in the oracle's eta units, as cv_risk_diff is.
+        full_diffs, frobenius, spectral, full_failures = _full_data_errors(
+            library, full_data, psi0, _scaling(config.scaling, psi0), spectral="spectral" in config.metrics
+        )
+        for idx, failure in full_failures.items():
+            failures.setdefault(idx, f"full-data fit: {failure}")
+        values.update(full_risk_diff=full_diffs, frobenius=frobenius, spectral=spectral)
+    excluded = list(failures)
+    for idx in excluded:
+        warnings.append((rep, "model %d n=%d J=%d rep %d: excluded %s (%s)",
+                         (model, n, dim, rep, library[idx].id, failures[idx])))
+
+    selector = ev.mean_risks()
+    selector[excluded] = np.nan
+    k_hat = _argmin(selector)
+    stats = ()
+    if want_cv:
+        folds = (data[~mask] for mask in splits)
+        variances = (train.var(axis=0) if config.center else np.mean(train * train, axis=0) for train in folds)
+        stats = (float(np.max(data * data)),
+                 max(float(np.max(np.abs(psi0))), *(float(v.max()) for v in variances)))
+
+    rows: list[tuple] = []
+    kept = [(spec.id, idx) for idx, spec in enumerate(library) if idx not in failures]
+    for metric in config.metrics:
+        name, oracle = _METRIC_ROWS[metric]
+        per_candidate = values[name]
+        per_candidate[excluded] = np.nan
+        picks = [*kept, (SELECTED_SUBJECT, k_hat)]
+        if oracle is not None:
+            picks.append((oracle, _argmin(per_candidate)))
+        rows.extend((rep, subject, name, float(per_candidate[idx]), data_seed) for subject, idx in picks)
+    return rows, stats
+
+
+#: The errors that skip the cell they occur in; any other exception ends the run.
+_CELL_ERRORS = (ConfigError, EstimationError, SelectionError, DegenerateFeatureError, np.linalg.LinAlgError)
+
+
+def _worker_count(units: int) -> int:
+    """How many processes share a grid of ``units`` (cell, replication) pairs.
+
+    On Linux, a process with a single OS thread uses every CPU it may run
+    on (``taskset`` limits them), at most one per unit.  Any other process
+    runs its units itself: one with more threads, a BLAS thread pool
+    say, uses more than one core already, and forking it would
+    oversubscribe them.
+    """
+    try:
+        if sys.platform != "linux" or len(os.listdir("/proc/self/task")) != 1:
+            return 1
+        return min(len(os.sched_getaffinity(0)), units)
+    except OSError:
+        return 1
+
+
+def _shares(cells: list, replications: int, workers: int) -> list[list[tuple[int, int]]]:
+    """The grid's (cell index, replication) units split into ``workers`` shares of about equal cost.
+
+    Longest processing time first: the units in descending cost, then in
+    (cell, replication) order, each go to the share with the least cost so
+    far, the lowest-numbered on a tie.  A unit's cost is ``J**2 (n + J)``,
+    the order of its covariances and fits.  The split depends on the grid
+    and ``workers`` alone, so every run does the same work in each
+    process.  Each share is in (cell, replication) order.
+    """
+    cost = [dim * dim * (n + dim) for _, n, _, _, dim in cells]
+    units = sorted(((index, rep) for index in range(len(cells)) for rep in range(replications)),
+                   key=lambda unit: (-cost[unit[0]], unit))
+    loads = [0] * workers
+    shares: list[list[tuple[int, int]]] = [[] for _ in range(workers)]
+    for index, rep in units:
+        share = loads.index(min(loads))
+        shares[share].append((index, rep))
+        loads[share] += cost[index]
+    return [sorted(share) for share in shares]
+
+
+def _run_share(config: ExperimentConfig, run_rep, units: list[tuple[int, int]]) -> list[tuple]:
+    """Run a share's ``units``, each cell's replications through one :func:`_replications` call.
+
+    Returns ``(cell index, rows, stats, warnings, failure)`` per cell of
+    the share: the rows and the stats of each ``run_rep(cell, replication,
+    warnings)``, the warnings appended, and ``None``, or ``(rep, reason,
+    traceback text)`` for the replication at which the cell raised one of
+    ``_CELL_ERRORS``, its later replications not run.  Any other exception
+    propagates.
+    """
+    cells = config.cells()
+    out = []
+    for index, group in itertools.groupby(units, key=lambda unit: unit[0]):
+        reps = [rep for _, rep in group]
+        model, n, ratio_idx, _, dim = cell = cells[index]
+        rows: list[tuple] = []
+        stats: list[tuple] = []
+        warnings: list[tuple] = []
+        failure = None
         try:
-            cell_rows, stats = run_cell(model, n, ratio_idx, ratio, dim)
-        except (ConfigError, EstimationError, SelectionError, DegenerateFeatureError, np.linalg.LinAlgError) as exc:
-            logger.exception("cell model=%d n=%d ratio=%s failed; skipping", model, n, ratio)
-            skipped.append({"model": model, "n": n, "ratio": ratio, "reason": f"{type(exc).__name__}: {exc}"})
+            for replication in _replications(config, model, n, ratio_idx, dim, reps):
+                rep_rows, rep_stats = run_rep(cell, replication, warnings)
+                rows.extend(rep_rows)
+                stats.append(rep_stats)
+        except _CELL_ERRORS as exc:
+            failure = (reps[len(stats)], f"{type(exc).__name__}: {exc}", traceback.format_exc())
+        out.append((index, rows, stats, warnings, failure))
+    return out
+
+
+class _WorkerTraceback(Exception):
+    """A worker process's traceback text, the cause of its exception when re-raised in the parent."""
+
+
+def _in_workers(run, shares: list) -> list:
+    """``[run(share) for share in shares]``, share 0 run here and every other share in a forked child.
+
+    A child sends its result, or the exception it raised and its
+    traceback text, down a pipe and leaves through ``os._exit`` alone.
+    Each pipe is read to its end before its child is reaped, so no child
+    waits on a full pipe.  A child's exception is raised here with its
+    traceback as the cause, and a child that ends without a complete
+    result is an error naming its exit status.  Whatever ends this
+    function early kills and reaps every child not reaped yet.
+    """
+    children = {}  # pid -> the read end of the child's pipe, until the child is reaped
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(run, share, read, write)
+            children[pid] = os.fdopen(read, "rb")
+            os.close(write)
+        results = [run(shares[0])]
+        for pid, pipe in list(children.items()):
+            with pipe:
+                payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            results.append(_child_result(pid, payload, status))
+        return results
+    finally:
+        if children:
+            import signal
+
+            for pid, pipe in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child(run, share, read: int, write: int) -> None:
+    """In a forked child: send the outcome of ``run(share)`` down ``write`` and exit, never returning."""
+    status = 1
+    try:
+        os.close(read)
+        try:
+            message = ("result", run(share))
+        except BaseException as exc:  # KeyboardInterrupt too: the parent raises whatever ended the share
+            text = traceback.format_exc()
+            message = ("error", _picklable(exc), text)
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _picklable(exc: BaseException) -> BaseException:
+    """``exc`` if it survives a pickle round trip, else a ``RuntimeError`` naming it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+def _child_result(pid: int, payload: bytes, status: int):
+    """The result child ``pid`` sent; its exception is raised here instead."""
+    try:
+        kind, *body = pickle.loads(payload)
+    except Exception:
+        kind = None
+    if kind is None or status != 0:
+        raise RuntimeError(f"worker process {pid} ended without a complete result (exit status {status})")
+    if kind == "error":
+        exc, text = body
+        raise exc from _WorkerTraceback(text)
+    return body[0]
+
+
+def _run_grid(config: ExperimentConfig, run_rep) -> tuple[list[ResultRow], list[tuple], list[dict]]:
+    """Every replication's rows, sorted, each cell's stats, and the cells skipped.
+
+    ``run_rep(cell, replication, warnings)`` runs one item of
+    :func:`_replications` for a ``(model, n, ratio_idx, ratio, dim)`` grid
+    cell: it returns the replication's rows as ``(replication, subject,
+    metric, value, seed)`` tuples and a tuple of stats, and appends its
+    log warnings to ``warnings`` as ``(rep, message, args)``.  Each cell
+    comes back as ``(cell, stats)``, its stats the largest of its
+    replications' entry by entry.
+
+    The (cell, replication) units are split by :func:`_shares` among
+    :func:`_worker_count` processes.  Their results are merged here, and
+    the warnings logged, in (cell, replication) order, so the outputs and
+    the log are the same at any worker count.  A cell that raises one of
+    ``_CELL_ERRORS`` is logged and skipped as a single process running its
+    replications in order would skip it: with the reason of its first
+    failing replication, recorded as ``{model, n, ratio, reason}``, and
+    without the warnings of the replications after that one.  Any other
+    exception ends the run.
+    """
+    cells = config.cells()
+    shares = _shares(cells, config.replications, _worker_count(len(cells) * config.replications))
+    parts: dict[int, list] = {}
+    for share in _in_workers(partial(_run_share, config, run_rep), shares):
+        for index, *part in share:
+            parts.setdefault(index, []).append(part)
+
+    rows: list[ResultRow] = []
+    stats = []
+    skipped = []
+    for index, cell in enumerate(cells):
+        model, n, _, ratio, dim = cell
+        cell_rows, cell_stats, warnings, failures = zip(*parts.pop(index))
+        failure = min(filter(None, failures), default=None)
+        last = config.replications if failure is None else failure[0]
+        for rep, message, args in sorted(itertools.chain(*warnings), key=lambda warning: warning[0]):
+            if rep <= last:
+                logger.warning(message, *args)
+        if failure is not None:
+            _, reason, text = failure
+            logger.error("cell model=%d n=%d ratio=%s failed; skipping\n%s", model, n, ratio, text.rstrip("\n"))
+            skipped.append({"model": model, "n": n, "ratio": ratio, "reason": reason})
             continue
-        rows.extend(ResultRow(model, n, dim, ratio, *row) for row in cell_rows)
-        cells.append(stats)
+        rows.extend(ResultRow(model, n, dim, ratio, *row) for part in cell_rows for row in part)
+        stats.append((cell, tuple(map(max, zip(*itertools.chain(*cell_stats))))))
     rows.sort(key=lambda r: (r.model, r.n, r.ratio, r.replication, r.subject, r.metric))
-    return rows, cells, skipped
+    return rows, stats, skipped
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -471,7 +667,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Only the package's errors and ``LinAlgError`` skip a cell; any other
     exception is a fault in the program and ends the run.
     """
-    rows, cells, skipped = _run_grid(config, partial(_run_cell, config, config.library))
+    rows, stats, skipped = _run_grid(config, partial(_run_rep, config, config.library))
+    cells = [CellStats(model, n, dim, ratio, *(bound or (None, None)))
+             for (model, n, _, ratio, dim), bound in stats]
     return ExperimentResult(rows=rows, cells=cells, skipped=skipped)
 
 
@@ -614,29 +812,28 @@ def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) ->
         groups[family] = [index_of[s.id] for s in specs]
     procedures = tuple(groups)
 
-    def run_cell(model: int, n: int, ratio_idx: int, ratio: float, dim: int) -> tuple[list[tuple], None]:
+    def run_rep(cell: tuple, replication: tuple, warnings: list) -> tuple[list[tuple], tuple]:
+        model, n, _, _, dim = cell
+        rep, psi0, data, data_seed, splits = replication
+        ev = evaluate_candidates(
+            union, data, splits,
+            scaling=config.scaling, center=config.center, risk="matrix",
+        )
+        selector = ev.mean_risks()
+        ctx = FitContext(center_columns(data) if config.center else data)
+        full_fits: dict[int, tuple] = {}
         rows: list[tuple] = []
-        for rep, psi0, data, data_seed, splits in _replications(config, model, n, ratio_idx, dim):
-            ev = evaluate_candidates(
-                union, data, splits,
-                scaling=config.scaling, center=config.center, risk="matrix",
-            )
-            selector = ev.mean_risks()
-            ctx = FitContext(center_columns(data) if config.center else data)
-            full_fits: dict[int, tuple] = {}
-            for procedure, indices in groups.items():
-                refits = _ranked_refits(union, ctx, selector, indices, cache=full_fits)
-                estimate = next((fit for _, fit, failure in refits if failure is None), None)
-                if estimate is None:
-                    logger.warning(
-                        "model %d n=%d J=%d rep %d: procedure %s has no valid candidate",
-                        model, n, dim, rep, procedure,
-                    )
-                    continue
-                squares, norm = _residual_norms(estimate - psi0, "spectral" in config.metrics)
-                errors = {"frobenius": math.sqrt(squares), "spectral": norm}
-                rows.extend((rep, procedure, metric, errors[metric], data_seed) for metric in config.metrics)
-        return rows, None
+        for procedure, indices in groups.items():
+            refits = _ranked_refits(union, ctx, selector, indices, cache=full_fits)
+            estimate = next((fit for _, fit, failure in refits if failure is None), None)
+            if estimate is None:
+                warnings.append((rep, "model %d n=%d J=%d rep %d: procedure %s has no valid candidate",
+                                 (model, n, dim, rep, procedure)))
+                continue
+            squares, norm = _residual_norms(estimate - psi0, "spectral" in config.metrics)
+            errors = {"frobenius": math.sqrt(squares), "spectral": norm}
+            rows.extend((rep, procedure, metric, errors[metric], data_seed) for metric in config.metrics)
+        return rows, ()
 
-    rows, _, skipped = _run_grid(config, run_cell)
+    rows, _, skipped = _run_grid(config, run_rep)
     return BenchmarkResult(rows=rows, table=benchmark_table(rows), procedures=procedures, skipped=skipped)

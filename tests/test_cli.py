@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -68,7 +69,7 @@ class TestReadNumericCsv:
         path.write_text("1.0,2.0\n3.0\n", encoding="utf-8")
         from covsel.errors import ConfigError
 
-        with pytest.raises(ConfigError, match="ragged row 2"):
+        with pytest.raises(ConfigError, match="ragged row at line 2"):
             read_numeric_csv(path)
 
     def test_bad_field_diagnosed(self, tmp_path):
@@ -76,8 +77,27 @@ class TestReadNumericCsv:
         path.write_text("1.0,2.0\n3.0,oops\n", encoding="utf-8")
         from covsel.errors import ConfigError
 
-        with pytest.raises(ConfigError, match="row 2, column 2"):
+        with pytest.raises(ConfigError, match="line 2, column 2"):
             read_numeric_csv(path)
+
+    @pytest.mark.parametrize("text, place", [
+        ("a,b\n1,2\n\n3,oops\n", "line 4, column 2"),  # split by str.split
+        ('a,b\n1,2\n\n3,"oops"\n', "line 4, column 2"),  # split by csv.reader
+        ('a,b\n"1\n",2\n\n3,"oops"\n', "line 5, column 2"),  # a quoted field across two lines
+        ("a,b\n1,2\n\n3\n", "ragged row at line 4"),
+        ('a,b\n1,2\n\n"3"\n', "ragged row at line 4"),
+    ])
+    def test_an_error_names_the_line_of_the_file_after_a_blank_line(self, tmp_path, text, place):
+        path = tmp_path / "blank.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: {place}")):
+            read_numeric_csv(path)
+
+    def test_an_estimate_error_names_the_line_below_its_header(self, tmp_path):
+        path = tmp_path / "estimate.csv"
+        path.write_text("# J=2 selected=x\n1,2\n2,oops\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="line 3, column 2"):
+            read_estimate_csv(path)
 
     def test_alternate_delimiter(self, tmp_path):
         path = tmp_path / "semi.csv"
@@ -280,9 +300,20 @@ class TestSelectCommand:
         err = capsys.readouterr().err
         record = json.loads(err.strip().splitlines()[-1])
         assert record["error"] == "invalid_input"
-        assert f"{path}: row 5, column 3:" in record["message"]
+        assert f"{path}: line 5, column 3:" in record["message"]
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_a_non_finite_value_after_a_blank_line_names_its_line(self, tmp_path, capsys, quote):
+        rows = np.random.default_rng(3).normal(size=(12, 3)).tolist()
+        lines = ["a,b,c", *(",".join(map(repr, row)) for row in rows[:4]), "", f"{quote}nan{quote},1,2",
+                 *(",".join(map(repr, row)) for row in rows[4:])]
+        path = tmp_path / "blank.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["select", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert f"{path}: line 7, column 1: nan is not a finite number" == record["message"]
 
     def test_constant_column_under_weighted_scaling_exits_2(self, tmp_path, capsys):
         data = np.random.default_rng(1).normal(size=(20, 4))
@@ -487,14 +518,14 @@ class TestSimulateCommand:
     def test_a_cell_that_fails_on_its_data_is_listed_as_skipped(self, tmp_path, monkeypatch):
         import covsel.simulation as simulation
 
-        run_cell = simulation._run_cell
+        run_rep = simulation._run_rep
 
-        def fail_at_n_40(config, library, model, n, *cell):
-            if n == 40:
+        def fail_at_n_40(config, library, cell, *args):
+            if cell[1] == 40:
                 raise np.linalg.LinAlgError("injected")
-            return run_cell(config, library, model, n, *cell)
+            return run_rep(config, library, cell, *args)
 
-        monkeypatch.setattr(simulation, "_run_cell", fail_at_n_40)
+        monkeypatch.setattr(simulation, "_run_rep", fail_at_n_40)
         config = tmp_path / "sim.ini"
         config.write_text(
             "[experiment]\nmodels = 4\nn = 30 40\nratio = 0.5\nreplications = 1\nmetrics = frobenius\n\n"
@@ -705,28 +736,36 @@ def test_estimate_csv_with_a_byte_order_mark_reads_the_same(tmp_path):
 
 
 def reference_read_numeric_csv(path, delimiter=",", header="auto"):
-    """``read_numeric_csv`` as it read every row with ``csv.reader`` and kept each field stripped."""
+    """``read_numeric_csv`` as it read every row with ``csv.reader`` and kept each field stripped.
+
+    Errors name the file line a row starts on.
+    """
     if header not in ("auto", "yes", "no"):
         raise ConfigError(f"header must be auto/yes/no, got {header!r}")
     path = Path(path)
     rows: list[list[str]] = []
+    lines: list[int] = []
     with path.open("r", encoding="utf-8", newline="") as handle:
-        for line_no, fields in enumerate(csv.reader(handle, delimiter=delimiter), start=1):
+        reader = csv.reader(handle, delimiter=delimiter)
+        start = 1
+        for fields in reader:
+            line, start = start, reader.line_num + 1
             if not fields or all(not f.strip() for f in fields):
                 continue
             rows.append([f.strip() for f in fields])
+            lines.append(line)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
 
     names = None
     first = rows[0]
     if header == "yes":
-        names, rows = first, rows[1:]
+        names, rows, lines = first, rows[1:], lines[1:]
     elif header == "auto":
         try:
             [float(f) for f in first]
         except ValueError:
-            names, rows = first, rows[1:]
+            names, rows, lines = first, rows[1:], lines[1:]
     if not rows:
         raise ConfigError(f"{path}: header only, no data rows")
 
@@ -735,7 +774,7 @@ def reference_read_numeric_csv(path, delimiter=",", header="auto"):
     for i, fields in enumerate(rows):
         if len(fields) != width:
             raise ConfigError(
-                f"{path}: ragged row {i + 1 + (names is not None)}: "
+                f"{path}: ragged row at line {lines[i]}: "
                 f"expected {width} columns, got {len(fields)}"
             )
         try:
@@ -746,7 +785,7 @@ def reference_read_numeric_csv(path, delimiter=",", header="auto"):
                     float(f)
                 except ValueError:
                     raise ConfigError(
-                        f"{path}: row {i + 1 + (names is not None)}, column {j + 1}: "
+                        f"{path}: line {lines[i]}, column {j + 1}: "
                         f"cannot parse {f!r} as a number"
                     ) from None
             raise
@@ -781,6 +820,7 @@ READER_INPUTS = {
     "specials": "nan,-inf\n1e308,-0.0\n",
     "ragged-after-header": "a,b\n\n,\n1,2\n\n3\n",
     "unparsable-after-header": "a,b\n\n \n1,2\n3, oops \n",
+    "quoted-across-lines": 'a,b\n"1\n",2\n\n3,"oops"\n',
     "narrow-header": "a\n1,2\n",
     "no-trailing-newline": "a,b\n1,2\n3,4",
 }

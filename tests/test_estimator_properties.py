@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from covsel.estimators import apply, apply_library, build_library, default_library  # noqa: E402
+from covsel.estimators import apply, apply_library, build_library, default_library, iter_fits, library_preset  # noqa: E402
 from covsel.matrix_core import is_psd, sample_covariance  # noqa: E402
 
 #: Families whose estimate does not depend on the order of the features.
@@ -38,13 +38,18 @@ def draw_data(seed, shape):
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(seeds, shapes)
+@example(seed=7, shape=(40, 160))  # the dimension from which spectral_norm runs Lanczos
 def test_every_default_family_is_exactly_symmetric(seed, shape):
+    # Every candidate of every preset; spectral_norm relies on the bit symmetry of its residuals.
     data, _ = draw_data(seed, shape)
-    library = default_library()
-    fits = apply_library(library, data)
-    for spec, (estimate, failure) in zip(library, fits):
-        assert failure is None, spec.id
-        assert np.array_equal(estimate, estimate.T), spec.id
+    for name in ("default", "wide", "light"):
+        library = library_preset(name)
+        for spec, (estimate, failure) in zip(library, iter_fits(library, data)):
+            if failure is not None:
+                # Only the wider presets' POET fails, asking for as many factors as the features.
+                assert name != "default" and spec.family == "poet" and spec.params["factors"] >= shape[1], failure
+                continue
+            assert np.array_equal(estimate, estimate.T), (name, spec.id)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

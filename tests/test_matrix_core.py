@@ -201,6 +201,41 @@ class TestSpectralNorm:
         assert spectral_norm(a) == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(sym))), rel=1e-12)
 
 
+class TestSymmetryCheck:
+    """``spectral_norm`` symmetrizes exactly the matrices ``np.array_equal(m, m.T)`` rejects."""
+
+    @pytest.mark.parametrize("dim", [50, _LANCZOS_MIN_DIM, 600])
+    @pytest.mark.parametrize("where", [(-1, 0), (0, -1), (-1, -2), (-2, -1)])
+    def test_one_ulp_off_in_a_far_corner_is_symmetrized(self, dim, where, monkeypatch):
+        a = np.random.default_rng(dim).normal(size=(dim, dim))
+        m = a + a.T
+        m[where] = np.nextafter(m[where], np.inf)
+        calls = []
+        real = matrix_core.symmetrize
+
+        def counted(x):
+            calls.append(1)
+            return real(x)
+
+        monkeypatch.setattr(matrix_core, "symmetrize", counted)
+        assert not matrix_core._is_symmetric(m)
+        assert spectral_norm(m) == spectral_norm(real(m))
+        assert len(calls) == 1  # the symmetrized copy is bit symmetric, so only m was symmetrized
+
+    @pytest.mark.parametrize("dim", [1, 50, 256, 257, 600])
+    def test_decides_as_array_equal(self, dim):
+        a = np.random.default_rng(dim).normal(size=(dim, dim))
+        sym = a + a.T
+        cases = [sym, a]
+        for i, j in [(dim - 1, dim - 1), (dim - 1, 0), (0, dim - 1), (dim // 2, dim - 1)]:
+            nan, signed_zero = sym.copy(), sym.copy()
+            nan[i, j] = nan[j, i] = np.nan  # unequal to itself, on or off the diagonal
+            signed_zero[i, j], signed_zero[j, i] = 0.0, -0.0  # equal as values
+            cases += [nan, signed_zero]
+        for m in cases:
+            assert matrix_core._is_symmetric(m) == np.array_equal(m, m.T)
+
+
 def bulk(seed, size, low, high):
     return np.random.default_rng(seed).uniform(low, high, size)
 

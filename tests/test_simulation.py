@@ -1,5 +1,8 @@
 import logging
+import os
 import re
+import signal
+import sys
 
 import numpy as np
 import pytest
@@ -279,7 +282,7 @@ class TestRunner:
         assert [s.max_abs_estimate for s in every_metric] == [s.max_abs_estimate for s in stats]
         for (model, n, ratio_idx, _, dim), cell in zip(config.cells(), stats):
             want = 0.0
-            for _, psi0, data, _, splits in simulation._replications(config, model, n, ratio_idx, dim):
+            for _, psi0, data, _, splits in simulation._replications(config, model, n, ratio_idx, dim, range(config.replications)):
                 want = max(want, float(np.max(np.abs(psi0))))
                 for mask in splits:
                     train = center_columns(data[~mask]) if center else data[~mask]
@@ -322,7 +325,7 @@ class TestRunner:
         rows = run_experiment(config).rows
         library = config.library
         [(model, n, ratio_idx, _, dim)] = config.cells()
-        for rep, psi0, data, _, splits in simulation._replications(config, model, n, ratio_idx, dim):
+        for rep, psi0, data, _, splits in simulation._replications(config, model, n, ratio_idx, dim, range(config.replications)):
             if oracle == "cv":
                 report = cv_engine.oracle_select_cv(library, data, splits, psi0, scaling=scaling)
             else:
@@ -337,7 +340,7 @@ class TestRunner:
         library = build_library({"sample_covariance": {}})
         config = tiny_config(replications=1, seed=0, center=True, library=library)
         [(model, n, ratio_idx, _, dim)] = config.cells()
-        [(_, psi0, data, _, _)] = simulation._replications(config, model, n, ratio_idx, dim)
+        [(_, psi0, data, _, _)] = simulation._replications(config, model, n, ratio_idx, dim, range(config.replications))
         want = float(np.sqrt(np.sum((sample_covariance(center_columns(data)) - psi0) ** 2)))
         assert want == 3.0709154519208517
         simulated = {r.subject: r.value for r in run_experiment(config).rows}
@@ -348,7 +351,7 @@ class TestRunner:
         config = tiny_config(metrics=("full_ratio",), center=True)
         rows = run_experiment(config).rows
         library = config.library
-        for rep, psi0, data, _, _ in simulation._replications(config, model, n, ratio_idx, dim):
+        for rep, psi0, data, _, _ in simulation._replications(config, model, n, ratio_idx, dim, range(config.replications)):
             report = cv_engine.oracle_select_full(library, data, psi0, center=True)
             want = dict(zip(library.ids, report.risk_diffs))
             want[FULL_ORACLE_SUBJECT] = want[report.id]
@@ -600,6 +603,7 @@ class TestSkippedWork:
             return real(library, fold, **kwargs)
 
         monkeypatch.setattr(cv_engine, "_score_fits", counted)
+        monkeypatch.setattr(simulation, "_worker_count", lambda units: 1)  # the counts live in this process
         frob_only = run_experiment(tiny_config()).rows
         assert oracle_targets == [0] * (2 * 5)  # replications x folds
         oracle_targets.clear()
@@ -628,6 +632,7 @@ class TestSkippedWork:
             return real_try_fit(spec, ctx)
 
         monkeypatch.setattr(estimators, "_try_fit", failing_truth)
+        monkeypatch.setattr(simulation, "_worker_count", lambda units: 1)  # the refits live in this process
         result = run_benchmark(config, tuning_grids=grids)
         fixed = [r.value for r in result.rows if r.subject == "fixed"]
         assert fixed == [pytest.approx(float(np.linalg.norm(2.0 * np.eye(15) - psi0)))] * 2
@@ -647,8 +652,168 @@ class TestSamplingFactor:
             return real(psi)
 
         monkeypatch.setattr(simulation, "_sampling_factor", counted)
+        monkeypatch.setattr(simulation, "_worker_count", lambda units: 1)  # the calls live in this process
         run_experiment(config)
         assert len(calls) == factorizations
         # The cached factor draws the same bytes as sampling each replication afresh.
-        for rep, psi0, data, data_seed, _ in simulation._replications(config, model, 30, 0, 15):
+        for rep, psi0, data, data_seed, _ in simulation._replications(config, model, 30, 0, 15, range(3)):
             assert np.array_equal(data, sample_gaussian(psi0, 30, data_seed)), rep
+
+
+#: Python 3.12 warns when a process with threads (an unpinned BLAS pool) forks;
+#: these tests fork at a pinned worker count whatever the thread count.
+forks_regardless = pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+#: More factors than either cell has features: every replication logs that it is left out.
+TOO_MANY_FACTORS = EstimatorSpec("poet", {"factors": 40, "threshold": 0.1})
+
+
+def two_cell_config(**overrides):
+    # Dimensions 15 and 30.  Each cell's replications are spread over the shares out of
+    # order at 2 or more workers, so a merge that ignores the order shows in the log.
+    settings = {"ratios": (0.5, 1.0), "replications": 3, "library": CandidateLibrary((*tiny_library(), TOO_MANY_FACTORS))}
+    settings.update(overrides)
+    return tiny_config(**settings)
+
+
+def pin_workers(monkeypatch, workers):
+    monkeypatch.setattr(simulation, "_worker_count", lambda units: min(workers, units))
+
+
+@forks_regardless
+class TestWorkers:
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # A run that hangs on a worker fails here; the interrupted run kills and reaps its children.
+        def expire(signum, frame):
+            raise TimeoutError("a run on workers took over 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def run_at(self, workers, monkeypatch, caplog, runner):
+        pin_workers(monkeypatch, workers)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="covsel.simulation"):
+            result = runner()
+        assert_no_child_left()
+        return result, [(record.levelname, record.getMessage()) for record in caplog.records]
+
+    def test_experiment_outputs_and_log_are_the_same_at_any_worker_count(self, monkeypatch, caplog):
+        config = two_cell_config(metrics=("cv_ratio", "full_ratio", "frobenius", "spectral"))
+        runs = [self.run_at(workers, monkeypatch, caplog, lambda: run_experiment(config)) for workers in (1, 2, 3)]
+        (serial, log), *parallel = runs
+        assert serial.rows and len(serial.cells) == 2 and serial.skipped == []
+        assert sum("excluded poet" in message for _, message in log) == 2 * 3
+        for result, other_log in parallel:
+            assert (result.rows, result.cells, result.skipped) == (serial.rows, serial.cells, serial.skipped)
+            assert other_log == log
+
+    def test_benchmark_outputs_and_log_are_the_same_at_any_worker_count(self, monkeypatch, caplog):
+        config = two_cell_config(metrics=("frobenius", "spectral"))
+        grids = {"poet": [TOO_MANY_FACTORS],
+                 "banding": [EstimatorSpec("banding", {"bands": b}) for b in (1, 2)]}
+        runs = [self.run_at(workers, monkeypatch, caplog, lambda: run_benchmark(config, grids)) for workers in (1, 2, 3)]
+        (serial, log), *parallel = runs
+        assert serial.rows and serial.skipped == []
+        assert sum("procedure poet has no valid candidate" in message for _, message in log) == 2 * 3
+        for result, other_log in parallel:
+            assert (result.rows, result.table, result.skipped) == (serial.rows, serial.table, serial.skipped)
+            assert other_log == log
+
+    @pytest.mark.parametrize("runner", [run_experiment, lambda config: run_benchmark(config, {"poet": [TOO_MANY_FACTORS]})],
+                             ids=["experiment", "benchmark"])
+    def test_a_cell_failing_at_rep_1_is_skipped_as_one_process_skips_it(self, runner, monkeypatch, caplog):
+        real = simulation._replications
+
+        def fails_at_odd_reps(config, model, n, ratio_idx, dim, reps):
+            for replication in real(config, model, n, ratio_idx, dim, reps):
+                if dim == 15 and replication[0] % 2:
+                    raise EstimationError(f"injected at rep {replication[0]}")
+                yield replication
+
+        monkeypatch.setattr(simulation, "_replications", fails_at_odd_reps)
+        # At 4 workers, reps 1 and 3 of the failing cell both raise, in different shares, and
+        # rep 2 runs to its end in a third; one process stops at rep 1.
+        config = two_cell_config(replications=4, metrics=("frobenius", "spectral"))
+        runs = [self.run_at(workers, monkeypatch, caplog, lambda: runner(config)) for workers in (1, 2, 3, 4)]
+        (serial, log), *parallel = runs
+        assert serial.skipped == [{"model": 2, "n": 30, "ratio": 0.5, "reason": "EstimationError: injected at rep 1"}]
+        assert {row.dim for row in serial.rows} == {30}
+        # rep 0's warning, then the skip
+        assert [level for level, message in log if "n=30 J=15" in message or "ratio=0.5" in message] == ["WARNING", "ERROR"]
+        assert "Traceback" in log[1][1] and "injected at rep 1" in log[1][1]
+        for result, other_log in parallel:
+            assert (result.rows, result.skipped) == (serial.rows, serial.skipped)
+            assert other_log == log
+
+    @pytest.mark.parametrize("share", [0, 1])
+    def test_a_fault_in_a_share_ends_the_run_with_that_error(self, share, monkeypatch):
+        config = two_cell_config()
+        [target, *_] = simulation._shares(config.cells(), config.replications, 2)[share]
+        real = simulation._run_rep
+
+        def broken(config, library, cell, replication, warnings):
+            if (config.cells().index(cell), replication[0]) == target:
+                raise RuntimeError("a fault in the program")
+            return real(config, library, cell, replication, warnings)
+
+        monkeypatch.setattr(simulation, "_run_rep", broken)
+        pin_workers(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="a fault in the program") as raised:
+            run_experiment(config)
+        assert_no_child_left()
+        if share == 1:  # raised in the child: its traceback comes along as the cause
+            cause = raised.value.__cause__
+            assert isinstance(cause, simulation._WorkerTraceback) and "in broken" in str(cause)
+
+    def test_a_child_that_dies_is_an_error_naming_its_exit_status(self, monkeypatch):
+        parent = os.getpid()
+        real = simulation._run_rep
+
+        def dies_in_the_child(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(simulation, "_run_rep", dies_in_the_child)
+        pin_workers(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"ended without a complete result \(exit status 3\)"):
+            run_experiment(two_cell_config())
+        assert_no_child_left()
+
+
+class TestWorkerCount:
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(sys, "platform", "linux")
+
+    def test_a_single_threaded_process_uses_each_cpu_up_to_one_per_unit(self, cpus, monkeypatch):
+        monkeypatch.setattr(os, "listdir", lambda path: ["1"])
+        assert [simulation._worker_count(units) for units in (1, 3, 4, 100)] == [1, 3, 4, 4]
+
+    def test_a_process_with_threads_runs_its_units_itself(self, cpus, monkeypatch):
+        monkeypatch.setattr(os, "listdir", lambda path: ["1", "2"])
+        assert simulation._worker_count(100) == 1
+
+    def test_other_platforms_run_their_units_in_process(self, cpus, monkeypatch):
+        monkeypatch.setattr(os, "listdir", lambda path: ["1"])
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert simulation._worker_count(100) == 1
+
+    def test_shares_balance_cost_longest_first(self):
+        # The desk grid: J=50 and J=200 cells, 3 replications, 2 workers.
+        cells = [(2, 50, 0, 1.0, 50), (2, 200, 0, 1.0, 200)]
+        assert simulation._shares(cells, 3, 2) == [[(1, 0), (1, 2)], [(0, 0), (0, 1), (0, 2), (1, 1)]]
+        shares = simulation._shares(cells, 5, 3)
+        assert sorted(unit for share in shares for unit in share) == [(c, r) for c in range(2) for r in range(5)]
