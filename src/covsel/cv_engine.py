@@ -18,10 +18,11 @@ from typing import Union
 
 import numpy as np
 
-from . import _grid
+from . import _grid, _workers
 from .errors import ConfigError, SelectionError
 # apply_library stays bound here for code that patches or traces it by this name.
 from .estimators import (  # noqa: F401
+    _SCORERS,
     CandidateLibrary,
     FitContext,
     _ranked_refits,
@@ -231,13 +232,33 @@ def evaluate_candidates(
     and the selections that break them, are those of fitting and scoring
     every candidate.
 
+    The splits go round robin to :func:`~covsel._workers._worker_count`
+    processes, at most one per split: this one and forked children, so
+    that as many folds as processes are live at once, one in each.  The
+    parent merges them in split order, so the results, and the error
+    when several splits raise (the lowest split's), are those of one
+    process at any worker count.  The near-tie pass runs in the parent
+    after the merge.  A pass inside a share of a run on workers, a
+    ``simulate`` replication say, stays in its process.
+
     With ``center=True`` each training fold is column-centered and the
     fold means are subtracted from its validation rows before scoring.
+    Data so small that their fourth powers, the size of every risk's
+    terms, are subnormal (see :data:`_UNDERFLOW_LIMIT`) are an input
+    error, as are data whose risk overflows.
     """
     data = as_data_matrix(data, min_rows=2)
     n, dim = data.shape
     if risk not in ("observation", "matrix"):
         raise ConfigError(f"risk must be 'observation' or 'matrix', got {risk!r}")
+    # The largest |x|, from two passes and no n x J temporary.
+    largest = max(float(np.max(data)), -float(np.min(data)))
+    if 0 < largest < _UNDERFLOW_LIMIT:
+        raise ConfigError(
+            f"the {risk} risk underflows the float range: the data's smallest nonzero |x| is "
+            f"{float(np.min(np.abs(data[data != 0]))):.6g} and its largest {largest:.6g}; rescale the data, "
+            f"by 2**{-math.frexp(largest)[1]} say"
+        )
     if psi0 is not None:
         psi0 = as_square_matrix(psi0)
         if psi0.shape[0] != dim:
@@ -266,8 +287,8 @@ def evaluate_candidates(
     offsets = np.zeros(n_splits)
     failures: dict[int, str] = {}
 
-    def fold_of(split_idx: int, layout: _grid.Layout | None) -> _grid.Fold:
-        """The training fold of split ``split_idx`` with its targets; records its base values and offset.
+    def fold_of(split_idx: int, layout: _grid.Layout | None) -> tuple[_grid.Fold, np.ndarray, float]:
+        """The training fold of split ``split_idx`` with its targets, their base values and the offset.
 
         Finite data whose squared distances or ``x**4`` sums overflow
         would leave every candidate without a finite risk, so a fold whose
@@ -286,33 +307,42 @@ def evaluate_candidates(
         oracle = [] if psi0 is None else [(psi0, oracle_eta)]
         fold = _grid.Fold(ctx, [(val_cov, eta), *oracle], layout)
         with np.errstate(over="ignore", invalid="ignore"):
-            if risk == "observation":
-                offsets[split_idx] = _observation_offset(val, val_cov, eta)
-            bases[:, split_idx] = fold.value(0.0)
-            finite = np.isfinite(bases[0, split_idx]) and np.isfinite(offsets[split_idx])
+            offset = _observation_offset(val, val_cov, eta) if risk == "observation" else 0.0
+            base = fold.value(0.0)
+            finite = np.isfinite(base[0]) and np.isfinite(offset)
         if not finite:
             raise ConfigError(
                 f"the {risk} risk overflows the float range: the data's largest |x| is "
                 f"{float(np.max(np.abs(data))):.6g}; rescale the data"
             )
-        return fold
+        return fold, base, offset
+
+    def scored(split_idx: int) -> tuple:
+        """``(values, failures, base values, offset)`` of split ``split_idx``; its fold is dropped once scored."""
+        fold, base, offset = fold_of(split_idx, layout)
+        return (*_score_fits(library, fold), base, offset)
 
     # The grid scorers' row blocks depend only on J, so the folds share one
-    # layout.  Each fold is dropped, with its fitting context, once scored.
+    # layout.  Every scorer but the identity's reads them: they are built
+    # before the workers fork, so that the workers inherit them.
     layout = _grid.Layout(dim)
-    for split_idx in range(n_splits):
-        fold = fold_of(split_idx, layout)
-        fold_values, fold_failures = _score_fits(library, fold)
-        del fold
+    workers = _workers._worker_count(n_splits)
+    if workers > 1 and {_SCORERS.get(spec.family) for spec in library} - {None, _grid.score_identity}:
+        layout.blocks  # a cached property: built here, once
+    for split_idx, (fold_values, fold_failures, base, offset) in enumerate(
+        _workers._round_robin(scored, n_splits, workers)
+    ):
         for cand_idx, failure in fold_failures.items():
             failures.setdefault(cand_idx, failure)
         values[:, :, split_idx] = fold_values.T
+        bases[:, split_idx] = base
+        offsets[split_idx] = offset
     del layout  # the near-tie pass takes the direct path, which reads no blocks
 
     rescore = _near_minimum(values, bases, list(failures))
     if len(rescore) > 1:
         for split_idx in range(n_splits):
-            _score_directly(library, fold_of(split_idx, None), rescore, values[:, :, split_idx].T, failures)
+            _score_directly(library, fold_of(split_idx, None)[0], rescore, values[:, :, split_idx].T, failures)
 
     warnings = () if min_train >= dim else (
         f"training folds have as few as {min_train} observations for {dim} features; "
@@ -333,6 +363,11 @@ def evaluate_candidates(
 #: value and the sample covariance's (see ``tests/test_grid_scoring.py``),
 #: so no candidate outside the window ties the smallest there.
 _TIE_RTOL = 1e-10
+
+#: Data whose largest ``|x|`` is below this have fourth powers, the size of
+#: every term of either risk, below the smallest normal float: the risks
+#: lose their low bits, or are all 0.
+_UNDERFLOW_LIMIT = float(np.finfo(float).tiny) ** 0.25
 
 
 def _near_minimum(values: np.ndarray, bases: np.ndarray, failed: list[int]) -> list[int]:

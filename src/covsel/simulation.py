@@ -21,15 +21,13 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import os
-import pickle
-import sys
 import traceback
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
+from . import _workers
 from .cv_engine import (
     _argmin,
     _full_data_errors,
@@ -455,23 +453,6 @@ def _run_rep(config: ExperimentConfig, library: CandidateLibrary, cell: tuple, r
 _CELL_ERRORS = (ConfigError, EstimationError, SelectionError, DegenerateFeatureError, np.linalg.LinAlgError)
 
 
-def _worker_count(units: int) -> int:
-    """How many processes share a grid of ``units`` (cell, replication) pairs.
-
-    On Linux, a process with a single OS thread uses every CPU it may run
-    on (``taskset`` limits them), at most one per unit.  Any other process
-    runs its units itself: one with more threads, a BLAS thread pool
-    say, uses more than one core already, and forking it would
-    oversubscribe them.
-    """
-    try:
-        if sys.platform != "linux" or len(os.listdir("/proc/self/task")) != 1:
-            return 1
-        return min(len(os.sched_getaffinity(0)), units)
-    except OSError:
-        return 1
-
-
 def _shares(cells: list, replications: int, workers: int) -> list[list[tuple[int, int]]]:
     """The grid's (cell index, replication) units split into ``workers`` shares of about equal cost.
 
@@ -524,92 +505,6 @@ def _run_share(config: ExperimentConfig, run_rep, units: list[tuple[int, int]]) 
     return out
 
 
-class _WorkerTraceback(Exception):
-    """A worker process's traceback text, the cause of its exception when re-raised in the parent."""
-
-
-def _in_workers(run, shares: list) -> list:
-    """``[run(share) for share in shares]``, share 0 run here and every other share in a forked child.
-
-    A child sends its result, or the exception it raised and its
-    traceback text, down a pipe and leaves through ``os._exit`` alone.
-    Each pipe is read to its end before its child is reaped, so no child
-    waits on a full pipe.  A child's exception is raised here with its
-    traceback as the cause, and a child that ends without a complete
-    result is an error naming its exit status.  Whatever ends this
-    function early kills and reaps every child not reaped yet.
-    """
-    children = {}  # pid -> the read end of the child's pipe, until the child is reaped
-    try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _child(run, share, read, write)
-            children[pid] = os.fdopen(read, "rb")
-            os.close(write)
-        results = [run(shares[0])]
-        for pid, pipe in list(children.items()):
-            with pipe:
-                payload = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            results.append(_child_result(pid, payload, status))
-        return results
-    finally:
-        if children:
-            import signal
-
-            for pid, pipe in children.items():
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _child(run, share, read: int, write: int) -> None:
-    """In a forked child: send the outcome of ``run(share)`` down ``write`` and exit, never returning."""
-    status = 1
-    try:
-        os.close(read)
-        try:
-            message = ("result", run(share))
-        except BaseException as exc:  # KeyboardInterrupt too: the parent raises whatever ended the share
-            text = traceback.format_exc()
-            message = ("error", _picklable(exc), text)
-        with os.fdopen(write, "wb") as pipe:
-            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _picklable(exc: BaseException) -> BaseException:
-    """``exc`` if it survives a pickle round trip, else a ``RuntimeError`` naming it."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-    return exc
-
-
-def _child_result(pid: int, payload: bytes, status: int):
-    """The result child ``pid`` sent; its exception is raised here instead."""
-    try:
-        kind, *body = pickle.loads(payload)
-    except Exception:
-        kind = None
-    if kind is None or status != 0:
-        raise RuntimeError(f"worker process {pid} ended without a complete result (exit status {status})")
-    if kind == "error":
-        exc, text = body
-        raise exc from _WorkerTraceback(text)
-    return body[0]
-
 
 def _run_grid(config: ExperimentConfig, run_rep) -> tuple[list[ResultRow], list[tuple], list[dict]]:
     """Every replication's rows, sorted, each cell's stats, and the cells skipped.
@@ -623,19 +518,19 @@ def _run_grid(config: ExperimentConfig, run_rep) -> tuple[list[ResultRow], list[
     replications' entry by entry.
 
     The (cell, replication) units are split by :func:`_shares` among
-    :func:`_worker_count` processes.  Their results are merged here, and
-    the warnings logged, in (cell, replication) order, so the outputs and
-    the log are the same at any worker count.  A cell that raises one of
-    ``_CELL_ERRORS`` is logged and skipped as a single process running its
-    replications in order would skip it: with the reason of its first
-    failing replication, recorded as ``{model, n, ratio, reason}``, and
-    without the warnings of the replications after that one.  Any other
-    exception ends the run.
+    :func:`~covsel._workers._worker_count` processes.  Their results are
+    merged here, and the warnings logged, in (cell, replication) order, so
+    the outputs and the log are the same at any worker count.  A cell that
+    raises one of ``_CELL_ERRORS`` is logged and skipped as a single
+    process running its replications in order would skip it: with the
+    reason of its first failing replication, recorded as ``{model, n,
+    ratio, reason}``, and without the warnings of the replications after
+    that one.  Any other exception ends the run.
     """
     cells = config.cells()
-    shares = _shares(cells, config.replications, _worker_count(len(cells) * config.replications))
+    shares = _shares(cells, config.replications, _workers._worker_count(len(cells) * config.replications))
     parts: dict[int, list] = {}
-    for share in _in_workers(partial(_run_share, config, run_rep), shares):
+    for share in _workers._in_workers(partial(_run_share, config, run_rep), shares):
         for index, *part in share:
             parts.setdefault(index, []).append(part)
 

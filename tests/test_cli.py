@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -18,9 +19,12 @@ from covsel.cli import (
     read_results_csv,
     read_risk_table,
 )
+import covsel.cv_engine as cv_engine
 from covsel.errors import ConfigError
 from covsel.simulation import ExperimentConfig, expected_row_count
 from covsel.estimators import _FAMILIES, default_library, register_family
+
+from forking import assert_no_child_left, deadline, forks_regardless, pin_workers  # noqa: F401
 
 
 def write_csv(path, matrix, header=None, delimiter=","):
@@ -463,6 +467,113 @@ class TestSelectCommand:
                      "--out", str(out)]) == 0
         report = json.loads((out / "selection_report.json").read_text())
         assert report["selected_id"] == "sample_covariance"
+
+
+#: Families whose fits scale exactly with the data: a power-of-two rescale keeps every selection.
+SCALE_FREE_LIBRARY = (
+    "[candidate.sample_covariance]\n\n[candidate.banding]\nbands = 1 2\n\n[candidate.tapering]\nbands = 2\n"
+)
+
+
+def tree(out):
+    """Every file under ``out``, by its relative path, with its bytes."""
+    return {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+@forks_regardless
+@pytest.mark.usefixtures("deadline")
+class TestSelectOnWorkers:
+    def run_at(self, workers, argv, monkeypatch, capsys):
+        """``(exit code, stderr, warnings)`` of ``main(argv)`` on ``workers`` processes."""
+        pin_workers(monkeypatch, workers)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert_no_child_left()
+        return code, capsys.readouterr().err, [str(w.message) for w in caught]
+
+    def test_the_outputs_are_the_same_at_one_and_two_workers(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "data.csv"
+        write_csv(path, np.random.default_rng(4).standard_normal((40, 12)))
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"out{workers}"
+            code, _, _ = self.run_at(workers, ["select", "--input", str(path), "--pca", "2", "--out", str(out)],
+                                     monkeypatch, capsys)
+            assert code == 0
+            outputs.append(tree(out))
+        assert set(outputs[0]) == {"selection_report.json", "risk_table.csv", "estimate.csv", "scores.csv"}
+        assert outputs[1] == outputs[0]
+
+    def test_an_overflow_found_by_a_child_exits_2_as_in_one_process(self, tmp_path, monkeypatch, capsys):
+        # 23 rows in 5 folds: only splits 3 and 4 validate on 4 rows, and at two
+        # workers a child scores split 3 and this process split 4.
+        path = tmp_path / "data.csv"
+        write_csv(path, np.random.default_rng(4).standard_normal((23, 4)))
+        real = cv_engine._observation_offset
+        monkeypatch.setattr(cv_engine, "_observation_offset",
+                            lambda val, *args: np.inf if val.shape[0] == 4 else real(val, *args))
+        argv = ["select", "--input", str(path), "--out", str(tmp_path / "out")]
+        runs = [self.run_at(workers, argv, monkeypatch, capsys) for workers in (1, 2)]
+        assert runs[0][0] == 2 and "the observation risk overflows" in json.loads(runs[0][1])["message"]
+        assert runs[1] == runs[0] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("risk", ["matrix", "observation"])
+    @pytest.mark.parametrize("power, code", [(1e80, 2), (2.0**-260, 2), (2.0**-280, 2)], ids=["1e80", "2^-260", "2^-280"])
+    def test_data_out_of_range_exit_2_with_one_record_at_any_worker_count(self, power, code, risk, tmp_path, toy_csv,
+                                                                          monkeypatch, capsys):
+        _, data = toy_csv
+        path = tmp_path / "scaled.csv"
+        write_csv(path, data * power)
+        out = tmp_path / "out"
+        argv = ["select", "--input", str(path), "--risk", risk, "--out", str(out)]
+        runs = [self.run_at(workers, argv, monkeypatch, capsys) for workers in (1, 2)]
+        exit_code, err, caught = runs[0]
+        assert (exit_code, caught) == (code, [])
+        record = json.loads(err)
+        assert err == json.dumps(record, sort_keys=True) + "\n" and record["error"] == "invalid_input"
+        if power < 1:
+            magnitudes = np.abs(data * power)
+            assert record["message"] == (
+                f"the {risk} risk underflows the float range: the data's smallest nonzero |x| is "
+                f"{float(magnitudes.min()):.6g} and its largest {float(magnitudes.max()):.6g}; "
+                f"rescale the data, by 2**{-math.frexp(float(magnitudes.max()))[1]} say"
+            )
+        assert runs[1] == runs[0] and not out.exists()
+
+    def test_all_zero_data_are_not_out_of_range(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "zeros.csv"
+        write_csv(path, np.zeros((20, 4)))
+        out = tmp_path / "out"
+        code, err, caught = self.run_at(2, ["select", "--input", str(path), "--out", str(out)], monkeypatch, capsys)
+        assert (code, err, caught) == (0, "", [])
+        report = json.loads((out / "selection_report.json").read_text())
+        assert report["selected_id"] == "sample_covariance"
+        assert {c["cv_risk"] for c in report["candidates"] if c["cv_risk"] is not None} == {0.0}
+
+    @pytest.mark.parametrize("risk", ["matrix", "observation"])
+    def test_data_at_2_to_the_minus_240_select_as_unscaled(self, risk, tmp_path, toy_csv, monkeypatch, capsys):
+        _, data = toy_csv
+        config = tmp_path / "library.ini"
+        config.write_text(SCALE_FREE_LIBRARY, encoding="utf-8")
+        reports = []
+        for k in (0, -240):
+            path = tmp_path / f"scaled{k}.csv"
+            write_csv(path, data * 2.0**k)
+            out = tmp_path / f"out{k}"
+            code, _, caught = self.run_at(2, ["select", "--input", str(path), "--config", str(config), "--risk", risk,
+                                              "--out", str(out)], monkeypatch, capsys)
+            assert (code, caught) == (0, [])
+            reports.append(json.loads((out / "selection_report.json").read_text()))
+        unscaled, scaled = reports
+        # In 3 features, banding(1) and tapering(2) have equal estimates, as have banding(2) and S.
+        assert len(unscaled["tie_ids"]) == 2
+        assert (scaled["selected_id"], scaled["tie_ids"]) == (unscaled["selected_id"], unscaled["tie_ids"])
+        # Every risk scales by 2**(4k), exactly.
+        assert [c["cv_risk"] for c in scaled["candidates"]] == [
+            math.ldexp(c["cv_risk"], -960) for c in unscaled["candidates"]
+        ]
 
 
 class TestSimulateCommand:

@@ -1,8 +1,11 @@
+import os
 import weakref
 
 import numpy as np
 import pytest
 
+import covsel._workers as _workers
+import covsel.cv_engine as cv_engine
 import covsel.estimators as estimators
 from covsel.cv_engine import (
     MonteCarloSplit,
@@ -14,7 +17,7 @@ from covsel.cv_engine import (
     select,
     split_scheme,
 )
-from covsel.errors import ConfigError, DegenerateFeatureError, SelectionError
+from covsel.errors import ConfigError, DegenerateFeatureError, EstimationError, SelectionError
 from covsel.estimators import (
     CandidateLibrary,
     _FAMILIES,
@@ -29,6 +32,8 @@ from covsel.estimators import (
 from covsel.loss_risk import _scaling, row_losses, validation_risk
 from covsel.matrix_core import is_psd, sample_covariance
 from covsel.simulation import CovModelSpec, build_model_covariance, sample_gaussian
+
+from forking import assert_no_child_left, count_forks, deadline, forks_regardless, pin_workers  # noqa: F401
 
 
 def small_library():
@@ -536,6 +541,7 @@ class TestStreamedFits:
         data = np.random.default_rng(13).standard_normal((30, 12))
         splits = make_splits(VFold(5, seed=1), 30)
         live, families = self.count_live_estimates(monkeypatch)
+        monkeypatch.setattr(_workers, "_worker_count", lambda units: 1)  # the fits live in this process
         evaluate_candidates(library, data, splits, risk="matrix")
         # The grid families build no estimate on the folds; the rest are
         # fitted one at a time and dropped after scoring.
@@ -570,3 +576,123 @@ class TestStreamedFits:
         failed = second.candidates[first.selected_index]
         assert failed.cv_risk is None and failed.psd is None
         assert failed.failure == "full-data fit: forced failure"
+
+
+#: 23 rows in 5 folds: the validation sets hold 5, 5, 5, 4 and 4 rows.
+FOLD_SCHEMES = [VFold(5, seed=3), MonteCarloSplit(4, 0.3, seed=3)]
+
+
+def numbered_rows(n=23, dim=20, seed=21):
+    """Data whose first column numbers the rows, so an uncentered training fold shows which split it is."""
+    data = np.random.default_rng(seed).standard_normal((n, dim))
+    data[:, 0] = np.arange(n)
+    return data
+
+
+@pytest.fixture
+def by_split():
+    """Register the family ``by_split``: on split ``s``, it raises ``raises[s](s)``, else it fits ``S / 2``.
+
+    The fixture is ``arm(data, splits, raises)``, which must be called
+    before the fits run; the family tells the splits apart by the row
+    numbers of :func:`numbered_rows`, so it fits uncentered folds only.
+    """
+    state = {}
+
+    def fit(ctx, params):
+        split = state["splits"].get(frozenset(ctx.data[:, 0].tolist()))
+        if split in state["raises"]:
+            raise state["raises"][split](split)
+        return 0.5 * ctx.cov
+
+    def arm(data, splits, raises):
+        state["splits"] = {frozenset(data[~mask, 0].tolist()): i for i, mask in enumerate(splits)}
+        state["raises"] = raises
+
+    register_family("by_split", fit)
+    try:
+        yield arm
+    finally:
+        _FAMILIES.pop("by_split", None)
+
+
+def by_split_library():
+    return CandidateLibrary((*small_library(), EstimatorSpec("by_split", {})))
+
+
+@forks_regardless
+@pytest.mark.usefixtures("deadline")
+class TestFoldWorkers:
+    @pytest.mark.parametrize("scheme", FOLD_SCHEMES, ids=["v_fold", "monte_carlo"])
+    @pytest.mark.parametrize("oracle", [False, True], ids=["", "psi0"])
+    @pytest.mark.parametrize("risk", ["observation", "matrix"])
+    def test_every_worker_count_gives_the_same_bits(self, risk, oracle, scheme, by_split, monkeypatch):
+        data = numbered_rows()
+        splits = make_splits(scheme, data.shape[0])
+        by_split(data, splits, dict.fromkeys((1, 3), lambda split: EstimationError(f"split {split}")))
+        psi0 = build_model_covariance(CovModelSpec(2, data.shape[1])) if oracle else None
+        runs = []
+        for workers in (1, 2, 3):
+            pin_workers(monkeypatch, workers)
+            ev = evaluate_candidates(by_split_library(), data, splits, risk=risk, center=False, psi0=psi0)
+            assert_no_child_left()
+            runs.append((ev.risks.tobytes(), None if psi0 is None else ev.oracle_diffs.tobytes(),
+                         list(ev.failures.items()), ev.warnings))
+        serial = runs[0]
+        # The first failing split's reason, whichever process scored the later one.
+        assert serial[2][-1] == (len(by_split_library()) - 1, "EstimationError: split 1")
+        assert len(serial[3]) == 1  # training folds smaller than the dimension
+        assert runs[1] == serial and runs[2] == serial
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 4)])
+    def test_a_fault_on_two_splits_reaches_the_caller_as_the_lower_split_s(self, pair, workers, by_split, monkeypatch):
+        data = numbered_rows()
+        splits = make_splits(VFold(5, seed=3), data.shape[0])
+        by_split(data, splits, dict.fromkeys(pair, lambda split: RuntimeError(f"split {split} in process {os.getpid()}")))
+        pin_workers(monkeypatch, workers)
+        with pytest.raises(RuntimeError, match=f"^split {pair[0]} in process ") as raised:
+            evaluate_candidates(by_split_library(), data, splits, center=False)
+        assert_no_child_left()
+        cause = raised.value.__cause__
+        if pair[0] % workers == 0:  # raised in this process
+            assert cause is None and str(raised.value).endswith(f" {os.getpid()}")
+        else:  # raised in a child: its traceback comes along as the cause
+            assert isinstance(cause, _workers._WorkerTraceback) and "in fit" in str(cause)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_an_overflow_on_a_child_s_split_keeps_its_message(self, workers, monkeypatch):
+        data = numbered_rows()
+        splits = make_splits(VFold(5, seed=3), data.shape[0])
+        real = cv_engine._observation_offset
+
+        def overflows_on_split_3(val, val_cov, eta):
+            return np.inf if np.array_equal(val, data[splits[3]]) else real(val, val_cov, eta)
+
+        monkeypatch.setattr(cv_engine, "_observation_offset", overflows_on_split_3)
+        pin_workers(monkeypatch, workers)
+        with pytest.raises(ConfigError) as raised:
+            evaluate_candidates(small_library(), data, splits, center=False)
+        assert_no_child_left()
+        assert str(raised.value) == (
+            "the observation risk overflows the float range: the data's largest |x| is 22; rescale the data"
+        )
+        assert (raised.value.__cause__ is not None) == (3 % workers != 0)  # split 3 is a child's at 2 workers
+
+    def test_one_split_forks_nothing_and_five_folds_fork_once(self, monkeypatch, tmp_path):
+        data = numbered_rows()
+        forks = count_forks(monkeypatch, tmp_path / "forks")
+        pin_workers(monkeypatch, 2)
+        evaluate_candidates(small_library(), data, make_splits(MonteCarloSplit(1, 0.3), data.shape[0]))
+        assert forks() == 0
+        select(small_library(), data, VFold(5))
+        assert forks() == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_unit_i_runs_in_share_i_mod_w_and_comes_back_in_order(self, workers):
+        pids = [pid for _, pid in _workers._round_robin(lambda unit: (unit, os.getpid()), 7, workers)]
+        assert _workers._round_robin(lambda unit: unit * unit, 7, workers) == [unit * unit for unit in range(7)]
+        assert_no_child_left()
+        assert [pids[i] == pids[i % workers] for i in range(7)] == [True] * 7
+        assert pids[0] == os.getpid() and len(set(pids)) == workers

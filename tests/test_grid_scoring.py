@@ -23,7 +23,7 @@ import pytest
 
 import covsel.cv_engine as cv_engine
 import covsel.estimators as estimators
-from covsel import _grid
+from covsel import _grid, _workers
 from covsel.cv_engine import MonteCarloSplit, VFold, evaluate_candidates, make_splits, select
 from covsel.errors import DegenerateFeatureError
 from covsel.estimators import CandidateLibrary, EstimatorSpec, FitContext, _score_fits, library_preset
@@ -422,6 +422,7 @@ def test_folds_share_one_layout_per_call(monkeypatch):
     monkeypatch.setattr(_grid._Block, "__init__", counted_block)
     monkeypatch.setattr(cv_engine, "_score_fits", counted_score)
     monkeypatch.setattr(cv_engine, "_score_directly", counted_direct)
+    monkeypatch.setattr(_workers, "_worker_count", lambda units: 1)  # the counts live in this process
     data, psi0 = make_data("ar1", 12)
     splits = make_splits(VFold(5, seed=0), data.shape[0])
     # banding(1) and tapering(2) have equal estimates, so they tie and the

@@ -1,12 +1,12 @@
 import logging
 import os
 import re
-import signal
 import sys
 
 import numpy as np
 import pytest
 
+import covsel._workers as _workers
 import covsel.cv_engine as cv_engine
 import covsel.estimators as estimators
 import covsel.matrix_core as matrix_core
@@ -29,6 +29,8 @@ from covsel.simulation import (
     sample_gaussian,
     summarize_ratios,
 )
+
+from forking import assert_no_child_left, count_forks, deadline, forks_regardless, pin_workers  # noqa: F401
 
 
 def tiny_library():
@@ -603,7 +605,7 @@ class TestSkippedWork:
             return real(library, fold, **kwargs)
 
         monkeypatch.setattr(cv_engine, "_score_fits", counted)
-        monkeypatch.setattr(simulation, "_worker_count", lambda units: 1)  # the counts live in this process
+        monkeypatch.setattr(_workers, "_worker_count", lambda units: 1)  # the counts live in this process
         frob_only = run_experiment(tiny_config()).rows
         assert oracle_targets == [0] * (2 * 5)  # replications x folds
         oracle_targets.clear()
@@ -632,7 +634,7 @@ class TestSkippedWork:
             return real_try_fit(spec, ctx)
 
         monkeypatch.setattr(estimators, "_try_fit", failing_truth)
-        monkeypatch.setattr(simulation, "_worker_count", lambda units: 1)  # the refits live in this process
+        monkeypatch.setattr(_workers, "_worker_count", lambda units: 1)  # the refits live in this process
         result = run_benchmark(config, tuning_grids=grids)
         fixed = [r.value for r in result.rows if r.subject == "fixed"]
         assert fixed == [pytest.approx(float(np.linalg.norm(2.0 * np.eye(15) - psi0)))] * 2
@@ -652,22 +654,12 @@ class TestSamplingFactor:
             return real(psi)
 
         monkeypatch.setattr(simulation, "_sampling_factor", counted)
-        monkeypatch.setattr(simulation, "_worker_count", lambda units: 1)  # the calls live in this process
+        monkeypatch.setattr(_workers, "_worker_count", lambda units: 1)  # the calls live in this process
         run_experiment(config)
         assert len(calls) == factorizations
         # The cached factor draws the same bytes as sampling each replication afresh.
         for rep, psi0, data, data_seed, _ in simulation._replications(config, model, 30, 0, 15, range(3)):
             assert np.array_equal(data, sample_gaussian(psi0, 30, data_seed)), rep
-
-
-#: Python 3.12 warns when a process with threads (an unpinned BLAS pool) forks;
-#: these tests fork at a pinned worker count whatever the thread count.
-forks_regardless = pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 #: More factors than either cell has features: every replication logs that it is left out.
@@ -682,24 +674,9 @@ def two_cell_config(**overrides):
     return tiny_config(**settings)
 
 
-def pin_workers(monkeypatch, workers):
-    monkeypatch.setattr(simulation, "_worker_count", lambda units: min(workers, units))
-
-
 @forks_regardless
+@pytest.mark.usefixtures("deadline")
 class TestWorkers:
-    @pytest.fixture(autouse=True)
-    def deadline(self):
-        # A run that hangs on a worker fails here; the interrupted run kills and reaps its children.
-        def expire(signum, frame):
-            raise TimeoutError("a run on workers took over 60 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
     def run_at(self, workers, monkeypatch, caplog, runner):
         pin_workers(monkeypatch, workers)
         caplog.clear()
@@ -774,7 +751,7 @@ class TestWorkers:
         assert_no_child_left()
         if share == 1:  # raised in the child: its traceback comes along as the cause
             cause = raised.value.__cause__
-            assert isinstance(cause, simulation._WorkerTraceback) and "in broken" in str(cause)
+            assert isinstance(cause, _workers._WorkerTraceback) and "in broken" in str(cause)
 
     def test_a_child_that_dies_is_an_error_naming_its_exit_status(self, monkeypatch):
         parent = os.getpid()
@@ -791,6 +768,28 @@ class TestWorkers:
             run_experiment(two_cell_config())
         assert_no_child_left()
 
+    @pytest.mark.parametrize("runner, metrics", [
+        (run_experiment, ("cv_ratio", "frobenius")),
+        (lambda config: run_benchmark(config, {"poet": [TOO_MANY_FACTORS]}), ("frobenius",)),
+    ], ids=["experiment", "benchmark"])
+    def test_a_run_on_two_workers_forks_once_and_its_shares_never_fork(self, runner, metrics, monkeypatch, tmp_path):
+        forks = count_forks(monkeypatch, tmp_path / "forks")
+        pin_workers(monkeypatch, 2)
+        runner(two_cell_config(metrics=metrics))
+        assert forks() == 1
+        assert_no_child_left()
+
+    def test_a_one_unit_grid_scores_its_folds_on_workers(self, monkeypatch, tmp_path):
+        config = tiny_config(replications=1, metrics=("cv_ratio", "frobenius"))
+        forks = count_forks(monkeypatch, tmp_path / "forks")
+        pin_workers(monkeypatch, 2)
+        rows = run_experiment(config).rows
+        assert forks() == 1  # the odd-numbered folds
+        assert_no_child_left()
+        pin_workers(monkeypatch, 1)
+        assert run_experiment(config).rows == rows
+        assert forks() == 1
+
 
 class TestWorkerCount:
     @pytest.fixture
@@ -800,16 +799,21 @@ class TestWorkerCount:
 
     def test_a_single_threaded_process_uses_each_cpu_up_to_one_per_unit(self, cpus, monkeypatch):
         monkeypatch.setattr(os, "listdir", lambda path: ["1"])
-        assert [simulation._worker_count(units) for units in (1, 3, 4, 100)] == [1, 3, 4, 4]
+        assert [_workers._worker_count(units) for units in (1, 3, 4, 100)] == [1, 3, 4, 4]
 
     def test_a_process_with_threads_runs_its_units_itself(self, cpus, monkeypatch):
         monkeypatch.setattr(os, "listdir", lambda path: ["1", "2"])
-        assert simulation._worker_count(100) == 1
+        assert _workers._worker_count(100) == 1
+
+    def test_a_share_of_a_run_on_workers_runs_its_units_itself(self, cpus, monkeypatch):
+        monkeypatch.setattr(os, "listdir", lambda path: ["1"])
+        monkeypatch.setattr(_workers, "_sharing", True)
+        assert _workers._worker_count(100) == 1
 
     def test_other_platforms_run_their_units_in_process(self, cpus, monkeypatch):
         monkeypatch.setattr(os, "listdir", lambda path: ["1"])
         monkeypatch.setattr(sys, "platform", "darwin")
-        assert simulation._worker_count(100) == 1
+        assert _workers._worker_count(100) == 1
 
     def test_shares_balance_cost_longest_first(self):
         # The desk grid: J=50 and J=200 cells, 3 replications, 2 workers.
