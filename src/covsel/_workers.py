@@ -1,12 +1,11 @@
-"""Forked worker processes for work that splits into independent shares.
+"""Forked worker processes for independent units of work: folds, replications.
 
+:func:`_map` is what callers use: it splits a list of units into shares
+by cost, runs them on :func:`_worker_count` processes and merges their
+results in unit order, so that the results, and the error raised when
+units fail, are the same at any worker count.  Beneath it,
 :func:`_in_workers` runs a list of shares, the first in this process and
-each other in a child made by ``os.fork``, and returns their results in
-share order; :func:`_worker_count` says how many processes a piece of
-work may use.  Callers split their own work into shares and merge the
-results, so that they are the same at any worker count;
-:func:`_round_robin` does both for a list of units that any share may
-take.
+each other in a child made by ``os.fork``.
 """
 
 from __future__ import annotations
@@ -135,33 +134,49 @@ def _child_result(pid: int, payload: bytes, status: int):
     return body[0]
 
 
-def _round_robin(run, units: int, workers: int) -> list:
-    """``[run(unit) for unit in range(units)]``, unit ``i`` run by share ``i mod workers`` of :func:`_in_workers`.
+def _map(run, costs: list) -> list:
+    """``[run(unit) for unit in range(len(costs))]``, on :func:`_worker_count` processes of :func:`_in_workers`.
 
-    Raises what that loop raises: each share stops at its first failing
-    unit, and once every share has ended, the lowest failing unit's
-    exception is raised, a child's with its traceback as the cause.
+    Longest processing time first: the units in descending ``costs``,
+    then in index order, each go to the share with the least cost so
+    far, the lowest-numbered on a tie, so equal costs go round robin,
+    unit ``i`` to share ``i mod W``.  The split depends on ``costs`` and
+    the worker count alone, and each share runs its units in index order.
+
+    Raises what that loop raises: each share stops at its first unit
+    that raises an ``Exception``, and once every share has ended, the
+    lowest failing unit's exception is raised, a child's with its
+    traceback as the cause.  Any other error, ``KeyboardInterrupt`` say,
+    ends the run at once and kills every child.
     """
+    loads = [0] * _worker_count(len(costs))
+    shares: list[list[int]] = [[] for _ in loads]
+    for unit in sorted(range(len(costs)), key=lambda unit: (-costs[unit], unit)):
+        share = loads.index(min(loads))
+        shares[share].append(unit)
+        loads[share] += costs[unit]
+    shares = [sorted(share) for share in shares]
 
-    def share(first: int) -> tuple[list, tuple | None]:
+    def run_share(share: tuple[int, list[int]]) -> tuple[list, tuple | None]:
+        index, units = share
         done = []
-        for unit in range(first, units, workers):
+        for unit in units:
             try:
                 done.append(run(unit))
             except Exception as exc:
-                return done, (unit, exc if first == 0 else (_picklable(exc), traceback.format_exc()))
+                return done, (unit, exc if index == 0 else (_picklable(exc), traceback.format_exc()))
         return done, None
 
-    results: list = [None] * units
+    results: list = [None] * len(costs)
     failed = []
-    for first, (done, failure) in enumerate(_in_workers(share, list(range(workers)))):
-        for unit, result in zip(range(first, units, workers), done):
+    for (index, units), (done, failure) in zip(enumerate(shares), _in_workers(run_share, list(enumerate(shares)))):
+        for unit, result in zip(units, done):
             results[unit] = result
         if failure is not None:
-            failed.append((failure[0], first, failure[1]))
+            failed.append((failure[0], index, failure[1]))
     if failed:
-        _, first, error = min(failed, key=lambda failure: failure[0])
-        if first == 0:
+        _, index, error = min(failed, key=lambda failure: failure[0])
+        if index == 0:
             raise error
         exc, text = error
         raise exc from _WorkerTraceback(text)

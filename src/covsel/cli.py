@@ -267,7 +267,10 @@ def read_estimate_csv(path):
             raise ConfigError(f"{path}: missing estimate header line")
         meta = first[2:]
         dim_part, _, selected = meta.partition(" selected=")
-        dim = int(dim_part[len("J=") :])
+        try:
+            dim = int(dim_part[len("J=") :])
+        except ValueError:
+            raise ConfigError(f"{path}: malformed estimate header line {first!r}") from None
         matrix, _ = _parse_rows(path, _split_rows(handle.read(), ",", first_line=2), "no")
     if matrix.shape != (dim, dim):
         raise ConfigError(f"{path}: expected a {dim}x{dim} matrix, got {matrix.shape}")

@@ -232,14 +232,14 @@ def evaluate_candidates(
     and the selections that break them, are those of fitting and scoring
     every candidate.
 
-    The splits go round robin to :func:`~covsel._workers._worker_count`
-    processes, at most one per split: this one and forked children, so
-    that as many folds as processes are live at once, one in each.  The
-    parent merges them in split order, so the results, and the error
-    when several splits raise (the lowest split's), are those of one
-    process at any worker count.  The near-tie pass runs in the parent
-    after the merge.  A pass inside a share of a run on workers, a
-    ``simulate`` replication say, stays in its process.
+    The splits are units of equal cost for :func:`~covsel._workers._map`,
+    so split ``i`` goes to share ``i mod W`` of at most one process per
+    split: this one and forked children, so that as many folds as
+    processes are live at once, one in each.  The results come back in
+    split order, so they, and the error when several splits raise (the
+    lowest split's), are those of one process at any worker count.  The
+    near-tie pass runs here after the merge.  A pass inside a share of a
+    run on workers, a ``simulate`` replication say, stays in its process.
 
     With ``center=True`` each training fold is column-centered and the
     fold means are subtracted from its validation rows before scoring.
@@ -324,14 +324,11 @@ def evaluate_candidates(
 
     # The grid scorers' row blocks depend only on J, so the folds share one
     # layout.  Every scorer but the identity's reads them: they are built
-    # before the workers fork, so that the workers inherit them.
+    # here, once, and the workers inherit them.
     layout = _grid.Layout(dim)
-    workers = _workers._worker_count(n_splits)
-    if workers > 1 and {_SCORERS.get(spec.family) for spec in library} - {None, _grid.score_identity}:
-        layout.blocks  # a cached property: built here, once
-    for split_idx, (fold_values, fold_failures, base, offset) in enumerate(
-        _workers._round_robin(scored, n_splits, workers)
-    ):
+    if {_SCORERS.get(spec.family) for spec in library} - {None, _grid.score_identity}:
+        layout.blocks  # a cached property
+    for split_idx, (fold_values, fold_failures, base, offset) in enumerate(_workers._map(scored, [1] * n_splits)):
         for cand_idx, failure in fold_failures.items():
             failures.setdefault(cand_idx, failure)
         values[:, :, split_idx] = fold_values.T

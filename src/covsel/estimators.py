@@ -251,8 +251,9 @@ class FitContext:
     factor count) and its remainder once a direct POET fit asks for it,
     and ``|S| ** -e`` for the last :data:`_CACHED_EXPONENTS`
     adaptive-LASSO exponents.  That bounds the cache at
-    ``7 + _CACHED_EXPONENTS = 12`` ``J x J`` matrices plus the data,
-    whatever the number of candidates fitted.  The grid scorers read only
+    ``7 + _CACHED_EXPONENTS = 12`` ``J x J`` matrices and the ``J``
+    eigenvalues of ``S`` besides the data, whatever the number of
+    candidates fitted.  The grid scorers read only
     ``S``, the factor basis and the low-rank part, so a fold scored on the
     grid caches at most three ``J x J`` matrices besides what its
     direct-path candidates build.  Cached arrays are shared by the fits

@@ -18,7 +18,6 @@ same outputs as one process gives.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import traceback
@@ -371,36 +370,37 @@ def _stream_seed(master: int, model: int, n: int, ratio_idx: int, rep: int, stre
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
-def _replications(config: ExperimentConfig, model: int, n: int, ratio_idx: int, dim: int, reps):
-    """Yield ``(rep, psi0, data, data_seed, splits)`` for each replication ``rep`` in ``reps`` of one cell.
+def _replication(config: ExperimentConfig, cell: tuple, rep: int, models: dict) -> tuple:
+    """``(rep, psi0, data, data_seed, splits)``: replication ``rep`` of a ``(model, n, ratio_idx, ratio, dim)`` cell.
 
-    Models 5 and 8 are redrawn each replication unless ``config.fix_model``
-    is set; every other model matrix is built, and factorized for
-    sampling, once per call.  Each value depends on the cell and ``rep``
-    alone, not on which other replications ``reps`` holds.
+    Models 5 and 8 are redrawn each replication unless
+    ``config.fix_model`` is set.  ``models`` holds the last model matrix
+    built, with its sampling factor, under its cell and seed, so a run
+    of one cell's replications builds and factorizes every other model
+    once.  Each value depends on the cell and ``rep`` alone.
     """
+    model, n, ratio_idx, _, dim = cell
     redrawn = model in (5, 8) and not config.fix_model
-    psi0 = None
-    for rep in reps:
-        if psi0 is None or redrawn:
-            model_seed = _stream_seed(config.seed, model, n, ratio_idx, rep if redrawn else 0, 0)
-            psi0 = build_model_covariance(CovModelSpec(model, dim, model_seed))
-            factor = _sampling_factor(psi0)
-        data_seed = _stream_seed(config.seed, model, n, ratio_idx, rep, 1)
-        data = _draw(factor, n, data_seed)
-        split_seed = _stream_seed(config.seed, model, n, ratio_idx, rep, 2)
-        yield rep, psi0, data, data_seed, make_splits(config.scheme(split_seed), n)
+    model_seed = _stream_seed(config.seed, model, n, ratio_idx, rep if redrawn else 0, 0)
+    if (cell, model_seed) not in models:
+        psi0 = build_model_covariance(CovModelSpec(model, dim, model_seed))
+        models.clear()
+        models[cell, model_seed] = psi0, _sampling_factor(psi0)
+    psi0, factor = models[cell, model_seed]
+    data_seed = _stream_seed(config.seed, model, n, ratio_idx, rep, 1)
+    split_seed = _stream_seed(config.seed, model, n, ratio_idx, rep, 2)
+    return rep, psi0, _draw(factor, n, data_seed), data_seed, make_splits(config.scheme(split_seed), n)
 
 
 def _run_rep(config: ExperimentConfig, library: CandidateLibrary, cell: tuple, replication: tuple,
              warnings: list) -> tuple[list[tuple], tuple]:
     """One replication's result rows and its share of the cell's bound plug-ins.
 
-    ``replication`` is an item of :func:`_replications` for ``cell``.
-    Returns the rows as ``(replication, subject, metric, value, seed)``
-    tuples, and ``(m1, m2)`` of this replication when ``cv_ratio`` runs,
-    else ``()``.  Each candidate left out is appended to ``warnings`` as a
-    ``(rep, message, args)`` log record.
+    ``replication`` is a :func:`_replication` of ``cell``.  Returns the
+    rows as ``(replication, subject, metric, value, seed)`` tuples, and
+    ``(m1, m2)`` of this replication when ``cv_ratio`` runs, else ``()``.
+    Each candidate left out is appended to ``warnings`` as a ``(message,
+    args)`` log record.
     """
     model, n, _, _, dim = cell
     rep, psi0, data, data_seed, splits = replication
@@ -423,7 +423,7 @@ def _run_rep(config: ExperimentConfig, library: CandidateLibrary, cell: tuple, r
         values.update(full_risk_diff=full_diffs, frobenius=frobenius, spectral=spectral)
     excluded = list(failures)
     for idx in excluded:
-        warnings.append((rep, "model %d n=%d J=%d rep %d: excluded %s (%s)",
+        warnings.append(("model %d n=%d J=%d rep %d: excluded %s (%s)",
                          (model, n, dim, rep, library[idx].id, failures[idx])))
 
     selector = ev.mean_risks()
@@ -453,105 +453,68 @@ def _run_rep(config: ExperimentConfig, library: CandidateLibrary, cell: tuple, r
 _CELL_ERRORS = (ConfigError, EstimationError, SelectionError, DegenerateFeatureError, np.linalg.LinAlgError)
 
 
-def _shares(cells: list, replications: int, workers: int) -> list[list[tuple[int, int]]]:
-    """The grid's (cell index, replication) units split into ``workers`` shares of about equal cost.
-
-    Longest processing time first: the units in descending cost, then in
-    (cell, replication) order, each go to the share with the least cost so
-    far, the lowest-numbered on a tie.  A unit's cost is ``J**2 (n + J)``,
-    the order of its covariances and fits.  The split depends on the grid
-    and ``workers`` alone, so every run does the same work in each
-    process.  Each share is in (cell, replication) order.
-    """
-    cost = [dim * dim * (n + dim) for _, n, _, _, dim in cells]
-    units = sorted(((index, rep) for index in range(len(cells)) for rep in range(replications)),
-                   key=lambda unit: (-cost[unit[0]], unit))
-    loads = [0] * workers
-    shares: list[list[tuple[int, int]]] = [[] for _ in range(workers)]
-    for index, rep in units:
-        share = loads.index(min(loads))
-        shares[share].append((index, rep))
-        loads[share] += cost[index]
-    return [sorted(share) for share in shares]
-
-
-def _run_share(config: ExperimentConfig, run_rep, units: list[tuple[int, int]]) -> list[tuple]:
-    """Run a share's ``units``, each cell's replications through one :func:`_replications` call.
-
-    Returns ``(cell index, rows, stats, warnings, failure)`` per cell of
-    the share: the rows and the stats of each ``run_rep(cell, replication,
-    warnings)``, the warnings appended, and ``None``, or ``(rep, reason,
-    traceback text)`` for the replication at which the cell raised one of
-    ``_CELL_ERRORS``, its later replications not run.  Any other exception
-    propagates.
-    """
-    cells = config.cells()
-    out = []
-    for index, group in itertools.groupby(units, key=lambda unit: unit[0]):
-        reps = [rep for _, rep in group]
-        model, n, ratio_idx, _, dim = cell = cells[index]
-        rows: list[tuple] = []
-        stats: list[tuple] = []
-        warnings: list[tuple] = []
-        failure = None
-        try:
-            for replication in _replications(config, model, n, ratio_idx, dim, reps):
-                rep_rows, rep_stats = run_rep(cell, replication, warnings)
-                rows.extend(rep_rows)
-                stats.append(rep_stats)
-        except _CELL_ERRORS as exc:
-            failure = (reps[len(stats)], f"{type(exc).__name__}: {exc}", traceback.format_exc())
-        out.append((index, rows, stats, warnings, failure))
-    return out
-
-
-
 def _run_grid(config: ExperimentConfig, run_rep) -> tuple[list[ResultRow], list[tuple], list[dict]]:
     """Every replication's rows, sorted, each cell's stats, and the cells skipped.
 
-    ``run_rep(cell, replication, warnings)`` runs one item of
-    :func:`_replications` for a ``(model, n, ratio_idx, ratio, dim)`` grid
+    ``run_rep(cell, replication, warnings)`` runs a
+    :func:`_replication` of a ``(model, n, ratio_idx, ratio, dim)`` grid
     cell: it returns the replication's rows as ``(replication, subject,
     metric, value, seed)`` tuples and a tuple of stats, and appends its
-    log warnings to ``warnings`` as ``(rep, message, args)``.  Each cell
-    comes back as ``(cell, stats)``, its stats the largest of its
+    log warnings to ``warnings`` as ``(message, args)``.  Each cell comes
+    back as ``(cell, stats)``, its stats the largest of its
     replications' entry by entry.
 
-    The (cell, replication) units are split by :func:`_shares` among
-    :func:`~covsel._workers._worker_count` processes.  Their results are
-    merged here, and the warnings logged, in (cell, replication) order, so
-    the outputs and the log are the same at any worker count.  A cell that
-    raises one of ``_CELL_ERRORS`` is logged and skipped as a single
-    process running its replications in order would skip it: with the
-    reason of its first failing replication, recorded as ``{model, n,
-    ratio, reason}``, and without the warnings of the replications after
-    that one.  Any other exception ends the run.
+    Unit ``u`` of :func:`~covsel._workers._map` is replication
+    ``u mod R`` of cell ``u // R``, its cost ``J**2 (n + J)``, the order
+    of its covariances and fits.  A cell's replications are merged, and
+    their warnings logged, in order, so the outputs and the log are the
+    same at any worker count.  A replication that raises one of
+    ``_CELL_ERRORS`` skips its cell as a single process running the
+    replications in order would: the cell is logged and recorded as
+    ``{model, n, ratio, reason}`` with the reason of its first failing
+    replication, without the warnings of the replications after that
+    one, which a process does not run once it has seen the cell fail.
+    Any other exception ends the run, as :func:`~covsel._workers._map`
+    raises it.
     """
     cells = config.cells()
-    shares = _shares(cells, config.replications, _workers._worker_count(len(cells) * config.replications))
-    parts: dict[int, list] = {}
-    for share in _workers._in_workers(partial(_run_share, config, run_rep), shares):
-        for index, *part in share:
-            parts.setdefault(index, []).append(part)
+    reps = config.replications
+    models: dict = {}  # the last model this process built, see _replication
+    failed: set[int] = set()  # the cells that failed in this process
 
+    def unit(u: int) -> tuple | None:
+        index, rep = divmod(u, reps)
+        if index in failed:
+            return None
+        warnings: list[tuple] = []
+        try:
+            rows, stats = run_rep(cells[index], _replication(config, cells[index], rep, models), warnings)
+        except _CELL_ERRORS as exc:
+            failed.add(index)
+            return (), (), warnings, (f"{type(exc).__name__}: {exc}", traceback.format_exc())
+        return rows, stats, warnings, None
+
+    results = _workers._map(unit, [dim * dim * (n + dim) for _, n, _, _, dim in cells for _ in range(reps)])
     rows: list[ResultRow] = []
     stats = []
     skipped = []
     for index, cell in enumerate(cells):
         model, n, _, ratio, dim = cell
-        cell_rows, cell_stats, warnings, failures = zip(*parts.pop(index))
-        failure = min(filter(None, failures), default=None)
-        last = config.replications if failure is None else failure[0]
-        for rep, message, args in sorted(itertools.chain(*warnings), key=lambda warning: warning[0]):
-            if rep <= last:
+        cell_rows: list[tuple] = []
+        cell_stats = []
+        for rep_rows, rep_stats, warnings, failure in results[index * reps:(index + 1) * reps]:
+            for message, args in warnings:
                 logger.warning(message, *args)
-        if failure is not None:
-            _, reason, text = failure
-            logger.error("cell model=%d n=%d ratio=%s failed; skipping\n%s", model, n, ratio, text.rstrip("\n"))
-            skipped.append({"model": model, "n": n, "ratio": ratio, "reason": reason})
-            continue
-        rows.extend(ResultRow(model, n, dim, ratio, *row) for part in cell_rows for row in part)
-        stats.append((cell, tuple(map(max, zip(*itertools.chain(*cell_stats))))))
+            if failure is not None:
+                reason, text = failure
+                logger.error("cell model=%d n=%d ratio=%s failed; skipping\n%s", model, n, ratio, text.rstrip("\n"))
+                skipped.append({"model": model, "n": n, "ratio": ratio, "reason": reason})
+                break
+            cell_rows.extend(rep_rows)
+            cell_stats.append(rep_stats)
+        else:
+            rows.extend(ResultRow(model, n, dim, ratio, *row) for row in cell_rows)
+            stats.append((cell, tuple(map(max, zip(*cell_stats)))))
     rows.sort(key=lambda r: (r.model, r.n, r.ratio, r.replication, r.subject, r.metric))
     return rows, stats, skipped
 
@@ -722,7 +685,7 @@ def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) ->
             refits = _ranked_refits(union, ctx, selector, indices, cache=full_fits)
             estimate = next((fit for _, fit, failure in refits if failure is None), None)
             if estimate is None:
-                warnings.append((rep, "model %d n=%d J=%d rep %d: procedure %s has no valid candidate",
+                warnings.append(("model %d n=%d J=%d rep %d: procedure %s has no valid candidate",
                                  (model, n, dim, rep, procedure)))
                 continue
             squares, norm = _residual_norms(estimate - psi0, "spectral" in config.metrics)

@@ -103,6 +103,12 @@ class TestReadNumericCsv:
         with pytest.raises(ConfigError, match="line 3, column 2"):
             read_estimate_csv(path)
 
+    def test_a_malformed_estimate_header_names_the_file(self, tmp_path):
+        path = tmp_path / "estimate.csv"
+        path.write_text("# J=x selected=a\n1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: malformed estimate header line '# J=x selected=a'")):
+            read_estimate_csv(path)
+
     def test_alternate_delimiter(self, tmp_path):
         path = tmp_path / "semi.csv"
         path.write_text("1.0;2.0\n3.0;4.0\n", encoding="utf-8")
@@ -723,14 +729,14 @@ class TestBenchCommand:
     def test_a_cell_that_fails_on_its_data_exits_4(self, tmp_path, monkeypatch):
         import covsel.simulation as simulation
 
-        replications = simulation._replications
+        replication = simulation._replication
 
-        def fail_at_n_40(config, model, n, *cell):
-            if n == 40:
+        def fail_at_n_40(config, cell, rep, models):
+            if cell[1] == 40:
                 raise np.linalg.LinAlgError("injected")
-            return replications(config, model, n, *cell)
+            return replication(config, cell, rep, models)
 
-        monkeypatch.setattr(simulation, "_replications", fail_at_n_40)
+        monkeypatch.setattr(simulation, "_replication", fail_at_n_40)
         config = tmp_path / "bench.ini"
         config.write_text(
             "[experiment]\nmodels = 4\nn = 30 40\nratio = 0.5\nreplications = 1\nmetrics = frobenius\n\n"

@@ -690,9 +690,10 @@ class TestFoldWorkers:
         assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_unit_i_runs_in_share_i_mod_w_and_comes_back_in_order(self, workers):
-        pids = [pid for _, pid in _workers._round_robin(lambda unit: (unit, os.getpid()), 7, workers)]
-        assert _workers._round_robin(lambda unit: unit * unit, 7, workers) == [unit * unit for unit in range(7)]
+    def test_equal_costs_put_unit_i_in_share_i_mod_w_and_come_back_in_order(self, workers, monkeypatch):
+        pin_workers(monkeypatch, workers)
+        pids = _workers._map(lambda unit: os.getpid(), [1] * 7)
+        assert _workers._map(lambda unit: unit * unit, [1] * 7) == [unit * unit for unit in range(7)]
         assert_no_child_left()
         assert [pids[i] == pids[i % workers] for i in range(7)] == [True] * 7
         assert pids[0] == os.getpid() and len(set(pids)) == workers

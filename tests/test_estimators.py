@@ -16,6 +16,7 @@ from covsel.estimators import (
     _scad,
     _shrinkage_components,
     _taper_weights,
+    _try_fit,
     apply,
     apply_library,
     build_library,
@@ -564,6 +565,23 @@ class TestCachedKernels:
             expected = uncached_fit(spec, data)
             if expected is not None:
                 assert np.array_equal(estimate, expected), spec.id
+
+    @pytest.mark.parametrize("n", [60, 30], ids=["tall", "wide"])
+    def test_the_cache_holds_at_most_twelve_matrices_and_the_eigenvalues(self, n):
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (list, tuple, dict)):
+                for item in value.values() if isinstance(value, dict) else value:
+                    yield from arrays(item)
+
+        dim = 40
+        ctx = FitContext(np.random.default_rng(6).standard_normal((n, dim)))
+        for spec in default_library():
+            _try_fit(spec, ctx)
+        cached = sum(array.nbytes for name, value in vars(ctx).items() if name != "data" for array in arrays(value))
+        # Every entry is filled: 12.025 J^2 doubles at n=60, 11.77 J^2 at n=30.
+        assert 8 * 11 * dim * dim < cached <= 8 * (12 * dim * dim + dim)
 
 
 def factor_data():

@@ -2,6 +2,7 @@ import logging
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,6 +53,12 @@ def tiny_config(**overrides):
     }
     settings.update(overrides)
     return ExperimentConfig(**settings)
+
+
+def replications(config, cell):
+    """Every replication of ``cell``, as a run of ``config`` draws them."""
+    models = {}
+    return [simulation._replication(config, cell, rep, models) for rep in range(config.replications)]
 
 
 class TestModels:
@@ -282,9 +289,9 @@ class TestRunner:
                         metrics=("cv_ratio", "full_ratio", "frobenius", "spectral"))
         ).cells
         assert [s.max_abs_estimate for s in every_metric] == [s.max_abs_estimate for s in stats]
-        for (model, n, ratio_idx, _, dim), cell in zip(config.cells(), stats):
+        for grid_cell, cell in zip(config.cells(), stats):
             want = 0.0
-            for _, psi0, data, _, splits in simulation._replications(config, model, n, ratio_idx, dim, range(config.replications)):
+            for _, psi0, data, _, splits in replications(config, grid_cell):
                 want = max(want, float(np.max(np.abs(psi0))))
                 for mask in splits:
                     train = center_columns(data[~mask]) if center else data[~mask]
@@ -326,8 +333,8 @@ class TestRunner:
                                   metrics=(f"{oracle}_ratio",), seed=2, scaling=scaling)
         rows = run_experiment(config).rows
         library = config.library
-        [(model, n, ratio_idx, _, dim)] = config.cells()
-        for rep, psi0, data, _, splits in simulation._replications(config, model, n, ratio_idx, dim, range(config.replications)):
+        [cell] = config.cells()
+        for rep, psi0, data, _, splits in replications(config, cell):
             if oracle == "cv":
                 report = cv_engine.oracle_select_cv(library, data, splits, psi0, scaling=scaling)
             else:
@@ -341,8 +348,8 @@ class TestRunner:
         # The folds and the full-data fits both see centred data, as select's refit does.
         library = build_library({"sample_covariance": {}})
         config = tiny_config(replications=1, seed=0, center=True, library=library)
-        [(model, n, ratio_idx, _, dim)] = config.cells()
-        [(_, psi0, data, _, _)] = simulation._replications(config, model, n, ratio_idx, dim, range(config.replications))
+        [cell] = config.cells()
+        [(_, psi0, data, _, _)] = replications(config, cell)
         want = float(np.sqrt(np.sum((sample_covariance(center_columns(data)) - psi0) ** 2)))
         assert want == 3.0709154519208517
         simulated = {r.subject: r.value for r in run_experiment(config).rows}
@@ -353,7 +360,7 @@ class TestRunner:
         config = tiny_config(metrics=("full_ratio",), center=True)
         rows = run_experiment(config).rows
         library = config.library
-        for rep, psi0, data, _, _ in simulation._replications(config, model, n, ratio_idx, dim, range(config.replications)):
+        for rep, psi0, data, _, _ in replications(config, cell):
             report = cv_engine.oracle_select_full(library, data, psi0, center=True)
             want = dict(zip(library.ids, report.risk_diffs))
             want[FULL_ORACLE_SUBJECT] = want[report.id]
@@ -658,12 +665,55 @@ class TestSamplingFactor:
         run_experiment(config)
         assert len(calls) == factorizations
         # The cached factor draws the same bytes as sampling each replication afresh.
-        for rep, psi0, data, data_seed, _ in simulation._replications(config, model, 30, 0, 15, range(3)):
+        for rep, psi0, data, data_seed, _ in replications(config, config.cells()[0]):
             assert np.array_equal(data, sample_gaussian(psi0, 30, data_seed)), rep
+
+    @forks_regardless
+    @pytest.mark.usefixtures("deadline")
+    def test_each_process_factorizes_a_model_once_per_cell_it_runs(self, monkeypatch, tmp_path):
+        log = tmp_path / "factorizations"
+        real = simulation._sampling_factor
+
+        def logged(psi):
+            with open(log, "a", encoding="utf-8") as out:
+                out.write(f"{os.getpid()} {psi.shape[0]}\n")
+            return real(psi)
+
+        monkeypatch.setattr(simulation, "_sampling_factor", logged)
+        pin_workers(monkeypatch, 2)
+        run_experiment(two_cell_config())
+        assert_no_child_left()
+        calls = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        # This process runs replications 0 and 2 of the J=30 cell; the child the J=15 cell and replication 1 of J=30.
+        assert sorted((int(pid) == os.getpid(), int(dim)) for pid, dim in calls) == [(False, 15), (False, 30), (True, 30)]
 
 
 #: More factors than either cell has features: every replication logs that it is left out.
 TOO_MANY_FACTORS = EstimatorSpec("poet", {"factors": 40, "threshold": 0.1})
+
+
+def grid_costs(config):
+    """The costs of ``config``'s (cell, replication) units that :func:`simulation._run_grid` gives ``_map``."""
+    class Stop(Exception):
+        pass
+
+    def stop(run, costs):
+        raise Stop(costs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_workers, "_map", stop)
+        with pytest.raises(Stop) as stopped:
+            run_experiment(config)
+    return stopped.value.args[0]
+
+
+def shares_of(costs, workers, monkeypatch):
+    """The units of each share that ``_map`` runs at ``workers`` workers: this process's, then each child's."""
+    pin_workers(monkeypatch, workers)
+    pids = _workers._map(lambda unit: os.getpid(), costs)
+    assert_no_child_left()
+    order = sorted(set(pids), key=lambda pid: (pid != os.getpid(), pids.index(pid)))
+    return [[unit for unit, pid in enumerate(pids) if pid == share] for share in order]
 
 
 def two_cell_config(**overrides):
@@ -710,20 +760,22 @@ class TestWorkers:
     @pytest.mark.parametrize("runner", [run_experiment, lambda config: run_benchmark(config, {"poet": [TOO_MANY_FACTORS]})],
                              ids=["experiment", "benchmark"])
     def test_a_cell_failing_at_rep_1_is_skipped_as_one_process_skips_it(self, runner, monkeypatch, caplog):
-        real = simulation._replications
+        real = simulation._replication
+        drawn = []
 
-        def fails_at_odd_reps(config, model, n, ratio_idx, dim, reps):
-            for replication in real(config, model, n, ratio_idx, dim, reps):
-                if dim == 15 and replication[0] % 2:
-                    raise EstimationError(f"injected at rep {replication[0]}")
-                yield replication
+        def fails_at_odd_reps(config, cell, rep, models):
+            drawn.append((cell[4], rep))
+            if cell[4] == 15 and rep % 2:
+                raise EstimationError(f"injected at rep {rep}")
+            return real(config, cell, rep, models)
 
-        monkeypatch.setattr(simulation, "_replications", fails_at_odd_reps)
+        monkeypatch.setattr(simulation, "_replication", fails_at_odd_reps)
         # At 4 workers, reps 1 and 3 of the failing cell both raise, in different shares, and
         # rep 2 runs to its end in a third; one process stops at rep 1.
         config = two_cell_config(replications=4, metrics=("frobenius", "spectral"))
-        runs = [self.run_at(workers, monkeypatch, caplog, lambda: runner(config)) for workers in (1, 2, 3, 4)]
-        (serial, log), *parallel = runs
+        serial, log = self.run_at(1, monkeypatch, caplog, lambda: runner(config))
+        assert [rep for dim, rep in drawn if dim == 15] == [0, 1]  # no replication runs after the cell failed
+        parallel = [self.run_at(workers, monkeypatch, caplog, lambda: runner(config)) for workers in (2, 3, 4)]
         assert serial.skipped == [{"model": 2, "n": 30, "ratio": 0.5, "reason": "EstimationError: injected at rep 1"}]
         assert {row.dim for row in serial.rows} == {30}
         # rep 0's warning, then the skip
@@ -736,11 +788,11 @@ class TestWorkers:
     @pytest.mark.parametrize("share", [0, 1])
     def test_a_fault_in_a_share_ends_the_run_with_that_error(self, share, monkeypatch):
         config = two_cell_config()
-        [target, *_] = simulation._shares(config.cells(), config.replications, 2)[share]
+        [target, *_] = shares_of(grid_costs(config), 2, monkeypatch)[share]
         real = simulation._run_rep
 
         def broken(config, library, cell, replication, warnings):
-            if (config.cells().index(cell), replication[0]) == target:
+            if config.cells().index(cell) * config.replications + replication[0] == target:
                 raise RuntimeError("a fault in the program")
             return real(config, library, cell, replication, warnings)
 
@@ -752,6 +804,27 @@ class TestWorkers:
         if share == 1:  # raised in the child: its traceback comes along as the cause
             cause = raised.value.__cause__
             assert isinstance(cause, _workers._WorkerTraceback) and "in broken" in str(cause)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_faults_in_two_shares_raise_the_lower_unit_s_error(self, workers, monkeypatch):
+        config = two_cell_config()
+        if workers > 1:  # unit 3, replication 0 of the J=30 cell, is this process's; unit 1 a child's
+            [parent, *children] = shares_of(grid_costs(config), workers, monkeypatch)
+            assert 3 in parent and any(1 in share for share in children)
+        real = simulation._run_rep
+
+        def broken(config, library, cell, replication, warnings):
+            unit = config.cells().index(cell) * config.replications + replication[0]
+            if unit in (1, 3):
+                raise RuntimeError(f"a fault at unit {unit}")
+            return real(config, library, cell, replication, warnings)
+
+        monkeypatch.setattr(simulation, "_run_rep", broken)
+        pin_workers(monkeypatch, workers)
+        with pytest.raises(RuntimeError, match="^a fault at unit 1$") as raised:
+            run_experiment(config)
+        assert_no_child_left()
+        assert isinstance(raised.value.__cause__, _workers._WorkerTraceback) == (workers > 1)
 
     def test_a_child_that_dies_is_an_error_naming_its_exit_status(self, monkeypatch):
         parent = os.getpid()
@@ -815,9 +888,11 @@ class TestWorkerCount:
         monkeypatch.setattr(sys, "platform", "darwin")
         assert _workers._worker_count(100) == 1
 
-    def test_shares_balance_cost_longest_first(self):
-        # The desk grid: J=50 and J=200 cells, 3 replications, 2 workers.
-        cells = [(2, 50, 0, 1.0, 50), (2, 200, 0, 1.0, 200)]
-        assert simulation._shares(cells, 3, 2) == [[(1, 0), (1, 2)], [(0, 0), (0, 1), (0, 2), (1, 1)]]
-        shares = simulation._shares(cells, 5, 3)
-        assert sorted(unit for share in shares for unit in share) == [(c, r) for c in range(2) for r in range(5)]
+    @forks_regardless
+    @pytest.mark.usefixtures("deadline")
+    def test_the_grid_s_units_balance_cost_longest_first(self, monkeypatch):
+        # The desk grid: J=50 and J=200 cells.  Unit 3 * cell + replication at 3 replications.
+        config = ExperimentConfig(models=(2,), sample_sizes=(50, 200), ratios=(1.0,), replications=3)
+        assert shares_of(grid_costs(config), 2, monkeypatch) == [[3, 5], [0, 1, 2, 4]]
+        shares = shares_of(grid_costs(replace(config, replications=5)), 3, monkeypatch)
+        assert len(shares) == 3 and sorted(unit for share in shares for unit in share) == list(range(10))
