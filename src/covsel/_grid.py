@@ -20,20 +20,12 @@ Every value of a fold adds its ``delta`` to the same ``base``, summed as
 :func:`~covsel.matrix_core.scaled_frobenius_sq` sums.  Where an entry is
 zeroed, or set to another entry of ``S`` or of POET's parts, its term of
 ``delta`` is the rounded square the direct path sums minus that of
-``base``.  A candidate that changes nothing gets ``base`` itself, the
-value a directly scored copy of ``S`` gets, and two candidates that
-change the same entries in the same way add the same prefix or suffix
-sums, whose empty bins in between add exact zeros.  So candidates whose
-estimates are equal get equal values, as they do when each estimate is
-built and scored.
-
-The bins use the breakpoints the kernels compare against, built with the
-same float expressions, and ``searchsorted(..., side="left")`` puts an
-entry equal to a breakpoint below it, which is what ``>`` and ``<=`` do
-in the kernels.  The scorers return values only.  A scorer leaves a
-candidate to the direct path only when it is a POET factor count the
-fold cannot decompose; :func:`~covsel.estimators._score_fits` also sends
-there any value that is not finite.
+``base``.  A candidate that changes nothing gets ``base`` itself, and two
+that change the same entries alike add the same prefix or suffix sums,
+so equal estimates get equal values.  The bins use the kernels'
+breakpoints, built with the same float expressions, and
+``searchsorted(..., side="left")`` puts an entry equal to a breakpoint
+below it, as ``>`` and ``<=`` do in the kernels.
 
 Sums are taken over row blocks of at most :data:`_BLOCK_ENTRIES` entries,
 so a fold holds no ``J x J`` temporary besides the cached covariance (and
@@ -42,12 +34,8 @@ targets and weights must be exactly symmetric, as ``S`` and POET's
 low-rank part are by construction: a block holds only its upper-triangle
 entries and counts each off-diagonal one twice.  Each block is sorted by
 bin and each bin summed pairwise (``np.add.reduceat``), so a sum's
-rounding error does not grow with the number of entries in its bin.
-POET sorts only a block's entries above its smallest threshold, which
-some candidate keeps; those at or below it, zeroed by every candidate,
-get one pairwise sum per block, and its diagonal, ``diag(S)`` for every
-candidate, is not binned at all.  The direct path, a fit scored with
-:func:`~covsel.matrix_core.scaled_frobenius_sq`, is the reference;
+rounding error does not grow with its bin.  The direct path, a fit scored
+with :func:`~covsel.matrix_core.scaled_frobenius_sq`, is the reference;
 the values agree with it to rounding.
 """
 
@@ -67,8 +55,7 @@ _BLOCK_ENTRIES = 16_384
 class Layout:
     """The row blocks of a ``dim x dim`` matrix's upper triangle, shared by the folds of one pass.
 
-    The blocks depend on ``dim`` alone; they are built when a scorer first
-    asks for them and live as long as the layout.
+    They depend on ``dim`` alone, and are built when a scorer first asks.
     """
 
     def __init__(self, dim: int) -> None:
@@ -78,12 +65,8 @@ class Layout:
     def blocks(self) -> list[_Block]:
         """The :class:`_Block` of each run of rows with at most :data:`_BLOCK_ENTRIES` entries.
 
-        The blocks are views of two arrays that cover the whole triangle.
-        The layout outlives every fold's ``J x J`` temporaries, and two
-        allocations fragment the heap less than two per block: at J=2000
-        (250 blocks), a 5-fold ``select`` under glibc malloc on a 2-core
-        x86-64 host peaked at 327 MiB with per-block arrays and 310 MiB
-        with these two.
+        The blocks are views of two arrays over the whole triangle: two
+        allocations, which fragment the heap less than two per block.
         """
         dim = self.dim
         step = max(1, _BLOCK_ENTRIES // dim)
@@ -124,11 +107,11 @@ class Fold:
         return self.ctx.cov
 
     def rows(self, block: _Block, order):
-        """Per target, the block's ``(T, eta)`` entries in ``order``; ``eta`` is None when scalar."""
-        return [
+        """Per target, lazily, the block's ``(T, eta)`` entries in ``order``; ``eta`` is None when scalar."""
+        return (
             (block.pick(target, order), block.pick(eta, order) if isinstance(eta, np.ndarray) else None)
             for target, eta in self.targets
-        ]
+        )
 
     @cached_property
     def bases(self) -> np.ndarray:
@@ -218,9 +201,13 @@ class _Bins:
         acc += np.bincount(self.bins[k:], weights=sums, minlength=acc.size)
 
 
-def _square(values: np.ndarray, eta) -> np.ndarray:
-    """``eta * values**2`` rounded as :func:`~covsel.matrix_core.scaled_frobenius_sq` rounds it."""
-    return values * values if eta is None else eta * values * values
+def _square(values: np.ndarray, eta, own: bool = False) -> np.ndarray:
+    """``eta * values**2``, rounded as :func:`~covsel.matrix_core.scaled_frobenius_sq` rounds it; ``own``: in place."""
+    if eta is None:
+        return np.multiply(values, values, out=values if own else None)
+    out = eta * values
+    out *= values
+    return out
 
 
 def _suffix(sums: np.ndarray) -> np.ndarray:
@@ -289,7 +276,7 @@ def score_thresholds(fold: Fold, specs) -> list:
             dg = d * sign
             for k, values in enumerate((d * s, dg, s * s, mag, None)):
                 bins.add(sums[k, t], values, eta)
-            bins.add(sums[5, t], _square(target, eta) - _square(d, eta))
+            bins.add(sums[5, t], _square(target, eta) - _square(d, eta, own=True))
             if floor is not None:
                 dg, eta = dg[first:], None if eta is None else eta[first:]
                 for k, p in enumerate(powers):
@@ -399,7 +386,6 @@ def score_poet(fold: Fold, specs) -> list:
     for i, spec in enumerate(specs):
         by_factors.setdefault(spec.params["factors"], []).append(i)
     dim = fold.cov.shape[0]
-    n_targets = len(fold.targets)
     for factors, members in by_factors.items():
         if factors > dim:
             continue
@@ -408,32 +394,41 @@ def score_poet(fold: Fold, specs) -> list:
         except (EstimationError, FloatingPointError, ValueError, np.linalg.LinAlgError):
             continue  # the direct path refits and reports the failure
         cuts = np.array(sorted({specs[i].params["threshold"] for i in members}))
-        n_bins = cuts.size + 1
-        zeroed = np.zeros((n_targets, n_bins))
-        kept = np.zeros((n_targets, n_bins))
-        for block in fold.layout.blocks:
-            s = block.entries(fold.cov)
-            low = block.entries(low_rank)
-            mag = np.abs(s - low)
-            mag[block.diagonal_at] = 0.0  # POET keeps diag(S): no bin, no change
-            above = np.flatnonzero(mag > cuts[0])
-            bins = _Bins(np.searchsorted(cuts, mag[above]), n_bins, False)
-            at = above[bins.order]
-            s_at, low_at = s[at], low[at]
-            both = low_at + (s_at - low_at)
-            for t, (target, eta) in enumerate(fold.rows(block, slice(None))):
-                changed = _square(target - low, eta) - _square(target - s, eta)
-                target_at, eta_at = target[at], None if eta is None else eta[at]
-                d2 = _square(target_at - s_at, eta_at)
-                bins.add(zeroed[t], _square(target_at - low_at, eta_at) - d2)
-                bins.add(kept[t], _square(target_at - both, eta_at) - d2)
-                # What is left is bin 0 off the diagonal, zeroed by every candidate.
-                changed[above] = 0.0
-                changed[block.diagonal_at] = 0.0
-                zeroed[t, 0] += 2.0 * float(np.sum(changed))
+        zeroed, kept = _poet_sums(fold, low_rank, cuts)
+        del low_rank  # freed with the context's copy when the next count builds its part
         zeroed_upto = np.cumsum(zeroed, axis=-1)
         kept_from = _suffix(kept)
         for i in members:
             j = int(np.searchsorted(cuts, specs[i].params["threshold"]))
             out[i] = fold.value(zeroed_upto[:, j] + kept_from[:, j + 1])
     return out
+
+
+def _poet_sums(fold: Fold, low_rank: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per target and bin of ``|R|``, the sums of zeroing ``R`` and of keeping it; its arrays die with the call."""
+    n_bins = cuts.size + 1
+    zeroed = np.zeros((len(fold.targets), n_bins))
+    kept = np.zeros((len(fold.targets), n_bins))
+    for block in fold.layout.blocks:
+        s = block.entries(fold.cov)
+        low = block.entries(low_rank)
+        mag = np.abs(s - low)
+        mag[block.diagonal_at] = 0.0  # POET keeps diag(S): no bin, no change
+        above = np.flatnonzero(mag > cuts[0])
+        bins = _Bins(np.searchsorted(cuts, mag[above]), n_bins, False)
+        del mag
+        at = above[bins.order]
+        s_at, low_at = s[at], low[at]
+        both = low_at + (s_at - low_at)
+        for t, (target, eta) in enumerate(fold.rows(block, slice(None))):
+            changed = _square(target - low, eta, own=True)
+            changed -= _square(target - s, eta, own=True)
+            target_at, eta_at = target[at], None if eta is None else eta[at]
+            d2 = _square(target_at - s_at, eta_at)
+            bins.add(zeroed[t], _square(target_at - low_at, eta_at) - d2)
+            bins.add(kept[t], _square(target_at - both, eta_at) - d2)
+            # What is left is bin 0 off the diagonal, zeroed by every candidate.
+            changed[above] = 0.0
+            changed[block.diagonal_at] = 0.0
+            zeroed[t, 0] += 2.0 * float(np.sum(changed))
+    return zeroed, kept

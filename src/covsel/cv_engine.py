@@ -1,13 +1,11 @@
 """Cross-validation splits, risk estimation, and the candidate selector.
 
-A split scheme is expanded into boolean validation masks; for each split,
-every candidate is fitted on the training rows and scored on the
-validation rows.  The selector picks the candidate with the smallest risk
-averaged over splits (unweighted mean), breaking exact ties in favour of
-the lowest library index.  When the true covariance matrix is known (in
-simulation), the same pass also scores every training-fold estimate
-against it, and the cross-validated oracle selects from those exact risk
-differences instead of estimated risks.
+A split scheme is expanded into boolean validation masks; each candidate
+is fitted on each split's training rows and scored on its validation
+rows.  The selector picks the smallest risk averaged over splits, exact
+ties to the lowest library index.  With the true covariance known (in
+simulation), the same pass scores every training-fold estimate against
+it too, for the cross-validated oracle.
 """
 
 from __future__ import annotations
@@ -18,18 +16,18 @@ from typing import Union
 
 import numpy as np
 
-from . import _grid, _workers
+from . import _grid, _workers, estimators
 from .errors import ConfigError, SelectionError
 # apply_library stays bound here for code that patches or traces it by this name.
 from .estimators import (  # noqa: F401
     _SCORERS,
     CandidateLibrary,
     FitContext,
+    _grouped_fits,
     _ranked_refits,
     _score_directly,
     _score_fits,
     apply_library,
-    iter_fits,
 )
 from .loss_risk import _scaling
 from .matrix_core import (
@@ -224,22 +222,15 @@ def evaluate_candidates(
     each training-fold estimate, in the same pass.
 
     Each split is one :func:`~covsel.estimators._score_fits` call, which
-    scores the grid families from shared sums over the training
-    covariance and fits only the other candidates.  Those sums round
-    differently from one sum per estimate, so candidates whose mean
-    values lie within :data:`_TIE_RTOL` of the smallest are scored again
-    on the direct path, :func:`~covsel.estimators._score_directly`: ties,
-    and the selections that break them, are those of fitting and scoring
-    every candidate.
-
-    The splits are units of equal cost for :func:`~covsel._workers._map`,
-    so split ``i`` goes to share ``i mod W`` of at most one process per
-    split: this one and forked children, so that as many folds as
-    processes are live at once, one in each.  The results come back in
-    split order, so they, and the error when several splits raise (the
-    lowest split's), are those of one process at any worker count.  The
-    near-tie pass runs here after the merge.  A pass inside a share of a
-    run on workers, a ``simulate`` replication say, stays in its process.
+    scores the grid families from shared sums and fits only the other
+    candidates.  Those sums round differently from one sum per estimate,
+    so candidates whose mean values lie within :data:`_TIE_RTOL` of the
+    smallest are scored again on the direct path, here after the merge:
+    ties, and the selections that break them, are those of fitting and
+    scoring every candidate.  The splits are units of equal cost for
+    :func:`~covsel._workers._map`, one fold live per process, merged in
+    split order, so the results and the error raised are those of one
+    process at any worker count.
 
     With ``center=True`` each training fold is column-centered and the
     fold means are subtracted from its validation rows before scoring.
@@ -429,13 +420,11 @@ def select(
     the squared distance to the validation sample covariance.  The two
     differ by a per-split constant that does not depend on the
     candidate, for every scaling, so they cost the same and select the
-    same candidate.  Candidates are refitted on the full dataset in
-    ascending ``(risk, index)`` order: the first refit that succeeds is
-    the winner, and the other candidates with the winner's risk are
-    refitted too, for the tie set.  Only these carry a ``psd`` flag; a
-    candidate whose refit fails is recorded as failed, and one never
-    refitted keeps its risk.  Only the winner's refit is kept, for the
-    report.
+    same candidate.  Candidates are refitted on the full data in
+    ascending ``(risk, index)`` order: the first success wins, and those
+    with its risk are refitted for the tie set and carry a ``psd`` flag.
+    A failed refit is recorded as a failure; a candidate never refitted
+    keeps its risk.  Only the winner's refit is kept.
     """
     data = as_data_matrix(data, min_rows=2)
     splits = make_splits(scheme, data.shape[0])
@@ -443,7 +432,8 @@ def select(
     risks = ev.mean_risks()
 
     full = center_columns(data) if center else data
-    refits = _ranked_refits(library, FitContext(full), risks, range(len(library)))
+    ctx = FitContext(full)
+    refits = _ranked_refits(risks, range(len(library)), lambda idx: estimators._try_fit(library[idx], ctx))
     failures = dict(ev.failures)
     psd_flags: dict[int, bool] = {}
     tie_indices: list[int] = []
@@ -537,14 +527,14 @@ def _full_data_errors(library: CandidateLibrary, data, psi0, eta, *, spectral: b
     Returns ``(risk_diffs, frobenius, spectral_norms, failures)``: per
     candidate, ``scaled_frobenius_sq(fit - psi0, eta)`` and the two norms
     of ``fit - psi0`` (NaN where the fit failed, and every spectral norm
-    NaN unless ``spectral``); and each failed candidate's reason by index.
-    Each fit from :func:`~covsel.estimators.iter_fits` is a new array,
-    turned into its residual in place and dropped once measured, so memory
-    stays bounded in ``J²``.
+    NaN unless ``spectral``); and each failed candidate's reason by index,
+    in library order.  The fits, from :func:`~covsel.estimators._grouped_fits`,
+    are stored at their library index, each turned into its residual in
+    place and dropped once measured (see :class:`~covsel.estimators.FitContext`).
     """
     risk_diffs, frobenius, spectral_norms = (np.full(len(library), np.nan) for _ in range(3))
     failures: dict[int, str] = {}
-    for idx, (residual, failure) in enumerate(iter_fits(library, data)):
+    for idx, residual, failure in _grouped_fits(library, data):
         if failure is not None:
             failures[idx] = failure
             continue
@@ -552,7 +542,8 @@ def _full_data_errors(library: CandidateLibrary, data, psi0, eta, *, spectral: b
         squares, spectral_norms[idx] = _residual_norms(residual, spectral)
         frobenius[idx] = math.sqrt(squares)
         risk_diffs[idx] = eta * squares if isinstance(eta, float) else scaled_frobenius_sq(residual, eta)
-    return risk_diffs, frobenius, spectral_norms, failures
+        del residual  # before the next fit
+    return risk_diffs, frobenius, spectral_norms, dict(sorted(failures.items()))
 
 
 def oracle_select_full(

@@ -67,12 +67,19 @@ def _scad(m, magnitude, sign, threshold: float, shape: float) -> np.ndarray:
 
     Soft-thresholds entries up to ``2 * threshold``, interpolates linearly
     up to ``shape * threshold``, and leaves larger entries untouched.
-    ``shape`` must exceed 2 (3.7 is the customary default).
+    ``shape`` must exceed 2 (3.7 is the customary default).  The pieces
+    are formed in place: two ``J x J`` arrays besides the masks.
     """
     u, a = float(threshold), float(shape)
-    soft = sign * np.maximum(magnitude - u, 0.0)
-    middle = ((a - 1.0) * m - sign * a * u) / (a - 2.0)
-    return np.where(magnitude <= 2.0 * u, soft, np.where(magnitude <= a * u, middle, m))
+    out, soft = (a - 1.0) * m, sign * a
+    soft *= u
+    out -= soft
+    out /= a - 2.0  # the middle piece, ((a - 1) m - a u sign(m)) / (a - 2)
+    np.copyto(out, m, where=~(magnitude <= a * u))
+    soft = np.maximum(np.subtract(magnitude, u, out=soft), 0.0, out=soft)
+    soft *= sign
+    np.copyto(out, soft, where=magnitude <= 2.0 * u)
+    return out
 
 
 def _inverse_power(magnitude: np.ndarray, exponent: float) -> np.ndarray:
@@ -85,11 +92,9 @@ def _adaptive_lasso(magnitude, sign, inverse_power, threshold: float, exponent: 
     """Adaptive-LASSO thresholding ``sign(s) * (|s| - u**(e+1) * |s|**-e)_+``.
 
     Takes ``|s|``, ``sign(s)`` and ``|s| ** -e`` (see :func:`_inverse_power`).
-    Like every generalized thresholding rule it is exactly zero wherever
-    ``|s| <= u``, so at ``threshold = 0`` it is the matrix itself.
-    With ``exponent = 0`` this is exactly soft thresholding; larger
-    exponents shrink small entries harder while leaving large entries
-    nearly intact.
+    Exactly zero wherever ``|s| <= u``, so at ``threshold = 0`` it is the
+    matrix itself; ``exponent = 0`` is soft thresholding, and larger
+    exponents shrink small entries harder, large ones hardly at all.
     """
     u, e = float(threshold), float(exponent)
     # At threshold 0 an exact zero of S gives 0 * inf = NaN here; the mask below zeroes it.
@@ -103,27 +108,35 @@ def _adaptive_lasso(magnitude, sign, inverse_power, threshold: float, exponent: 
     return out
 
 
-def _band_distance(dim: int) -> np.ndarray:
-    """``|j - l|`` for every entry of a ``dim x dim`` matrix, as floats."""
-    idx = np.arange(dim)
-    return np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
+def _scale_diagonals(m: np.ndarray, weights) -> np.ndarray:
+    """``m`` with diagonals ``k`` and ``-k`` scaled by ``weights[k]`` (kept as they are at 1), else exact zeros.
 
-
-def _band(m: np.ndarray, distance: np.ndarray, bands: int) -> np.ndarray:
-    """Zero all entries of ``m`` more than ``bands`` positions from the diagonal, by ``distance``."""
-    return np.where(distance <= bands, m, 0.0)
-
-
-def _taper_weights(distance: np.ndarray, bands: int) -> np.ndarray:
-    """Tapering weights for an even bandwidth ``bands``, by :func:`_band_distance`.
-
-    Weights are 1 within ``bands / 2`` of the diagonal, decay linearly as
-    ``2 - 2*|j - l| / bands`` out to ``bands`` (where they reach 0), and
-    are 0 beyond.  The decay is continuous at ``bands / 2`` and the
-    ``bands = 2`` case reproduces the bandwidth-1 banding indicator.
+    Each diagonal is a strided slice of the flat matrix: no ``J x J`` mask.
     """
-    decay = 2.0 - 2.0 * distance / bands
-    return np.where(distance <= bands // 2, 1.0, np.where(distance <= bands, decay, 0.0))
+    dim = m.shape[0]
+    flat, out = m.ravel(), np.zeros(dim * dim)
+    for k, weight in enumerate(weights[:dim]):
+        if weight == 0.0:
+            continue
+        upper, lower = slice(k, (dim - k) * dim, dim + 1), slice(k * dim, None, dim + 1)
+        for diagonal in (upper, lower) if k else (upper,):
+            out[diagonal] = flat[diagonal] if weight == 1.0 else weight * flat[diagonal]
+    return out.reshape(dim, dim)
+
+
+def _band(m: np.ndarray, bands: int) -> np.ndarray:
+    """Zero all entries of ``m`` more than ``bands`` positions from the diagonal."""
+    return _scale_diagonals(m, [1.0] * min(bands + 1, m.shape[0]))
+
+
+def _taper(m: np.ndarray, bands: int) -> np.ndarray:
+    """``m`` tapered with an even bandwidth ``bands``: diagonal ``k = |j - l|`` scaled by its weight.
+
+    Weights are 1 out to ``bands / 2``, then ``2 - 2k / bands`` (continuous
+    there, and 0 at ``bands``), and 0 beyond; ``bands = 2`` is banding(1).
+    """
+    weights = [1.0 if k <= bands // 2 else 2.0 - 2.0 * k / bands for k in range(min(bands + 1, m.shape[0]))]
+    return _scale_diagonals(m, weights)
 
 
 @dataclass(frozen=True)
@@ -147,12 +160,10 @@ class ShrinkageComponents:
 def _shrinkage_components(data: np.ndarray, cov: np.ndarray, target: np.ndarray) -> ShrinkageComponents:
     """The plug-in quantities of shrinking ``cov``, the covariance of ``data``'s rows, towards ``target``.
 
-    Both squared distances are summed in units of ``2**e``, with ``e``
-    the binary exponent of ``max|cov|``, so that no square underflows or
-    overflows, and reported in data units.  Scaling by a power of two is
-    exact, so the values are those of summing in data units wherever
-    that neither underflows nor overflows, and the intensity, a ratio,
-    is the same in both units.
+    Both squared distances are summed in units of ``2**e``, ``e`` the
+    binary exponent of ``max|cov|``, so no square under- or overflows, and
+    reported in data units: exactly the values of summing in data units
+    wherever that neither under- nor overflows.
     """
     n, dim = data.shape
     e = math.frexp(max(float(np.max(cov)), -float(np.min(cov))))[1]
@@ -173,10 +184,9 @@ def _shrinkage_components(data: np.ndarray, cov: np.ndarray, target: np.ndarray)
 def _shrink(data: np.ndarray, cov: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Linear shrinkage of ``cov`` towards ``target``.
 
-    The intensity is the ratio of the (clipped) sampling dispersion of the
-    per-observation outer products to the distance between ``cov`` and
-    its target, the standard plug-in recipe for this estimator, so it
-    lies in [0, 1].
+    The intensity, the standard plug-in, is the (clipped) sampling
+    dispersion of the per-observation outer products over the distance
+    between ``cov`` and its target, so it lies in [0, 1].
     """
     rho = _shrinkage_components(data, cov, target).intensity
     # Summed in place, so no J x J temporary outlives its term; the sum is the same either way.
@@ -206,12 +216,11 @@ def _dense_target(cov: np.ndarray) -> np.ndarray:
 def _poet_low_rank(cov: np.ndarray, basis, factors: int) -> np.ndarray:
     """POET's rank-``factors`` part of ``cov``.
 
-    ``basis`` is a :attr:`FitContext.factor_basis` pair ``(B, w)``: the
-    low-rank part is ``C @ C.T`` with ``C = B_k * sqrt(max(w_k, 0))`` over
-    its leading ``k`` columns.  numpy computes that product with one
-    symmetric rank-k update (syrk), so it is exactly symmetric, and so are
-    the remainder and the estimate.  A weight below zero is an eigenvalue
-    of a rank-deficient ``S`` at rounding level and adds nothing.
+    ``C @ C.T`` with ``C = B_k * sqrt(max(w_k, 0))`` over the leading ``k``
+    columns of the :attr:`FitContext.factor_basis` pair ``(B, w)``: one
+    syrk, so it is exactly symmetric, as are the remainder and the
+    estimate.  A negative weight is a rounding-level eigenvalue of a
+    rank-deficient ``S``.
     """
     dim = cov.shape[0]
     if not 0 <= factors <= dim:
@@ -223,7 +232,8 @@ def _poet_low_rank(cov: np.ndarray, basis, factors: int) -> np.ndarray:
 
 def _poet(cov: np.ndarray, low_rank: np.ndarray, residual: np.ndarray, threshold: float) -> np.ndarray:
     """Leading eigencomponents plus the hard-thresholded remainder."""
-    out = low_rank + _hard(residual, np.abs(residual), threshold)
+    out = np.where(np.abs(residual) > threshold, residual, 0.0)
+    out += low_rank
     # The residual's diagonal is kept as-is, so the estimate's diagonal
     # reconstitutes the sample variances exactly.
     np.fill_diagonal(out, np.diag(cov))
@@ -242,22 +252,20 @@ _CACHED_EXPONENTS = 5
 class FitContext:
     """Per-dataset cache of quantities shared across candidate fits.
 
-    Every quantity is computed on first use and kept for the context's
-    life: the sample covariance ``S``, POET's factor basis (the ``J x J``
-    eigenvectors of ``S`` when ``n >= J``, else ``J x n`` loadings, see
-    :attr:`factor_basis`), ``|S|`` and ``sign(S)`` (thresholding), the
-    ``|j - l|`` band distances (banding, tapering), POET's low-rank part
-    for the most recent factor count (the library lists POET grouped by
-    factor count) and its remainder once a direct POET fit asks for it,
-    and ``|S| ** -e`` for the last :data:`_CACHED_EXPONENTS`
-    adaptive-LASSO exponents.  That bounds the cache at
-    ``7 + _CACHED_EXPONENTS = 12`` ``J x J`` matrices and the ``J``
-    eigenvalues of ``S`` besides the data, whatever the number of
-    candidates fitted.  The grid scorers read only
-    ``S``, the factor basis and the low-rank part, so a fold scored on the
-    grid caches at most three ``J x J`` matrices besides what its
-    direct-path candidates build.  Cached arrays are shared by the fits
-    and must not be written to; every fit returns a new array.
+    Each quantity is computed on first use and kept until released: ``S``,
+    POET's factor basis (see :attr:`factor_basis`), ``|S|``, ``sign(S)``,
+    POET's low-rank part and remainder for one factor count, and
+    ``|S| ** -e`` for the last :data:`_CACHED_EXPONENTS` exponents: at most
+    ``6 + 5 = 11`` ``J x J`` matrices and ``J`` eigenvalues besides the
+    data.  Cached arrays are shared and must not be written to.
+
+    Memory, per process: each pass of a replication (the full-data pass,
+    :func:`_grouped_fits`; one fold's :func:`_score_fits`; the refits of a
+    ``bench`` replication) peaks at ``c * J**2`` doubles, ``c = 9``,
+    besides the data, ``psi0``, a fold's targets and its grid layout, as
+    tracemalloc counts numpy's arrays, from ``J = 60`` on
+    (``tests/test_memory.py``).  On model 2 at ``J = 400`` they peak at
+    6.4, 5.8 and 5.3; a fold at 8.6 at ``J = 60``.
     """
 
     def __init__(self, data) -> None:
@@ -298,10 +306,6 @@ class FitContext:
     def sign(self) -> np.ndarray:
         return np.sign(self.cov)
 
-    @cached_property
-    def distance(self) -> np.ndarray:
-        return _band_distance(self.cov.shape[0])
-
     def poet_low_rank(self, factors: int) -> np.ndarray:
         """POET's rank-``factors`` part, cached for the latest count only."""
         if self._poet is None or self._poet[0] != factors:
@@ -324,6 +328,15 @@ class FitContext:
                 del self._inverse_powers[next(iter(self._inverse_powers))]
             cached = self._inverse_powers[exponent] = _inverse_power(self.magnitude, exponent)
         return cached
+
+    def _release(self, key) -> None:
+        """Drop the entry :func:`_reads` names ``key``, rebuilt when next read; ``("factors", k)``: POET's parts."""
+        if isinstance(key, str):
+            self.__dict__.pop(key, None)
+        elif key[0] == "factors":
+            self._poet = None
+        else:
+            self._inverse_powers.pop(key[1], None)
 
 
 class _Rule(NamedTuple):
@@ -403,21 +416,14 @@ class _Family:
 
 _FAMILIES: dict[str, _Family] = {}
 
-#: Grid scorers of the built-in families, by family name.  A scorer
-#: ``score(fold, specs)`` scores many candidates of its family on one
-#: training fold without building their estimates (see :func:`_score_fits`).
-#: ``fold`` is a :class:`covsel._grid.Fold`: the fold's :class:`FitContext`
-#: as ``fold.ctx`` and the ``(T, eta)`` pairs to score against as
-#: ``fold.targets`` (exactly symmetric).  It returns one entry per spec:
-#: ``values``, where ``values[t]`` equals ``scaled_frobenius_sq(T_t - fit,
-#: eta_t)`` up to rounding, or ``None`` to leave that spec to the direct
-#: path, :func:`_score_directly`, which fits, scores and drops it; only
-#: :func:`_grid.score_poet` does, for factor counts the fold cannot
-#: decompose.  Families sharing one scorer are scored in one call per
-#: fold, so they share its pass over the covariance.  Families without a
-#: scorer, user-registered ones included, take the direct path, as do the
-#: near-tie candidates that :func:`~covsel.cv_engine.evaluate_candidates`
-#: scores again.
+#: Grid scorers of the built-in families.  ``score(fold, specs)`` scores
+#: many candidates on one :class:`covsel._grid.Fold` (``fold.ctx`` and the
+#: exactly symmetric ``(T, eta)`` pairs ``fold.targets``) without building
+#: their estimates, one entry per spec: ``values[t]``, equal to
+#: ``scaled_frobenius_sq(T_t - fit, eta_t)`` up to rounding, or ``None``
+#: to leave the spec to the direct path (:func:`_grid.score_poet` does,
+#: for factor counts the fold cannot decompose).  Families sharing a
+#: scorer share its pass over the covariance, in one call per fold.
 _SCORERS: dict[str, Callable] = {
     "sample_covariance": _grid.score_identity,
     "hard_threshold": _grid.score_thresholds,
@@ -433,8 +439,8 @@ def register_family(name, fit, validate=None, param_order=()) -> None:
     """Register an estimator family.
 
     ``fit(ctx, params)`` must be a deterministic function of the data in
-    ``ctx`` and the validated ``params``, returning a symmetric matrix in
-    a new array, which the caller may overwrite (not ``ctx.cov`` itself).
+    ``ctx`` and the validated ``params``, returning a symmetric float64
+    matrix in a new array, which the caller may overwrite (not ``ctx.cov`` itself).
     ``validate(params)`` normalizes hyperparameters (filling defaults) and
     raises :class:`ConfigError` on invalid input.
     """
@@ -471,20 +477,14 @@ register_family(
 )
 register_family(
     "banding",
-    lambda ctx, p: _band(ctx.cov, ctx.distance, p["bands"]),
+    lambda ctx, p: _band(ctx.cov, p["bands"]),
     _validator(bands=_Rule(0, integer=True)),
     ("bands",),
 )
 
 
-def _fit_tapering(ctx: FitContext, params: dict) -> np.ndarray:
-    weights = _taper_weights(ctx.distance, params["bands"])
-    out = weights * ctx.cov
-    out[weights == 0.0] = 0.0
-    return out
-
-
-register_family("tapering", _fit_tapering, _validator(_even_bands, bands=_Rule(2, integer=True)), ("bands",))
+register_family("tapering", lambda ctx, p: _taper(ctx.cov, p["bands"]),
+                _validator(_even_bands, bands=_Rule(2, integer=True)), ("bands",))
 register_family("linear_shrinkage", lambda ctx, p: _shrink(ctx.data, ctx.cov, _identity_target(ctx.cov)))
 register_family("dense_linear_shrinkage", lambda ctx, p: _shrink(ctx.data, ctx.cov, _dense_target(ctx.cov)))
 register_family(
@@ -584,58 +584,74 @@ def iter_fits(library: CandidateLibrary, data):
 
     Returns an iterator of ``(estimate, failure)`` pairs over one shared
     :class:`FitContext`; a failed candidate yields ``estimate=None`` and a
-    reason string instead of aborting the whole batch.  Each fit runs when
-    the caller asks for its pair, so a caller that is done with an
-    estimate before asking for the next one holds one ``J x J`` estimate
-    at a time, next to the context's bounded cache.
+    reason string.  Each fit runs when its pair is asked for, so a caller
+    done with each estimate first holds one at a time, next to the
+    context's cache; the full-data pass takes :func:`_grouped_fits`.
     """
     ctx = FitContext(data)
     return (_try_fit(spec, ctx) for spec in library)
 
 
-def apply_library(library: CandidateLibrary, data):
-    """All of :func:`iter_fits` as a list, in library order.
+def _reads(spec: EstimatorSpec) -> tuple:
+    """The cached entries ``spec``'s fit reads besides ``S``, as :meth:`FitContext._release` names them."""
+    keys = {"hard_threshold": ("magnitude",), "scad_threshold": ("magnitude", "sign"),
+            "adaptive_lasso": ("magnitude", "sign", "exponent"), "poet": ("factor_basis", "factors")}
+    return tuple((key, spec.params[key]) if key in spec.params else key for key in keys.get(spec.family, ()))
 
-    The list holds every successful estimate at once, ``K`` matrices of
-    ``J x J``; scoring or flagging code iterates :func:`iter_fits` instead.
+
+def _grouped_fits(library: CandidateLibrary, data):
+    """``(index, estimate, failure)`` for each candidate, as :func:`iter_fits` gives, grouped by the entries they share.
+
+    Families run in the order they first appear, and within a family the
+    candidates reading the same entries (one ``|S| ** -e``, one POET
+    factor count) run together, each group in library order.  Each entry
+    is released once its last reader is fitted, before that fit is
+    yielded, so none is built twice.
     """
+    ctx = FitContext(data)
+    reads, groups = [_reads(spec) for spec in library], {}
+    for i, spec in enumerate(library):
+        groups.setdefault(spec.family, {}).setdefault(reads[i], []).append(i)
+    order = [i for family in groups.values() for group in family.values() for i in group]
+    last = {key: i for i in order for key in reads[i]}
+    for i in order:
+        estimate, failure = _try_fit(library[i], ctx)
+        for key in reads[i]:
+            if last[key] == i:
+                ctx._release(key)
+        yield i, estimate, failure
+        del estimate  # the caller's to drop before the next fit
+
+
+def apply_library(library: CandidateLibrary, data):
+    """All of :func:`iter_fits` as a list: ``K`` estimates of ``J x J`` at once, so scoring code iterates instead."""
     return list(iter_fits(library, data))
 
 
 def _score_fits(library: CandidateLibrary, fold: _grid.Fold) -> tuple[np.ndarray, dict[int, str]]:
     """Score every candidate's fit on ``fold`` against each of its ``(T, eta)`` targets.
 
-    ``fold`` is a :class:`covsel._grid.Fold`: the training data's
-    :class:`FitContext` and the targets.  Returns ``(values, failures)``:
-    ``values[k, t]`` is ``scaled_frobenius_sq(T_t - fit_k, eta_t)``, NaN
-    for a failed candidate, and ``failures`` maps a failed candidate's
-    index to its reason, in library order, a fit with a non-finite entry
-    among them (see :func:`_try_fit`).  Every ``T_t``, and every matrix
-    ``eta_t``, must be exactly symmetric, as validation covariances,
-    weights and checked true covariances are.
-
-    Families with a scorer (see :data:`_SCORERS`) are scored from shared
-    sums over the data's covariance and build no ``J x J`` estimate.  The
-    rest (families without a scorer, POET factor counts the fold cannot
-    decompose) and any candidate scored as non-finite take the direct
-    path, :func:`_score_directly`, the reference the scorers are tested
-    against.
+    Returns ``(values, failures)``: ``values[k, t]`` is
+    ``scaled_frobenius_sq(T_t - fit_k, eta_t)``, NaN for a failed
+    candidate, and ``failures`` maps a failed candidate's index to its
+    reason (see :func:`_try_fit`), in library order.  Every ``T_t`` and
+    matrix ``eta_t`` must be exactly symmetric.  Families with a scorer
+    (:data:`_SCORERS`) build no estimate; the rest, user-registered ones
+    included, and any candidate scored as non-finite take the direct path,
+    :func:`_score_directly`, the reference the scorers are tested against.
     """
     values = np.full((len(library), len(fold.targets)), np.nan)
-    groups: dict[Callable, list[int]] = {}
-    direct: list[int] = []
+    groups: dict[Callable | None, list[int]] = {}
     for idx, spec in enumerate(library):
-        score = _SCORERS.get(spec.family)
-        if score is None:
-            direct.append(idx)
-        else:
-            groups.setdefault(score, []).append(idx)
+        groups.setdefault(_SCORERS.get(spec.family), []).append(idx)
+    direct = groups.pop(None, [])
     for score, indices in groups.items():
         for idx, scored in zip(indices, score(fold, [library[i] for i in indices])):
             if scored is None or not np.all(np.isfinite(scored)):
                 direct.append(idx)
-                continue
-            values[idx] = scored
+            else:
+                values[idx] = scored
+    fold.ctx._release(("factors", None))  # POET's parts: the direct path builds them again if it needs them
     failures: dict[int, str] = {}
     _score_directly(library, fold, sorted(direct), values, failures)
     return values, failures
@@ -646,15 +662,19 @@ def _score_directly(library: CandidateLibrary, fold: _grid.Fold, indices, values
 
     Writes candidate ``k``'s value against each target to ``values[k]``.
     A candidate whose fit fails gets NaN there, and its reason in
-    ``failures`` unless one is recorded already.
+    ``failures`` unless one is recorded already.  The last target is
+    subtracted in place: ``(E - T)**2`` has the bits of ``(T - E)**2``.
     """
+    *others, (last, last_eta) = fold.targets
     for idx in indices:
         estimate, failure = _try_fit(library[idx], fold.ctx)
         if failure is not None:
             values[idx] = np.nan
             failures.setdefault(idx, failure)
             continue
-        values[idx] = [scaled_frobenius_sq(target - estimate, eta) for target, eta in fold.targets]
+        row = [scaled_frobenius_sq(target - estimate, eta) for target, eta in others]
+        estimate -= last
+        values[idx] = [*row, scaled_frobenius_sq(estimate, last_eta)]
 
 
 def _try_fit(spec: EstimatorSpec, ctx: FitContext):
@@ -670,27 +690,19 @@ def _try_fit(spec: EstimatorSpec, ctx: FitContext):
     return (estimate, None) if finite else (None, "non-finite estimate")
 
 
-def _ranked_refits(library: CandidateLibrary, ctx: FitContext, risks, indices, cache=None):
-    """Fit ``indices`` on ``ctx`` in ascending ``(risk, position)`` order, through the winner's ties.
+def _ranked_refits(risks, indices, fit):
+    """``fit(i)`` for ``indices`` in ascending ``(risk, position)`` order, through the winner's ties.
 
-    Yields ``(index, estimate, failure)``, fitting each candidate only
-    when asked for it, and skips candidates whose risk is not finite.
-    The winner is the first candidate whose fit succeeds; the candidates
-    after it with the same risk follow, and the generator stops before
-    the first higher risk.  ``cache``, a dict by library index, keeps
-    every pair and reuses the pairs already there, so rankings of
-    overlapping indices on one context fit each candidate once.
+    ``fit(i)`` returns a :func:`_try_fit` pair; each ``(i, *fit(i))`` is
+    made when asked for.  Candidates whose risk is not finite are skipped.
+    The winner is the first whose fit succeeds; the candidates with its
+    risk follow, and the generator stops before the first higher risk.
     """
     best = None
     for risk, _, idx in sorted((risks[i], pos, i) for pos, i in enumerate(indices) if np.isfinite(risks[i])):
         if best is not None and risk != best:
             return
-        if cache is None:
-            pair = _try_fit(library[idx], ctx)
-        elif idx in cache:
-            pair = cache[idx]
-        else:
-            pair = cache[idx] = _try_fit(library[idx], ctx)
+        pair = fit(idx)
         if best is None and pair[1] is None:
             best = risk
         yield (idx, *pair)

@@ -178,7 +178,9 @@ class BoundParams:
     both are empirical plug-ins, not almost-sure bounds: ``simulate``
     takes ``m1`` from the observed data and ``m2`` from ``max|psi0|`` and
     each training fold's largest variance (see
-    :class:`~covsel.simulation.CellStats`).
+    :class:`~covsel.simulation.CellStats`).  POET's entries can exceed
+    ``max|S|`` by a few ulps of rounding, so ``m2`` can sit that far below
+    the largest candidate entry.
     """
 
     delta: float

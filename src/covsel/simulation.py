@@ -10,10 +10,8 @@ errors are summarized.
 Seeding: every replication derives independent streams for the model
 draw, the data draw, and the CV split from
 ``SeedSequence([master, model, n, ratio_index, replication, stream])``
-with stream tags 0, 1, and 2, so any cell can be reproduced in isolation.
-That independence lets the runner split a grid's (cell, replication)
-units among forked worker processes and merge their results into the
-same outputs as one process gives.
+with stream tags 0, 1, and 2, so any cell can be reproduced in isolation,
+and forked workers give the outputs of one process.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from . import _workers
+from . import _workers, estimators
 from .cv_engine import (
     _argmin,
     _full_data_errors,
@@ -41,6 +39,7 @@ from .estimators import (  # noqa: F401
     CandidateLibrary,
     FitContext,
     _ranked_refits,
+    _reads,
     apply_library,
     default_library,
     wide_library,
@@ -108,17 +107,12 @@ class CovModelSpec:
 def _repair_psd(matrix: np.ndarray) -> np.ndarray:
     """Clip the spectrum at 1e-10 when a model matrix is not PD.
 
-    Matrices that are already positive definite are returned untouched so
-    their entries stay exactly as constructed.  The clip matters for
-    model 3, whose banded construction is indefinite once the dimension
-    exceeds 3; the repaired matrix is the covariance actually sampled
-    from and benchmarked against.
-
-    A Cholesky factor of ``matrix - (1e-10 + margin) I`` clears a matrix
-    without the ``eigh``.  The margin, ``1e-8 ||matrix||_F``, is orders of
-    magnitude above the rounding of both the factorization and ``eigh``, so
-    every matrix it clears is one whose ``eigh`` spectrum starts at or
-    above 1e-10 too, and the result is the same as from ``eigh`` alone.
+    Positive definite matrices are returned untouched.  The clip matters
+    for model 3, indefinite beyond dimension 3; the repaired matrix is the
+    covariance sampled from and benchmarked against.  A Cholesky factor
+    of ``matrix - (1e-10 + 1e-8 ||matrix||_F) I`` clears a matrix without
+    the ``eigh``: the margin is far above the rounding of both, so the
+    result is the one ``eigh`` alone gives.
     """
     if _has_cholesky(matrix, -(1e-10 + 1e-8 * _frobenius_norm(matrix))):
         return matrix
@@ -238,10 +232,9 @@ class ExperimentConfig:
     emitted.  The selector scores the matrix risk, which selects as the
     observation risk does.  Model matrices for models 5 and 8 are
     redrawn each replication unless ``fix_model`` is set.  ``library``
-    defaults to :func:`~covsel.estimators.default_library`.
-
-    The CV design is V-fold by default; setting ``validation_fraction``
-    switches to ``split_count`` random splits, one if that is not given.
+    defaults to :func:`~covsel.estimators.default_library`.  The CV design
+    is V-fold unless ``validation_fraction`` is set, which gives
+    ``split_count`` random splits (one by default).
     """
 
     models: tuple[int, ...]
@@ -329,16 +322,11 @@ class CellStats:
     """A cell and the two plug-ins of its finite-sample bound, ``m1`` and ``m2``.
 
     ``max_sq_observation``, ``m1``, is the largest squared entry of any
-    replication's data.  ``max_abs_estimate``, ``m2``, is the largest of
-    each replication's ``max|psi0|`` and its training folds' largest
-    variances.  A sample covariance ``S`` is PSD, so
-    ``|S_jl| <= sqrt(S_jj S_ll)`` and a fold's largest variance is its
-    ``max|S|`` up to rounding.  Every built-in family maps ``S``
-    entrywise to values no larger in magnitude, or keeps ``diag(S)`` and
-    POET's low-rank part, which ``S`` dominates, so ``max|S|`` bounds
-    every training-fold estimate, POET's but for the up to 6 ulps by
-    which the rounding of its eigendecomposition can exceed it.  Both
-    are ``None`` unless ``cv_ratio`` ran, the only metric with a bound.
+    replication's data; ``max_abs_estimate``, ``m2``, the largest of each
+    replication's ``max|psi0|`` and its training folds' largest variances,
+    which are their ``max|S|`` (``S`` is PSD) up to rounding.  ``max|S|``
+    bounds every built-in family's fold estimates, POET's but for up to 6
+    ulps of rounding.  Both are ``None`` unless ``cv_ratio`` ran.
     """
 
     model: int
@@ -465,17 +453,13 @@ def _run_grid(config: ExperimentConfig, run_rep) -> tuple[list[ResultRow], list[
     replications' entry by entry.
 
     Unit ``u`` of :func:`~covsel._workers._map` is replication
-    ``u mod R`` of cell ``u // R``, its cost ``J**2 (n + J)``, the order
-    of its covariances and fits.  A cell's replications are merged, and
-    their warnings logged, in order, so the outputs and the log are the
-    same at any worker count.  A replication that raises one of
-    ``_CELL_ERRORS`` skips its cell as a single process running the
-    replications in order would: the cell is logged and recorded as
-    ``{model, n, ratio, reason}`` with the reason of its first failing
-    replication, without the warnings of the replications after that
-    one, which a process does not run once it has seen the cell fail.
-    Any other exception ends the run, as :func:`~covsel._workers._map`
-    raises it.
+    ``u mod R`` of cell ``u // R``, of cost ``J**2 (n + J)``.  Results and
+    warnings are merged in order, so the outputs and the log are the same
+    at any worker count.  A replication raising one of ``_CELL_ERRORS``
+    skips its cell as one process would: the cell is logged and recorded
+    as ``{model, n, ratio, reason}`` with its first failure's reason, and
+    later replications' warnings are dropped, as one process never runs
+    them.  Any other exception ends the run.
     """
     cells = config.cells()
     reps = config.replications
@@ -650,8 +634,10 @@ def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) ->
     refitted on the full dataset and its error norms against the true
     covariance matrix are recorded under the procedure's name.  Only
     winners are refitted; when a winner's full-data fit fails, the
-    procedure falls back to its next-ranked candidate.  A cell that fails
-    on its data is skipped, as in :func:`run_experiment`.
+    procedure falls back to its next-ranked candidate.  A replication
+    fits each candidate once and keeps its errors, not its estimate (see
+    :class:`~covsel.estimators.FitContext` for the memory).  A cell that
+    fails on its data is skipped, as in :func:`run_experiment`.
     """
     _check_metrics(config.metrics, _BENCH_METRICS)
     if tuning_grids is None:
@@ -679,17 +665,30 @@ def run_benchmark(config: ExperimentConfig, tuning_grids: dict | None = None) ->
         )
         selector = ev.mean_risks()
         ctx = FitContext(center_columns(data) if config.center else data)
-        full_fits: dict[int, tuple] = {}
+        measured: dict[int, tuple] = {}
+
+        def errors_of(idx: int) -> tuple:
+            """``(errors, failure)`` of ``idx``'s full-data fit, made once; what it read but the basis is released."""
+            if idx not in measured:
+                residual, failure = estimators._try_fit(union[idx], ctx)
+                for key in set(_reads(union[idx])) - {"factor_basis"}:
+                    ctx._release(key)
+                errors = None
+                if failure is None:
+                    residual -= psi0
+                    squares, norm = _residual_norms(residual, "spectral" in config.metrics)
+                    errors = {"frobenius": math.sqrt(squares), "spectral": norm}
+                measured[idx] = errors, failure
+            return measured[idx]
+
         rows: list[tuple] = []
         for procedure, indices in groups.items():
-            refits = _ranked_refits(union, ctx, selector, indices, cache=full_fits)
-            estimate = next((fit for _, fit, failure in refits if failure is None), None)
-            if estimate is None:
+            refits = _ranked_refits(selector, indices, errors_of)
+            errors = next((errors for _, errors, failure in refits if failure is None), None)
+            if errors is None:
                 warnings.append(("model %d n=%d J=%d rep %d: procedure %s has no valid candidate",
                                  (model, n, dim, rep, procedure)))
                 continue
-            squares, norm = _residual_norms(estimate - psi0, "spectral" in config.metrics)
-            errors = {"frobenius": math.sqrt(squares), "spectral": norm}
             rows.extend((rep, procedure, metric, errors[metric], data_seed) for metric in config.metrics)
         return rows, ()
 

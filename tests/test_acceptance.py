@@ -18,7 +18,6 @@ from covsel.estimators import (
     EstimatorSpec,
     _adaptive_lasso,
     _band,
-    _band_distance,
     _hard,
     _identity_target,
     _inverse_power,
@@ -288,12 +287,11 @@ def test_criterion_7_estimator_identities():
     if abs(weights - 1.0) > 1e-12:
         failures.append("shrinkage weights")
 
-    distance = _band_distance(dim)
-    if not np.array_equal(_band(cov, distance, 0), np.diag(np.diag(cov))):
+    if not np.array_equal(_band(cov, 0), np.diag(np.diag(cov))):
         failures.append("banding b=0")
-    if not np.array_equal(_band(cov, distance, dim - 1), cov):
+    if not np.array_equal(_band(cov, dim - 1), cov):
         failures.append("banding b=J-1")
-    if not np.array_equal(apply(EstimatorSpec("tapering", {"bands": 2}), data), _band(cov, distance, 1)):
+    if not np.array_equal(apply(EstimatorSpec("tapering", {"bands": 2}), data), _band(cov, 1)):
         failures.append("taper(2) == band(1)")
 
     poet_full = apply(EstimatorSpec("poet", {"factors": dim, "threshold": 0.2}), data)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from covsel import estimators
 from covsel.errors import ConfigError
 from covsel.estimators import (
     CandidateLibrary,
@@ -8,14 +9,14 @@ from covsel.estimators import (
     FitContext,
     _adaptive_lasso,
     _band,
-    _band_distance,
     _dense_target,
+    _grouped_fits,
     _hard,
     _identity_target,
     _inverse_power,
     _scad,
     _shrinkage_components,
-    _taper_weights,
+    _taper,
     _try_fit,
     apply,
     apply_library,
@@ -52,11 +53,12 @@ def adaptive_lasso_threshold(m, threshold, exponent):
 
 
 def band_matrix(m, bands):
-    return _band(m, _band_distance(m.shape[0]), bands)
+    return _band(m, bands)
 
 
 def taper_weights(dim, bands):
-    return _taper_weights(_band_distance(dim), bands)
+    """The tapering weight of every entry: the kernel applied to a matrix of ones."""
+    return _taper(np.ones((dim, dim)), bands)
 
 
 @pytest.fixture
@@ -566,22 +568,47 @@ class TestCachedKernels:
             if expected is not None:
                 assert np.array_equal(estimate, expected), spec.id
 
+    @pytest.mark.parametrize("bands", [0, 1, 2, 3, 4, 6, 10, 14, 15, 40])
+    def test_the_diagonal_kernels_equal_the_distance_masks(self, bands):
+        """Banding and tapering as ``np.where`` over the ``J x J`` distances ``|j - l|`` gave them, bit for bit."""
+        dim = 15
+        m = sample_covariance(np.random.default_rng(2).standard_normal((10, dim)))
+        m[np.abs(m) < 0.2] *= -0.0  # exact zeros of either sign
+        assert np.any(np.signbit(m) & (m == 0.0))
+        distance = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim))).astype(np.float64)
+        assert _band(m, bands).tobytes() == np.where(distance <= bands, m, 0.0).tobytes()
+        if bands >= 2 and bands % 2 == 0:
+            decay = 2.0 - 2.0 * distance / bands
+            weights = np.where(distance <= bands // 2, 1.0, np.where(distance <= bands, decay, 0.0))
+            expected = weights * m
+            expected[weights == 0.0] = 0.0
+            assert _taper(m, bands).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("n", [60, 30], ids=["tall", "wide"])
-    def test_the_cache_holds_at_most_twelve_matrices_and_the_eigenvalues(self, n):
-        def arrays(value):
-            if isinstance(value, np.ndarray):
-                yield value
-            elif isinstance(value, (list, tuple, dict)):
-                for item in value.values() if isinstance(value, dict) else value:
-                    yield from arrays(item)
+    def test_the_cache_holds_at_most_eleven_matrices_and_four_in_the_grouped_pass(self, n, monkeypatch):
+        def cached(ctx):
+            def arrays(value):
+                if isinstance(value, np.ndarray):
+                    yield value
+                elif isinstance(value, (list, tuple, dict)):
+                    for item in value.values() if isinstance(value, dict) else value:
+                        yield from arrays(item)
+
+            return sum(array.nbytes for name, value in vars(ctx).items() if name != "data" for array in arrays(value))
 
         dim = 40
-        ctx = FitContext(np.random.default_rng(6).standard_normal((n, dim)))
+        data = np.random.default_rng(6).standard_normal((n, dim))
+        ctx = FitContext(data)
         for spec in default_library():
             _try_fit(spec, ctx)
-        cached = sum(array.nbytes for name, value in vars(ctx).items() if name != "data" for array in arrays(value))
-        # Every entry is filled: 12.025 J^2 doubles at n=60, 11.77 J^2 at n=30.
-        assert 8 * 11 * dim * dim < cached <= 8 * (12 * dim * dim + dim)
+        # In library order every entry is filled: 11.025 J^2 doubles at n=60, 10.77 J^2 at n=30.
+        assert 8 * 10 * dim * dim < cached(ctx) <= 8 * (11 * dim * dim + dim)
+
+        contexts = []
+        monkeypatch.setattr(estimators, "FitContext", lambda data: contexts.append(FitContext(data)) or contexts[-1])
+        sizes = [cached(contexts[0]) for _ in _grouped_fits(default_library(), data)]
+        # S and at most three entries: |S|, sign(S) and one |S|^-e, or POET's basis and parts; S alone at the end.
+        assert max(sizes) <= 8 * (4 * dim * dim + dim) and sizes[-1] == 8 * dim * dim
 
 
 def factor_data():

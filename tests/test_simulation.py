@@ -1,4 +1,5 @@
 import logging
+import math
 import os
 import re
 import sys
@@ -12,10 +13,10 @@ import covsel.cv_engine as cv_engine
 import covsel.estimators as estimators
 import covsel.matrix_core as matrix_core
 import covsel.simulation as simulation
-from covsel.cv_engine import MonteCarloSplit, VFold, make_splits
+from covsel.cv_engine import MonteCarloSplit, VFold, evaluate_candidates, make_splits
 from covsel.errors import ConfigError, EstimationError
-from covsel.estimators import CandidateLibrary, EstimatorSpec, build_library
-from covsel.matrix_core import center_columns, sample_covariance
+from covsel.estimators import CandidateLibrary, EstimatorSpec, apply, build_library
+from covsel.matrix_core import center_columns, sample_covariance, spectral_norm
 from covsel.simulation import (
     CV_ORACLE_SUBJECT,
     FULL_ORACLE_SUBJECT,
@@ -528,6 +529,41 @@ class TestBenchmark:
     def test_risk_metric_rejected(self):
         with pytest.raises(ConfigError):
             run_benchmark(tiny_config(metrics=("cv_ratio",)))
+
+    def test_a_winner_failing_on_the_full_data_hands_its_procedures_their_runners_up(self, monkeypatch):
+        config = tiny_config(metrics=("frobenius", "spectral"), replications=1, library=build_library(
+            {"hard_threshold": {"threshold": [0.1, 0.3]}, "banding": {"bands": [1, 3]}}))
+        grids = {
+            "hard_threshold": [EstimatorSpec("hard_threshold", {"threshold": u}) for u in (0.05, 0.1, 0.2, 0.3)],
+            "banding": [EstimatorSpec("banding", {"bands": b}) for b in (1, 2, 3)],
+        }
+        union = CandidateLibrary(tuple(config.library) + tuple(
+            spec for specs in grids.values() for spec in specs if spec.id not in config.library.ids))
+        groups = {SELECTED_SUBJECT: config.library.ids, **{f: [s.id for s in specs] for f, specs in grids.items()}}
+        _, psi0, data, _, splits = replications(config, config.cells()[0])[0]
+        risks = dict(zip(union.ids, evaluate_candidates(union, data, splits, risk="matrix", center=False).mean_risks()))
+        ranked = {p: sorted(ids, key=lambda i: (risks[i], ids.index(i))) for p, ids in groups.items()}
+        failing = ranked[SELECTED_SUBJECT][0]
+        assert failing in ranked[failing.split("(")[0]]  # the winner is in its family's grid too
+        refits = []
+        real_try_fit = estimators._try_fit
+
+        def fails_on_full_data(spec, ctx):
+            if ctx.data.shape[0] < 30:  # a training fold
+                return real_try_fit(spec, ctx)
+            refits.append(spec.id)
+            return (None, "forced failure") if spec.id == failing else real_try_fit(spec, ctx)
+
+        monkeypatch.setattr(estimators, "_try_fit", fails_on_full_data)
+        monkeypatch.setattr(_workers, "_worker_count", lambda units: 1)  # the refits live in this process
+        result = run_benchmark(config, tuning_grids=grids)
+        assert sorted(refits) == sorted(set(refits)) and refits.count(failing) == 1
+        for procedure, ids in ranked.items():
+            winner = next(i for i in ids if i != failing)
+            residual = apply(union[union.ids.index(winner)], data) - psi0
+            expected = {"frobenius": math.sqrt(float(np.sum(residual * residual))), "spectral": spectral_norm(residual)}
+            rows = {r.metric: r.value for r in result.rows if r.subject == procedure}
+            assert rows == expected, procedure
 
 
 def test_a_programming_error_in_a_cell_ends_the_run(monkeypatch):
